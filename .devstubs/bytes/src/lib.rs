@@ -1,7 +1,7 @@
 //! Local API-compatible shim (big-endian, matching the real `bytes` crate
 //! defaults) for offline builds.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bytes {
@@ -84,6 +84,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.0
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
     }
 }
 

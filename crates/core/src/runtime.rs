@@ -1131,6 +1131,24 @@ impl Session {
         collector.record_incident(Self::incident_kind(err), err.to_string(), Some(trace_id));
     }
 
+    /// What every data statement leaves behind when no stage timer or span
+    /// recorder rides along: the exact counters, the end-to-end histogram, a
+    /// tail-kept trace if it failed, and an SLO observation.
+    fn record_statement(&self, is_read: bool, total_us: u64, err: Option<&KernelError>) {
+        let metrics = self.runtime.metrics();
+        if metrics.on() {
+            metrics.statements.inc();
+            if err.is_some() {
+                metrics.statement_errors.inc();
+            }
+            metrics.statement_us.record_us(total_us);
+        }
+        if let Some(e) = err {
+            self.tail_keep_error(total_us, e);
+        }
+        self.observe_slo(is_read, total_us, err.is_some());
+    }
+
     /// Feed the SLO monitor and freeze the flight recorder on a fresh
     /// breach.
     fn observe_slo(&self, is_read: bool, total_us: u64, is_err: bool) {
@@ -1246,6 +1264,21 @@ impl Session {
         if !streamable_shape {
             return Ok(StreamOutcome::from_result(self.execute(stmt, params)?));
         }
+        if !self.should_trace() {
+            return self.open_stream(stmt, params);
+        }
+        // Same bookkeeping as the materialized light path. The time is to
+        // cursor open; draining the rows is the consumer's.
+        let start = Instant::now();
+        let result = self.open_stream(stmt, params);
+        let total_us = (start.elapsed().as_micros() as u64).max(1);
+        self.record_statement(true, total_us, result.as_ref().err());
+        result
+    }
+
+    /// Plan a streamable SELECT and open its merged cursor, falling back to
+    /// the materialized path when the executor does not admit the fan-out.
+    fn open_stream(&mut self, stmt: &Statement, params: &[Value]) -> Result<StreamOutcome> {
         let deadline = self.statement_timeout.map(|t| Instant::now() + t);
         match self.plan_data_statement(stmt, params)? {
             DataPlan::Immediate(result) => Ok(StreamOutcome::from_result(result)),
@@ -1673,23 +1706,11 @@ impl Session {
         // two clock reads bracket the statement for the exact counters and
         // end-to-end histogram; the per-stage laps wait for the next sample.
         if !self.capture_trace() && !span_due && !self.stage_sample_due() {
-            let runtime = Arc::clone(&self.runtime);
             let start = Instant::now();
             self.pending_parse_us = None;
             let result = self.execute_data_statement_inner(stmt, params);
             let total_us = (start.elapsed().as_micros() as u64).max(1);
-            let metrics = runtime.metrics();
-            if metrics.on() {
-                metrics.statements.inc();
-                if result.is_err() {
-                    metrics.statement_errors.inc();
-                }
-                metrics.statement_us.record_us(total_us);
-            }
-            if let Err(e) = &result {
-                self.tail_keep_error(total_us, e);
-            }
-            self.observe_slo(is_read, total_us, result.is_err());
+            self.record_statement(is_read, total_us, result.as_ref().err());
             return result;
         }
         // Observed path: a stage timer rides on the session while the

@@ -302,10 +302,11 @@ fn kernel_and_storage_metrics_populate() {
     assert_eq!(streamed.len(), 10);
 
     let rs = query(&mut s, "SHOW METRICS");
-    // 10 INSERTs + 1 SELECT; RAL/SHOW statements are not data statements.
-    assert_eq!(metric_value(&rs, "kernel_statements_total"), baseline + 11);
+    // 10 INSERTs + 2 SELECTs, one of them streamed; RAL/SHOW statements are
+    // not data statements.
+    assert_eq!(metric_value(&rs, "kernel_statements_total"), baseline + 12);
     assert_eq!(metric_value(&rs, "kernel_statement_errors_total"), 0);
-    assert!(metric_value(&rs, "kernel_statement_us_count") >= 11);
+    assert!(metric_value(&rs, "kernel_statement_us_count") >= 12);
     for stage in ["parse", "route", "rewrite", "execute", "merge"] {
         assert!(
             metric_value(&rs, &format!("stage_{stage}_us_count")) >= 1,
@@ -328,6 +329,6 @@ fn kernel_and_storage_metrics_populate() {
     let after = query(&mut s, "SHOW METRICS LIKE 'kernel_statements_total'");
     assert_eq!(
         metric_value(&after, "kernel_statements_total"),
-        baseline + 11
+        baseline + 12
     );
 }

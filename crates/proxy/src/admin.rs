@@ -8,18 +8,15 @@
 //! That is all a scrape loop needs, and it keeps the proxy free of HTTP
 //! framework dependencies.
 
+use crate::accept::Acceptor;
 use shard_core::{MetricsRegistry, TraceCollector};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A running metrics exposition server.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl MetricsServer {
@@ -37,47 +34,20 @@ impl MetricsServer {
         port: u16,
     ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let stop2 = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
-            listener
-                .set_nonblocking(true)
-                .expect("set_nonblocking on metrics listener");
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => serve_scrape(stream, &registry, collector.as_deref()),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
+        let acceptor = Acceptor::spawn(listener, move |incoming| {
+            for stream in incoming {
+                serve_scrape(stream, &registry, collector.as_deref());
             }
-        });
-
-        Ok(MetricsServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        })?;
+        Ok(MetricsServer { acceptor })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 

@@ -1,11 +1,10 @@
 //! Proxy client: the application side of the wire protocol (what a MySQL
 //! driver would be against the real proxy).
 
-use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, ProtocolError, Request, Response,
-};
+use crate::protocol::{decode_response, FrameStream, ProtocolError, Response};
 use shard_sql::Value;
 use shard_storage::{ExecuteResult, ResultSet};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 #[derive(Debug)]
@@ -54,53 +53,21 @@ impl From<ProtocolError> for ClientError {
 
 /// One client connection to a ShardingSphere-Proxy.
 pub struct ProxyClient {
-    stream: TcpStream,
+    conn: FrameStream<TcpStream>,
 }
 
 impl ProxyClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<ProxyClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(ProxyClient { stream })
+        Ok(ProxyClient {
+            conn: FrameStream::new(stream),
+        })
     }
 
     /// Execute SQL through the proxy.
     pub fn execute(&mut self, sql: &str, params: &[Value]) -> Result<ExecuteResult, ClientError> {
-        let req = Request::Query {
-            sql: sql.to_string(),
-            params: params.to_vec(),
-        };
-        write_frame(&mut self.stream, &encode_request(&req))?;
-        let frame = read_frame(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
-        match decode_response(frame)? {
-            Response::Rows(rs) => Ok(ExecuteResult::Query(rs)),
-            Response::Update { affected } => Ok(ExecuteResult::Update { affected }),
-            Response::Error { message, class } => Err(ClientError::server(message, class)),
-            Response::RowsHeader { columns } => {
-                // Streamed result: accumulate RowBatch frames until RowsEnd.
-                let mut rows = Vec::new();
-                loop {
-                    let frame = read_frame(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
-                    match decode_response(frame)? {
-                        Response::RowBatch { rows: batch } => rows.extend(batch),
-                        Response::RowsEnd => {
-                            return Ok(ExecuteResult::Query(ResultSet::new(columns, rows)))
-                        }
-                        Response::Error { message, class } => {
-                            return Err(ClientError::server(message, class))
-                        }
-                        other => {
-                            return Err(ClientError::Protocol(ProtocolError::Malformed(format!(
-                                "unexpected frame mid-stream: {other:?}"
-                            ))))
-                        }
-                    }
-                }
-            }
-            Response::RowBatch { .. } | Response::RowsEnd => Err(ClientError::Protocol(
-                ProtocolError::Malformed("stream frame outside a streamed result".into()),
-            )),
-        }
+        exchange(&mut self.conn, sql, params)
     }
 
     /// Execute a query, expecting rows.
@@ -121,6 +88,49 @@ impl ProxyClient {
 
     /// Politely close the connection.
     pub fn quit(mut self) {
-        let _ = write_frame(&mut self.stream, &encode_request(&Request::Quit));
+        self.conn.push_quit();
+        let _ = self.conn.flush();
+    }
+}
+
+/// One statement's round trip: the request leaves as one write, then frames
+/// are read until the response is complete.
+pub(crate) fn exchange<S: Read + Write>(
+    conn: &mut FrameStream<S>,
+    sql: &str,
+    params: &[Value],
+) -> Result<ExecuteResult, ClientError> {
+    conn.push_query(sql, params);
+    conn.flush().map_err(ProtocolError::Io)?;
+    let mut next = || -> Result<Response, ClientError> {
+        let frame = conn.read_frame()?.ok_or(ClientError::Disconnected)?;
+        Ok(decode_response(frame)?)
+    };
+    match next()? {
+        Response::Update { affected } => Ok(ExecuteResult::Update { affected }),
+        Response::Error { message, class } => Err(ClientError::server(message, class)),
+        Response::RowsHeader { columns } => {
+            // Accumulate RowBatch frames until RowsEnd.
+            let mut rows = Vec::new();
+            loop {
+                match next()? {
+                    Response::RowBatch { rows: batch } => rows.extend(batch),
+                    Response::RowsEnd => {
+                        return Ok(ExecuteResult::Query(ResultSet::new(columns, rows)))
+                    }
+                    Response::Error { message, class } => {
+                        return Err(ClientError::server(message, class))
+                    }
+                    other => {
+                        return Err(ClientError::Protocol(ProtocolError::Malformed(format!(
+                            "unexpected frame mid-stream: {other:?}"
+                        ))))
+                    }
+                }
+            }
+        }
+        Response::RowBatch { .. } | Response::RowsEnd => Err(ClientError::Protocol(
+            ProtocolError::Malformed("stream frame outside a streamed result".into()),
+        )),
     }
 }

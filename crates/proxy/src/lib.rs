@@ -6,6 +6,7 @@
 //! forwarding hop per request — exactly the trade-off the paper's
 //! evaluation quantifies (SSJ vs SSP).
 
+mod accept;
 pub mod admin;
 pub mod client;
 pub mod protocol;
@@ -19,9 +20,12 @@ pub use server::ProxyServer;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::FrameStream;
     use shard_core::ShardingRuntime;
     use shard_sql::Value;
     use shard_storage::StorageEngine;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
 
     fn runtime() -> Arc<ShardingRuntime> {
@@ -185,7 +189,7 @@ mod tests {
     #[test]
     fn metrics_endpoint_shares_the_kernel_registry() {
         let runtime = runtime();
-        let server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
+        let mut server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
         let mut metrics_server = MetricsServer::start_with_traces(
             runtime.metrics_registry().clone(),
             Some(runtime.trace_collector().clone()),
@@ -197,20 +201,8 @@ mod tests {
             .unwrap();
         c.query("SELECT v FROM t WHERE id = 1", &[]).unwrap();
 
-        // Scrape /metrics with a raw HTTP request.
-        use std::io::{Read, Write};
-        let mut stream = std::net::TcpStream::connect(metrics_server.addr()).unwrap();
-        write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut body = String::new();
-        stream.read_to_string(&mut body).unwrap();
-        assert!(body.contains("proxy_connections_total 1"), "{body}");
-        assert!(body.contains("proxy_statement_us_count 2"), "{body}");
-        assert!(
-            body.contains("# TYPE proxy_statement_us histogram"),
-            "{body}"
-        );
-
-        // The same instruments through the RAL surface.
+        // A connection's statements are served in order, so this one sees
+        // the two before it fully recorded, and itself only as a frame.
         let rs = c.query("SHOW METRICS LIKE 'proxy_%'", &[]).unwrap();
         let find = |name: &str| {
             rs.rows
@@ -220,13 +212,286 @@ mod tests {
                 .clone()
         };
         assert_eq!(find("proxy_connections_total"), Value::Int(1));
-        // The SHOW METRICS statement itself is in flight, so the frame
-        // count is at least the two statements plus this one.
-        match find("proxy_frames_total") {
-            Value::Int(n) => assert!(n >= 3, "{n}"),
+        assert_eq!(find("proxy_statement_us_count"), Value::Int(2));
+        assert_eq!(find("proxy_frames_total"), Value::Int(3));
+
+        // The same instruments over HTTP. The proxy records a statement's
+        // time after its response has left, so wait for the connection
+        // thread to finish before scraping.
+        c.quit();
+        server.shutdown();
+        let mut stream = TcpStream::connect(metrics_server.addr()).unwrap();
+        write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut body = String::new();
+        stream.read_to_string(&mut body).unwrap();
+        assert!(body.contains("proxy_connections_total 1"), "{body}");
+        assert!(body.contains("proxy_statement_us_count 3"), "{body}");
+        assert!(
+            body.contains("# TYPE proxy_statement_us histogram"),
+            "{body}"
+        );
+        metrics_server.shutdown();
+    }
+
+    /// A peer for I/O-contract tests: reads hand out `input` at most
+    /// `chunk` bytes per call, and every `write` call is recorded.
+    struct Scripted {
+        input: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Scripted {
+        fn new(input: Vec<u8>, chunk: usize) -> Self {
+            Scripted {
+                input: std::io::Cursor::new(input),
+                chunk,
+                writes: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.chunk);
+            self.input.read(&mut buf[..n])
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Split one write's bytes into its frames' payloads; panics unless they
+    /// are whole frames end to end.
+    fn payloads(bytes: &[u8]) -> Vec<bytes::Bytes> {
+        let mut cursor = std::io::Cursor::new(bytes);
+        let mut out = Vec::new();
+        while let Some(frame) = protocol::read_frame(&mut cursor).unwrap() {
+            out.push(frame);
+        }
+        out
+    }
+
+    fn responses(bytes: &[u8]) -> Vec<Response> {
+        payloads(bytes)
+            .into_iter()
+            .map(|f| protocol::decode_response(f).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn point_select_response_is_one_write_of_three_frames() {
+        let runtime = runtime();
+        let mut session = runtime.session();
+        session
+            .execute_sql("INSERT INTO t (id, v) VALUES (1, 10)", &[])
+            .unwrap();
+        let mut conn = FrameStream::new(Scripted::new(Vec::new(), usize::MAX));
+        server::respond_query(
+            &mut conn,
+            &mut session,
+            "SELECT v FROM t WHERE id = ?",
+            &[Value::Int(1)],
+        )
+        .unwrap();
+        let writes = &conn.get_ref().writes;
+        assert_eq!(writes.len(), 1, "one write per response");
+        assert_eq!(
+            responses(&writes[0]),
+            vec![
+                Response::RowsHeader {
+                    columns: vec!["v".into()]
+                },
+                Response::RowBatch {
+                    rows: vec![vec![Value::Int(10)]]
+                },
+                Response::RowsEnd,
+            ]
+        );
+    }
+
+    /// The client sends a request as one write, and decodes a multi-frame
+    /// response however the transport fragments it — here one byte per read.
+    #[test]
+    fn request_is_one_write_and_one_byte_reads_still_decode() {
+        let batches = [
+            vec![vec![Value::Int(1), Value::Str("a".into())]],
+            vec![vec![Value::Int(2), Value::Null]],
+        ];
+        let mut server_side = FrameStream::new(Scripted::new(Vec::new(), usize::MAX));
+        server_side.push_response(&Response::RowsHeader {
+            columns: vec!["id".into(), "v".into()],
+        });
+        for rows in &batches {
+            server_side.push_response(&Response::RowBatch { rows: rows.clone() });
+        }
+        server_side.push_response(&Response::RowsEnd);
+        server_side.flush().unwrap();
+        let wire = server_side.get_ref().writes.concat();
+
+        let mut conn = FrameStream::new(Scripted::new(wire, 1));
+        let params = [Value::Int(7), Value::Str("x".into())];
+        let result = client::exchange(&mut conn, "SELECT id, v FROM t WHERE id < ?", &params);
+        assert_eq!(result.unwrap().query().rows, batches.concat());
+
+        let writes = &conn.get_ref().writes;
+        assert_eq!(writes.len(), 1, "one write per request");
+        let frames = payloads(&writes[0]);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(
+            protocol::decode_request(frames[0].clone()).unwrap(),
+            Request::Query {
+                sql: "SELECT id, v FROM t WHERE id < ?".into(),
+                params: params.to_vec(),
+            }
+        );
+    }
+
+    /// Send one query on a raw connection and collect the response's frames.
+    fn raw_query(wire: &mut FrameStream<TcpStream>, sql: &str) -> Vec<Response> {
+        wire.push_query(sql, &[]);
+        wire.flush().unwrap();
+        let mut frames = Vec::new();
+        loop {
+            let frame = wire
+                .read_frame()
+                .unwrap()
+                .expect("server closed mid-response");
+            frames.push(protocol::decode_response(frame).unwrap());
+            if !matches!(
+                frames.last(),
+                Some(Response::RowsHeader { .. } | Response::RowBatch { .. })
+            ) {
+                return frames;
+            }
+        }
+    }
+
+    /// A result larger than one batch still streams: it arrives as several
+    /// `RowBatch` frames that add up to what JDBC returns in-process, and a
+    /// shard failing after the first batches are on the wire ends the stream
+    /// with one classified error frame, leaving the connection usable.
+    #[test]
+    fn large_result_streams_in_batches_and_aborts_cleanly_mid_stream() {
+        let runtime = runtime();
+        let mut jdbc =
+            shard_jdbc::ShardingDataSource::from_runtime(Arc::clone(&runtime)).connection();
+        for id in 0..1000i64 {
+            jdbc.update(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                &[Value::Int(id), Value::Int(id * 3)],
+            )
+            .unwrap();
+        }
+        let server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
+        let mut wire = FrameStream::new(TcpStream::connect(server.addr()).unwrap());
+        let sql = "SELECT id, v FROM t ORDER BY id";
+
+        let frames = raw_query(&mut wire, sql);
+        assert!(matches!(frames.first(), Some(Response::RowsHeader { .. })));
+        assert_eq!(frames.last(), Some(&Response::RowsEnd));
+        let batches: Vec<&Vec<Vec<Value>>> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Response::RowBatch { rows } => Some(rows),
+                _ => None,
+            })
+            .collect();
+        assert!(batches.len() >= 8, "{} batches", batches.len());
+        assert_eq!(batches.len(), frames.len() - 2);
+        let rows: Vec<Vec<Value>> = batches.into_iter().flatten().cloned().collect();
+        assert_eq!(rows, jdbc.query(sql, &[]).unwrap().rows);
+
+        // ds_1 holds the odd ids: its 300th row is about the 600th merged.
+        let ds_1 = runtime.datasource("ds_1").unwrap();
+        let faults = ds_1.engine().fault_injector();
+        faults.inject(shard_storage::FaultPlan::new(
+            shard_storage::FaultOp::RowPull,
+            shard_storage::FaultKind::Error("disk gone".into()),
+            shard_storage::FaultTrigger::EveryNth(300),
+        ));
+        let frames = raw_query(&mut wire, sql);
+        let (last, before) = frames.split_last().unwrap();
+        match last {
+            Response::Error { message, class } => {
+                assert_eq!(class, "transient", "{message}");
+                assert!(message.contains("row_pull fault"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert!(matches!(before.first(), Some(Response::RowsHeader { .. })));
+        assert!(
+            before.len() > 1,
+            "the fault hit after rows were on the wire"
+        );
+        assert!(before[1..]
+            .iter()
+            .all(|f| matches!(f, Response::RowBatch { .. })));
+
+        faults.clear();
+        let frames = raw_query(&mut wire, "SELECT COUNT(*) FROM t");
+        assert_eq!(
+            frames[1],
+            Response::RowBatch {
+                rows: vec![vec![Value::Int(1000)]]
+            }
+        );
+    }
+
+    /// A frame the server cannot decode is answered with a fatal error
+    /// frame, and then the connection ends for the client too.
+    #[test]
+    fn malformed_request_is_refused_and_the_connection_closed() {
+        let server = ProxyServer::start(runtime(), 0).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&[0, 0, 0, 1, 99]).unwrap();
+        let mut wire = FrameStream::new(stream);
+        let frame = wire.read_frame().unwrap().expect("an error frame");
+        match protocol::decode_response(frame).unwrap() {
+            Response::Error { class, .. } => assert_eq!(class, "fatal"),
             other => panic!("{other:?}"),
         }
-        metrics_server.shutdown();
+        assert!(wire.read_frame().unwrap().is_none());
+    }
+
+    /// Autocommit SELECTs take the kernel's streaming path; they must still
+    /// be counted and timed by the kernel's own instruments and seen by the
+    /// SLO monitor.
+    #[test]
+    fn streamed_selects_reach_kernel_telemetry() {
+        let runtime = runtime();
+        let server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
+        let mut c = ProxyClient::connect(server.addr()).unwrap();
+        let read = |name: &str| {
+            let samples = runtime.metrics_registry().samples(Some(name));
+            assert_eq!(samples.len(), 1, "{name}");
+            samples[0].value
+        };
+        let statements = read("kernel_statements_total");
+        let timed = read("kernel_statement_us_count");
+        for id in 0..100i64 {
+            c.query("SELECT v FROM t WHERE id = ?", &[Value::Int(id)])
+                .unwrap();
+        }
+        assert_eq!(read("kernel_statements_total"), statements + 100);
+        assert_eq!(read("kernel_statement_us_count"), timed + 100);
+        // Failures are counted and spend the SLO error budget like any
+        // other statement's.
+        c.execute("SET slo_error_pct = 1", &[]).unwrap();
+        let errors = read("kernel_statement_errors_total");
+        for _ in 0..10 {
+            assert!(c.query("SELECT * FROM missing", &[]).is_err());
+        }
+        assert_eq!(read("kernel_statement_errors_total"), errors + 10);
+        assert_eq!(runtime.slo_monitor().breaches_total(), 1);
     }
 
     #[test]
@@ -235,13 +500,23 @@ mod tests {
         let addr = server.addr();
         let mut c = ProxyClient::connect(addr).unwrap();
         c.query("SELECT COUNT(*) FROM t", &[]).unwrap();
+        c.quit();
         server.shutdown();
-        // New connections fail once the server is gone (the listener is
-        // closed; a subsequent query errors or connect refuses).
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let result = ProxyClient::connect(addr);
-        if let Ok(mut c2) = result {
-            assert!(c2.query("SELECT COUNT(*) FROM t", &[]).is_err());
-        }
+        // The listener is closed by the time shutdown returns.
+        let refused = ProxyClient::connect(addr)
+            .err()
+            .expect("connect after shutdown");
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
+
+    /// Shutdown does not wait for idle clients to leave: it closes their
+    /// connections, and they find out on their next statement.
+    #[test]
+    fn shutdown_closes_idle_connections() {
+        let mut server = ProxyServer::start(runtime(), 0).unwrap();
+        let mut c = ProxyClient::connect(server.addr()).unwrap();
+        c.query("SELECT COUNT(*) FROM t", &[]).unwrap();
+        server.shutdown();
+        assert!(c.query("SELECT COUNT(*) FROM t", &[]).is_err());
     }
 }

@@ -8,11 +8,15 @@
 //! serialization/deserialization of every row — is fully present.
 //!
 //! Frame layout: `u32 big-endian payload length | payload`.
+//!
+//! Socket I/O goes through [`FrameStream`]: frames are appended to one
+//! per-connection write buffer and leave in a single `write` when the sender
+//! flushes, and reads go through a buffered reader, so a small exchange costs
+//! one `write` and one `read` per direction however many frames it carries.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use shard_sql::Value;
-use shard_storage::{ExecuteResult, ResultSet};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 /// Client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,13 +29,11 @@ pub enum Request {
 
 /// Server → client message.
 ///
-/// A result set is delivered either as one materialized `Rows` frame or as a
-/// streamed sequence `RowsHeader (RowBatch)* RowsEnd`, encoded shard-side as
-/// rows arrive so the proxy never buffers the full merged result. An `Error`
-/// frame after `RowsHeader` aborts the stream.
+/// A result set is delivered as the sequence `RowsHeader (RowBatch)*
+/// RowsEnd`, encoded shard-side as rows arrive so the proxy never buffers the
+/// full merged result. An `Error` frame after `RowsHeader` aborts the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    Rows(ResultSet),
     Update {
         affected: u64,
     },
@@ -48,15 +50,6 @@ pub enum Response {
         rows: Vec<Vec<Value>>,
     },
     RowsEnd,
-}
-
-impl Response {
-    pub fn from_result(r: ExecuteResult) -> Self {
-        match r {
-            ExecuteResult::Query(rs) => Response::Rows(rs),
-            ExecuteResult::Update { affected } => Response::Update { affected },
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -160,7 +153,7 @@ fn check(buf: &Bytes, need: usize) -> Result<(), ProtocolError> {
 
 const MSG_QUERY: u8 = 1;
 const MSG_QUIT: u8 = 2;
-const MSG_ROWS: u8 = 10;
+// 10 was the materialized result-set frame; no peer ever sent it.
 const MSG_UPDATE: u8 = 11;
 const MSG_ERROR: u8 = 12;
 const MSG_ROWS_HEADER: u8 = 13;
@@ -170,17 +163,19 @@ const MSG_ROWS_END: u8 = 15;
 pub fn encode_request(req: &Request) -> BytesMut {
     let mut buf = BytesMut::new();
     match req {
-        Request::Query { sql, params } => {
-            buf.put_u8(MSG_QUERY);
-            put_str(&mut buf, sql);
-            buf.put_u32(params.len() as u32);
-            for p in params {
-                put_value(&mut buf, p);
-            }
-        }
+        Request::Query { sql, params } => put_query(&mut buf, sql, params),
         Request::Quit => buf.put_u8(MSG_QUIT),
     }
     buf
+}
+
+fn put_query(buf: &mut BytesMut, sql: &str, params: &[Value]) {
+    buf.put_u8(MSG_QUERY);
+    put_str(buf, sql);
+    buf.put_u32(params.len() as u32);
+    for p in params {
+        put_value(buf, p);
+    }
 }
 
 pub fn decode_request(mut buf: Bytes) -> Result<Request, ProtocolError> {
@@ -205,34 +200,26 @@ pub fn decode_request(mut buf: Bytes) -> Result<Request, ProtocolError> {
 
 pub fn encode_response(resp: &Response) -> BytesMut {
     let mut buf = BytesMut::new();
+    put_response(&mut buf, resp);
+    buf
+}
+
+fn put_response(buf: &mut BytesMut, resp: &Response) {
     match resp {
-        Response::Rows(rs) => {
-            buf.put_u8(MSG_ROWS);
-            buf.put_u32(rs.columns.len() as u32);
-            for c in &rs.columns {
-                put_str(&mut buf, c);
-            }
-            buf.put_u32(rs.rows.len() as u32);
-            for row in &rs.rows {
-                for v in row {
-                    put_value(&mut buf, v);
-                }
-            }
-        }
         Response::Update { affected } => {
             buf.put_u8(MSG_UPDATE);
             buf.put_u64(*affected);
         }
         Response::Error { message, class } => {
             buf.put_u8(MSG_ERROR);
-            put_str(&mut buf, message);
-            put_str(&mut buf, class);
+            put_str(buf, message);
+            put_str(buf, class);
         }
         Response::RowsHeader { columns } => {
             buf.put_u8(MSG_ROWS_HEADER);
             buf.put_u32(columns.len() as u32);
             for c in columns {
-                put_str(&mut buf, c);
+                put_str(buf, c);
             }
         }
         Response::RowBatch { rows } => {
@@ -242,37 +229,17 @@ pub fn encode_response(resp: &Response) -> BytesMut {
             buf.put_u32(ncols as u32);
             for row in rows {
                 for v in row {
-                    put_value(&mut buf, v);
+                    put_value(buf, v);
                 }
             }
         }
         Response::RowsEnd => buf.put_u8(MSG_ROWS_END),
     }
-    buf
 }
 
 pub fn decode_response(mut buf: Bytes) -> Result<Response, ProtocolError> {
     check(&buf, 1)?;
     match buf.get_u8() {
-        MSG_ROWS => {
-            check(&buf, 4)?;
-            let ncols = buf.get_u32() as usize;
-            let mut columns = Vec::with_capacity(ncols.min(4096));
-            for _ in 0..ncols {
-                columns.push(get_str(&mut buf)?);
-            }
-            check(&buf, 4)?;
-            let nrows = buf.get_u32() as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-            for _ in 0..nrows {
-                let mut row = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    row.push(get_value(&mut buf)?);
-                }
-                rows.push(row);
-            }
-            Ok(Response::Rows(ResultSet::new(columns, rows)))
-        }
         MSG_UPDATE => {
             check(&buf, 8)?;
             Ok(Response::Update {
@@ -315,13 +282,65 @@ pub fn decode_response(mut buf: Bytes) -> Result<Response, ProtocolError> {
 
 // -- framed stream I/O -----------------------------------------------------------
 
-/// Write one length-prefixed frame.
-pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    let len = (payload.len() as u32).to_be_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(payload)?;
-    stream.flush()?;
-    Ok(())
+/// Append one length-prefixed frame to `out`; `payload` appends the body and
+/// the prefix is filled in behind it, so a frame is encoded in place.
+pub fn put_frame(out: &mut BytesMut, payload: impl FnOnce(&mut BytesMut)) {
+    let at = out.len();
+    out.put_u32(0);
+    payload(out);
+    let len = u32::try_from(out.len() - at - 4).expect("frame payload under 4 GiB");
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Buffered frame I/O over one connection, used by both ends of the wire.
+///
+/// Outgoing frames collect in a write buffer until [`flush`](Self::flush)
+/// hands them to the stream in one `write_all`; incoming bytes are read
+/// through a [`BufReader`], so the frames one such write carried cost the
+/// receiver one `read`.
+pub struct FrameStream<S> {
+    reader: BufReader<S>,
+    out: BytesMut,
+}
+
+impl<S: Read + Write> FrameStream<S> {
+    pub fn new(stream: S) -> Self {
+        FrameStream {
+            reader: BufReader::new(stream),
+            out: BytesMut::new(),
+        }
+    }
+
+    /// Queue a `Query` request, encoded straight from the borrowed parts.
+    pub fn push_query(&mut self, sql: &str, params: &[Value]) {
+        put_frame(&mut self.out, |buf| put_query(buf, sql, params));
+    }
+
+    pub fn push_quit(&mut self) {
+        put_frame(&mut self.out, |buf| buf.put_u8(MSG_QUIT));
+    }
+
+    pub fn push_response(&mut self, resp: &Response) {
+        put_frame(&mut self.out, |buf| put_response(buf, resp));
+    }
+
+    /// Send every queued frame. The buffer is emptied even on failure: the
+    /// connection is unusable after a failed write.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        let sent = self.reader.get_mut().write_all(&self.out);
+        self.out.clear();
+        sent
+    }
+
+    /// Read the next frame. Returns `None` on clean EOF.
+    pub fn read_frame(&mut self) -> Result<Option<Bytes>, ProtocolError> {
+        read_frame(&mut self.reader)
+    }
+
+    /// The underlying stream.
+    pub fn get_ref(&self) -> &S {
+        self.reader.get_ref()
+    }
 }
 
 /// Read one length-prefixed frame. Returns `None` on clean EOF.
@@ -363,17 +382,6 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let rs = ResultSet::new(
-            vec!["a".into(), "b".into()],
-            vec![
-                vec![Value::Int(1), Value::Float(2.5)],
-                vec![Value::Bool(true), Value::Null],
-            ],
-        );
-        let resp = Response::Rows(rs);
-        let decoded = decode_response(encode_response(&resp).freeze()).unwrap();
-        assert_eq!(decoded, resp);
-
         let resp = Response::Update { affected: 42 };
         assert_eq!(
             decode_response(encode_response(&resp).freeze()).unwrap(),
@@ -401,7 +409,8 @@ mod tests {
         let resp = Response::RowBatch {
             rows: vec![
                 vec![Value::Int(1), Value::Str("a".into())],
-                vec![Value::Int(2), Value::Null],
+                vec![Value::Float(2.5), Value::Null],
+                vec![Value::Bool(true), Value::Int(-3)],
             ],
         };
         assert_eq!(
@@ -433,10 +442,10 @@ mod tests {
 
     #[test]
     fn frame_io_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut buf = BytesMut::new();
+        put_frame(&mut buf, |b| b.put_slice(b"hello"));
+        put_frame(&mut buf, |_| {});
+        let mut cursor = std::io::Cursor::new(buf.to_vec());
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none());

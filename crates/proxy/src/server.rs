@@ -1,14 +1,16 @@
 //! ShardingSphere-Proxy server: a TCP daemon fronting a shared
-//! [`ShardingRuntime`]. Each client connection gets its own kernel session
-//! (so transactions are per-connection), and connections are served by a
-//! thread pool sized like the paper's proxy deployments.
+//! [`ShardingRuntime`]. Each client connection gets its own thread and its
+//! own kernel session (so transactions are per-connection), and does its
+//! socket I/O through one [`FrameStream`]: a statement costs the server one
+//! `read` and, unless the result outgrows a batch, one `write`.
 
-use crate::protocol::{decode_request, encode_response, write_frame, Request, Response};
-use bytes::Bytes;
+use crate::accept::Acceptor;
+use crate::protocol::{decode_request, FrameStream, Request, Response};
 use shard_core::obs::{Counter, Histogram};
 use shard_core::ShardingRuntime;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -43,9 +45,7 @@ impl ProxyMetrics {
 
 /// A running proxy instance.
 pub struct ProxyServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     connections_served: Arc<AtomicU64>,
 }
 
@@ -53,104 +53,84 @@ impl ProxyServer {
     /// Start a proxy on `127.0.0.1:port` (`port = 0` picks a free port).
     pub fn start(runtime: Arc<ShardingRuntime>, port: u16) -> std::io::Result<ProxyServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let connections_served = Arc::new(AtomicU64::new(0));
         let metrics = ProxyMetrics::register(&runtime);
 
-        let stop2 = Arc::clone(&stop);
         let served = Arc::clone(&connections_served);
-        let accept_thread = std::thread::spawn(move || {
-            // Non-blocking accept loop so shutdown is prompt.
-            listener
-                .set_nonblocking(true)
-                .expect("set_nonblocking on listener");
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = served.fetch_add(1, Ordering::Relaxed) + 1;
-                        metrics.connections.inc();
-                        let runtime = Arc::clone(&runtime);
-                        let stop = Arc::clone(&stop2);
-                        let metrics = Arc::clone(&metrics);
-                        workers.push(std::thread::spawn(move || {
-                            serve_connection(stream, runtime, stop, metrics, conn);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-                workers.retain(|w| !w.is_finished());
+        let acceptor = Acceptor::spawn(listener, move |incoming| {
+            // Each worker with a handle on its socket, kept to unblock its
+            // read at shutdown.
+            let mut workers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+            for stream in incoming {
+                workers.retain(|(_, w)| !w.is_finished());
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                let conn = served.fetch_add(1, Ordering::Relaxed) + 1;
+                metrics.connections.inc();
+                let runtime = Arc::clone(&runtime);
+                let metrics = Arc::clone(&metrics);
+                let worker = std::thread::spawn(move || {
+                    serve_connection(&stream, &runtime, &metrics, conn);
+                    // `handle` keeps the socket open until this loop next
+                    // looks; the peer should see the connection end now.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                workers.push((handle, worker));
             }
-            for w in workers {
-                let _ = w.join();
+            for (handle, _) in &workers {
+                let _ = handle.shutdown(Shutdown::Both);
             }
-        });
+            for (_, worker) in workers {
+                let _ = worker.join();
+            }
+        })?;
 
         Ok(ProxyServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            acceptor,
             connections_served,
         })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     pub fn connections_served(&self) -> u64 {
         self.connections_served.load(Ordering::Relaxed)
     }
 
+    /// Stop accepting, close every client connection (a statement in flight
+    /// finishes first) and wait for the connection threads.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ProxyServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
 fn serve_connection(
-    mut stream: TcpStream,
-    runtime: Arc<ShardingRuntime>,
-    stop: Arc<AtomicBool>,
-    metrics: Arc<ProxyMetrics>,
+    stream: &TcpStream,
+    runtime: &Arc<ShardingRuntime>,
+    metrics: &ProxyMetrics,
     conn: u64,
 ) {
     stream.set_nodelay(true).ok();
-    // The timeout exists only so idle connections re-check the stop flag;
-    // once a frame has started arriving we must keep its partial bytes.
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(200)))
-        .ok();
+    let mut conn_io = FrameStream::new(stream);
     let mut session = runtime.session();
     // Traces minted for this connection's statements carry the proxy frame
     // as their origin, so `SHOW TRACE` tells connections apart.
     session.set_trace_origin(format!("proxy:conn-{conn}"));
-    loop {
-        let frame = match read_frame_patient(&mut stream, &stop) {
-            FrameRead::Frame(f) => f,
-            FrameRead::Closed => return,
-        };
+    // Ends on client close, a stream error, or the server shutting the
+    // socket down.
+    while let Ok(Some(frame)) = conn_io.read_frame() {
         metrics.frames.inc();
         let request = match decode_request(frame) {
             Ok(r) => r,
             Err(e) => {
-                let resp = Response::Error {
+                conn_io.push_response(&Response::Error {
                     message: e.to_string(),
                     class: "fatal".into(),
-                };
-                let _ = write_frame(&mut stream, &encode_response(&resp));
+                });
+                let _ = conn_io.flush();
                 return;
             }
         };
@@ -158,11 +138,11 @@ fn serve_connection(
             Request::Quit => return,
             Request::Query { sql, params } => {
                 let started = Instant::now();
-                let ok = respond_query(&mut stream, &mut session, &sql, &params);
+                let sent = respond_query(&mut conn_io, &mut session, &sql, &params);
                 metrics
                     .statement_us
                     .record_us((started.elapsed().as_micros() as u64).max(1));
-                if !ok {
+                if sent.is_err() {
                     return;
                 }
             }
@@ -175,127 +155,55 @@ fn serve_connection(
 /// amortize the frame header.
 const ROW_BATCH_SIZE: usize = 128;
 
-/// Execute one query and write its response frames. Queries go through the
-/// kernel's streaming path: rows are encoded and flushed batch-by-batch as
-/// the merge engine yields them, so the proxy never materializes the full
-/// result. Returns `false` when the connection should close.
-fn respond_query(
-    stream: &mut TcpStream,
+/// Execute one query and write its response. Queries go through the kernel's
+/// streaming path: rows are encoded batch-by-batch as the merge engine yields
+/// them, so the proxy never materializes the full result. Frames collect in
+/// the connection's write buffer, which is flushed after each full batch (a
+/// large result streams) and at the end of the response (a small one is a
+/// single write). An error means the connection should close.
+pub(crate) fn respond_query<S: Read + Write>(
+    conn: &mut FrameStream<S>,
     session: &mut shard_core::Session,
     sql: &str,
     params: &[shard_sql::Value],
-) -> bool {
-    let outcome = match session.execute_sql_stream(sql, params) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            let resp = Response::Error {
-                message: e.to_string(),
-                class: e.class().as_str().into(),
-            };
-            return write_frame(stream, &encode_response(&resp)).is_ok();
-        }
+) -> std::io::Result<()> {
+    let error_frame = |e: shard_core::KernelError| Response::Error {
+        message: e.to_string(),
+        class: e.class().as_str().into(),
     };
-    match outcome {
-        shard_core::StreamOutcome::Update { affected } => {
-            write_frame(stream, &encode_response(&Response::Update { affected })).is_ok()
+    match session.execute_sql_stream(sql, params) {
+        Err(e) => conn.push_response(&error_frame(e)),
+        Ok(shard_core::StreamOutcome::Update { affected }) => {
+            conn.push_response(&Response::Update { affected })
         }
-        shard_core::StreamOutcome::Rows(mut rows) => {
-            let header = Response::RowsHeader {
+        Ok(shard_core::StreamOutcome::Rows(mut rows)) => {
+            conn.push_response(&Response::RowsHeader {
                 columns: rows.columns().to_vec(),
-            };
-            if write_frame(stream, &encode_response(&header)).is_err() {
-                return false;
-            }
+            });
             let mut batch = Vec::with_capacity(ROW_BATCH_SIZE);
-            loop {
+            let end = loop {
                 match rows.next_row() {
                     Ok(Some(row)) => {
                         batch.push(row);
                         if batch.len() == ROW_BATCH_SIZE {
-                            let frame = Response::RowBatch {
+                            conn.push_response(&Response::RowBatch {
                                 rows: std::mem::take(&mut batch),
-                            };
-                            if write_frame(stream, &encode_response(&frame)).is_err() {
-                                return false;
-                            }
+                            });
+                            conn.flush()?;
                         }
                     }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Mid-stream failure: the header is already on the
-                        // wire, so abort the stream with an error frame
-                        // (dropping `rows` cancels in-flight shard scans).
-                        let resp = Response::Error {
-                            message: e.to_string(),
-                            class: e.class().as_str().into(),
-                        };
-                        return write_frame(stream, &encode_response(&resp)).is_ok();
-                    }
+                    Ok(None) => break Response::RowsEnd,
+                    // Mid-stream failure: the header is already on the wire,
+                    // so abort the stream with an error frame (dropping
+                    // `rows` cancels in-flight shard scans).
+                    Err(e) => break error_frame(e),
                 }
+            };
+            if !batch.is_empty() && matches!(end, Response::RowsEnd) {
+                conn.push_response(&Response::RowBatch { rows: batch });
             }
-            if !batch.is_empty() {
-                let frame = Response::RowBatch { rows: batch };
-                if write_frame(stream, &encode_response(&frame)).is_err() {
-                    return false;
-                }
-            }
-            write_frame(stream, &encode_response(&Response::RowsEnd)).is_ok()
+            conn.push_response(&end);
         }
     }
-}
-
-enum FrameRead {
-    Frame(Bytes),
-    /// Client closed, stream error, or server shutdown.
-    Closed,
-}
-
-/// Read one length-prefixed frame, tolerating read timeouts *without losing
-/// partial bytes* (a timeout may fire between a frame's header and payload
-/// under load; discarding the partial read would desynchronize the stream
-/// and hang the client). The stop flag is only honoured between frames.
-fn read_frame_patient(stream: &mut TcpStream, stop: &AtomicBool) -> FrameRead {
-    use std::io::Read;
-
-    // Phase 1: length prefix. Zero-bytes-so-far timeouts are "idle".
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut len_buf[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if got == 0 && stop.load(Ordering::SeqCst) {
-                    return FrameRead::Closed;
-                }
-                // mid-prefix: keep waiting, keep the bytes we have
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    const MAX_FRAME: usize = 256 * 1024 * 1024;
-    if len > MAX_FRAME {
-        return FrameRead::Closed;
-    }
-
-    // Phase 2: payload — never abandoned once the header has arrived.
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut payload[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    FrameRead::Frame(Bytes::from(payload))
+    conn.flush()
 }

@@ -1,14 +1,13 @@
 //! Protocol robustness: arbitrary bytes must never panic the decoders, and
 //! arbitrary well-formed messages must round-trip exactly.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use shard_proxy::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
+    decode_request, decode_response, encode_request, encode_response, put_frame, read_frame,
     Request, Response,
 };
 use shard_sql::Value;
-use shard_storage::ResultSet;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -45,9 +44,10 @@ proptest! {
         let rows: Vec<Vec<Value>> = (0..nrows)
             .map(|_| columns.iter().map(|_| seed.clone()).collect())
             .collect();
-        let resp = Response::Rows(ResultSet::new(columns.clone(), rows));
-        let decoded = decode_response(encode_response(&resp).freeze()).unwrap();
-        prop_assert_eq!(decoded, resp);
+        for resp in [Response::RowsHeader { columns }, Response::RowBatch { rows }] {
+            let decoded = decode_response(encode_response(&resp).freeze()).unwrap();
+            prop_assert_eq!(decoded, resp);
+        }
     }
 
     #[test]
@@ -62,11 +62,11 @@ proptest! {
     #[test]
     fn frame_io_roundtrips(payloads in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 0..128), 0..8)) {
-        let mut buf = Vec::new();
+        let mut buf = BytesMut::new();
         for p in &payloads {
-            write_frame(&mut buf, p).unwrap();
+            put_frame(&mut buf, |b| b.put_slice(p));
         }
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut cursor = std::io::Cursor::new(buf.to_vec());
         for p in &payloads {
             let frame = read_frame(&mut cursor).unwrap().unwrap();
             prop_assert_eq!(frame.as_ref(), p.as_slice());

@@ -68,6 +68,18 @@ timeout 600 cargo test --test reshard -q
 echo "==> trace: distributed-tracing integration tests"
 timeout 600 cargo test -p shard-core --test tracing -q
 
+# Proxy gate: the wire protocol and its I/O contract (one write per small
+# response and per request, batched streaming of large results, mid-stream
+# fault framing, prompt shutdown) plus the protocol fuzz suite.
+echo "==> proxy: wire protocol and frame I/O tests"
+timeout 600 cargo test -p shard-proxy -q
+
+# Benchmark smoke: every BENCHMARK.json workload, traced and untraced, at
+# 1/100 of the work, with outputs and correctness checked against the
+# benchmark's contract.
+echo "==> perf: benchmark harness smoke"
+timeout 600 bash crates/perf/run.sh --smoke
+
 # Observability gate: metrics and 1/16-sampled tracing are on by default,
 # so their cost is a tax on every statement. The gate compares point-SELECT
 # p50 for the default configuration vs `SET metrics = off` and vs
