@@ -9,8 +9,12 @@
 //! acquired atomically per data source to avoid the deadlock described in
 //! the paper.
 //!
-//! **Execution phase** — execution units run in parallel across data sources
-//! and connections; within one connection the chunk runs serially.
+//! **Execution phase** — each connection's chunk is one task of a
+//! caller-runs fork-join ([`WorkerPool::run_all`]): the chunk runs serially,
+//! the calling thread runs chunks itself, and pool workers join in only when
+//! they can help — when a source *waits* (the round trips overlap) or when
+//! there is another CPU to compute on. A single chunk, or any number of
+//! chunks on embedded sources on one CPU, never leaves the calling thread.
 
 pub(crate) mod pool;
 pub mod stream;
@@ -26,6 +30,7 @@ use shard_sql::{Statement, Value};
 use shard_storage::probe::{self, Probe, SpanSink};
 use shard_storage::{ExecuteResult, TxnId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -164,11 +169,35 @@ impl ExecutorEngine {
         want_units: bool,
         spans: Option<&SpanScope>,
     ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
+        self.execute_on(
+            WorkerPool::global(),
+            datasources,
+            inputs,
+            params,
+            txns,
+            deadline,
+            want_units,
+            spans,
+        )
+    }
+
+    /// [`ExecutorEngine::execute_with_deadline`] on a given pool (tests
+    /// bring their own, with its own CPU count).
+    #[allow(clippy::too_many_arguments)]
+    fn execute_on(
+        &self,
+        pool: &WorkerPool,
+        datasources: &HashMap<String, Arc<DataSource>>,
+        inputs: Vec<ExecutionInput>,
+        params: Arc<[Value]>,
+        txns: Option<&HashMap<String, TxnId>>,
+        deadline: Option<Instant>,
+        want_units: bool,
+        spans: Option<&SpanScope>,
+    ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
         if inputs.is_empty() {
             return Ok((Vec::new(), ExecutionReport::default()));
         }
-        let collector = self.trace_collector.get().cloned();
-
         // ---- Preparation: group by data source (owned statements, so the
         // work can move onto pool workers). ----
         struct Group {
@@ -231,14 +260,8 @@ impl ExecutorEngine {
         }
 
         // ---- Decide modes and build execution units. ----
-        struct Planned {
-            ds: Arc<DataSource>,
-            txn: Option<TxnId>,
-            chunk: Vec<(usize, Statement)>,
-            permits: Vec<crate::datasource::Connection>,
-        }
         let mut report = ExecutionReport::default();
-        let mut planned: Vec<Planned> = Vec::new();
+        let mut planned: Vec<PlannedGroup> = Vec::new();
         for name in &order {
             let group = groups.remove(name).expect("grouped above");
             let num_sql = group.sqls.len();
@@ -249,11 +272,11 @@ impl ExecutorEngine {
                 report
                     .groups
                     .push((name.clone(), ConnectionMode::ConnectionStrictly, num_sql, 1));
-                planned.push(Planned {
+                planned.push(PlannedGroup {
                     ds: group.ds,
                     txn: group.txn,
                     chunk: group.sqls,
-                    permits,
+                    _permits: permits,
                 });
                 continue;
             }
@@ -285,137 +308,71 @@ impl ExecutorEngine {
                     continue;
                 }
                 let permit = permits.pop().into_iter().collect();
-                planned.push(Planned {
+                planned.push(PlannedGroup {
                     ds: Arc::clone(&group.ds),
                     txn: None,
                     chunk,
-                    permits: permit,
+                    _permits: permit,
                 });
             }
         }
 
+        // ---- Execution: one task per planned group on the pool's
+        // fork-join. Without a deadline the calling thread runs the groups
+        // itself, helped by as many workers as the groups' sources warrant;
+        // with one, every group runs on a worker so a hung shard can be
+        // abandoned. Results land in input order; the first error in group
+        // order wins. ----
         let mut results: Vec<Option<ExecuteResult>> = (0..total).map(|_| None).collect();
-        let mut unit_elapsed_us: Vec<u64> = vec![0; total];
-
-        // ---- Execution ----
-        // Fast path: a single execution unit runs inline — no pool hop (the
-        // common point-query case served by the Single route). With a
-        // deadline the unit must run on a worker so a hung shard can be
-        // abandoned, so the fast path only applies without one.
+        let mut unit_elapsed_us: Vec<u64> = if want_units {
+            vec![0; total]
+        } else {
+            Vec::new()
+        };
+        let mut absorb = |outcome: GroupOutcome| -> Result<()> {
+            for (idx, elapsed_us, result) in outcome? {
+                if want_units {
+                    unit_elapsed_us[idx] = elapsed_us;
+                }
+                results[idx] = Some(result);
+            }
+            Ok(())
+        };
+        let shared = Shared {
+            params,
+            cancelled: AtomicBool::new(false),
+            spans: spans.cloned(),
+            collector: self.trace_collector.get().cloned(),
+        };
         if planned.len() == 1 && deadline.is_none() {
-            let unit = planned.pop().expect("len checked");
-            let span = open_unit_span(spans, &unit.ds.name, unit.chunk.len());
-            let probe_guard = install_probe(&span);
-            for (idx, stmt) in &unit.chunk {
-                let started = Instant::now();
-                match exec_one(&unit.ds, stmt, &params, unit.txn, collector.as_deref()) {
-                    Ok(r) => {
-                        unit_elapsed_us[*idx] = (started.elapsed().as_micros() as u64).max(1);
-                        results[*idx] = Some(r);
-                    }
-                    Err(e) => {
-                        drop(probe_guard);
-                        close_unit_span(span, Some(e.to_string()));
-                        return Err(e);
-                    }
-                }
-            }
-            drop(probe_guard);
-            close_unit_span(span, None);
-            drop(unit);
-            let collected: Option<Vec<ExecuteResult>> =
-                results.into_iter().collect::<Option<Vec<_>>>();
-            return collected
-                .map(|r| {
-                    report.units = unit_spans(labels, &unit_elapsed_us, &r);
-                    (r, report)
+            // The point query: one group is nothing to fan out, so it skips
+            // the task list and the shared allocation a fan-out needs.
+            absorb(run_group(planned.pop().expect("len checked"), &shared))?;
+        } else {
+            let job_count = planned.len();
+            let waits = planned.iter().any(|group| group.ds.engine().waits());
+            let shared = Arc::new(shared);
+            let tasks: Vec<_> = planned
+                .into_iter()
+                .map(|group| {
+                    let shared = Arc::clone(&shared);
+                    move || run_group(group, &shared)
                 })
-                .ok_or_else(|| KernelError::Execute("missing execution result".into()));
-        }
-
-        // Parallel path: one pool job per execution unit. A shared token
-        // cancels sibling units as soon as any unit errors, instead of
-        // letting them run their chunks to completion.
-        enum Outcome {
-            Row(usize, u64, ExecuteResult),
-            Err(KernelError),
-            Done,
-        }
-        let (tx, rx) = crossbeam::channel::unbounded::<Outcome>();
-        let cancel = CancelToken::new();
-        let job_count = planned.len();
-        for unit in planned {
-            let tx = tx.clone();
-            let params = Arc::clone(&params);
-            let cancel = cancel.clone();
-            let spans = spans.cloned();
-            let collector = collector.clone();
-            WorkerPool::global().submit(move || {
-                let span = open_unit_span(spans.as_ref(), &unit.ds.name, unit.chunk.len());
-                let probe_guard = install_probe(&span);
-                let mut unit_err: Option<String> = None;
-                for (idx, stmt) in &unit.chunk {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let started = Instant::now();
-                    match exec_one(&unit.ds, stmt, &params, unit.txn, collector.as_deref()) {
-                        Ok(r) => {
-                            let elapsed = (started.elapsed().as_micros() as u64).max(1);
-                            let _ = tx.send(Outcome::Row(*idx, elapsed, r));
-                        }
-                        Err(e) => {
-                            unit_err = Some(e.to_string());
-                            cancel.cancel();
-                            let _ = tx.send(Outcome::Err(e));
-                            break;
-                        }
-                    }
-                }
-                drop(probe_guard);
-                close_unit_span(span, unit_err);
-                drop(unit.permits);
-                let _ = tx.send(Outcome::Done);
-            });
-        }
-        drop(tx);
-        let mut first_error: Option<KernelError> = None;
-        let mut done = 0;
-        while done < job_count {
-            let received = match deadline {
-                None => rx.recv().map_err(|_| None),
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    rx.recv_timeout(remaining).map_err(|e| {
-                        Some(matches!(e, crossbeam::channel::RecvTimeoutError::Timeout))
-                    })
-                }
+                .collect();
+            let outcomes = match deadline {
+                None => pool.run_all(tasks, pool.helpers_for(job_count, waits)),
+                Some(deadline) => pool.run_all_until(tasks, deadline).map_err(|outstanding| {
+                    // Abandoned groups still running stop at their next
+                    // statement and drain their permits on exit.
+                    shared.cancelled.store(true, Ordering::Relaxed);
+                    KernelError::Timeout(format!(
+                        "statement deadline elapsed with {outstanding} of {job_count} unit(s) outstanding"
+                    ))
+                })?,
             };
-            match received {
-                Ok(Outcome::Row(idx, elapsed, r)) => {
-                    unit_elapsed_us[idx] = elapsed;
-                    results[idx] = Some(r);
-                }
-                Ok(Outcome::Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Ok(Outcome::Done) => done += 1,
-                Err(Some(true)) => {
-                    // Deadline elapsed: abandon stuck units, cancel siblings,
-                    // fail fast. Workers still drain their permits on exit.
-                    cancel.cancel();
-                    return Err(KernelError::Timeout(format!(
-                        "statement deadline elapsed with {} of {job_count} unit(s) outstanding",
-                        job_count - done
-                    )));
-                }
-                Err(_) => break,
+            for outcome in outcomes {
+                absorb(outcome)?;
             }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
         }
         let collected: Option<Vec<ExecuteResult>> = results.into_iter().collect();
         collected
@@ -424,6 +381,65 @@ impl ExecutorEngine {
                 (r, report)
             })
             .ok_or_else(|| KernelError::Execute("missing execution result".into()))
+    }
+}
+
+/// One execution group: a chunk of statements bound for one connection of
+/// one data source, run serially on it.
+struct PlannedGroup {
+    ds: Arc<DataSource>,
+    txn: Option<TxnId>,
+    chunk: Vec<(usize, Statement)>,
+    /// Held until the group has run (or was abandoned).
+    _permits: Vec<crate::datasource::Connection>,
+}
+
+/// What every group of one statement shares.
+struct Shared {
+    params: Arc<[Value]>,
+    /// Set by the first group that fails (or by the deadline): siblings stop
+    /// before their next statement instead of running their chunks out.
+    cancelled: AtomicBool,
+    spans: Option<SpanScope>,
+    /// Flight recorder hook for breaker transitions.
+    collector: Option<Arc<TraceCollector>>,
+}
+
+/// What one group reports: `(input index, elapsed µs, result)` per statement
+/// executed, or the error that stopped it.
+type GroupOutcome = Result<Vec<(usize, u64, ExecuteResult)>>;
+
+/// Run one group's chunk.
+fn run_group(group: PlannedGroup, shared: &Shared) -> GroupOutcome {
+    let span = open_unit_span(shared.spans.as_ref(), &group.ds.name, group.chunk.len());
+    let probe_guard = install_probe(&span);
+    let mut done = Vec::with_capacity(group.chunk.len());
+    let mut failure = None;
+    for (idx, stmt) in &group.chunk {
+        if shared.cancelled.load(Ordering::Relaxed) {
+            break;
+        }
+        let started = Instant::now();
+        match exec_one(
+            &group.ds,
+            stmt,
+            &shared.params,
+            group.txn,
+            shared.collector.as_deref(),
+        ) {
+            Ok(r) => done.push((*idx, (started.elapsed().as_micros() as u64).max(1), r)),
+            Err(e) => {
+                shared.cancelled.store(true, Ordering::Relaxed);
+                failure = Some(e);
+                break;
+            }
+        }
+    }
+    drop(probe_guard);
+    close_unit_span(span, failure.as_ref().map(|e| e.to_string()));
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(done),
     }
 }
 
@@ -666,6 +682,140 @@ mod tests {
             .unwrap()
             .query();
         assert_eq!(rs.rows[0][0], Value::Int(0));
+    }
+
+    /// Collects what storage internals report through the thread-local
+    /// probe — which they do only on the thread the probe is installed on.
+    #[derive(Default)]
+    struct SeenOnThisThread(parking_lot::Mutex<Vec<String>>);
+
+    impl SpanSink for SeenOnThisThread {
+        fn storage_span(
+            &self,
+            _: u32,
+            name: &'static str,
+            detail: String,
+            _: u64,
+            _: Option<String>,
+        ) {
+            self.0.lock().push(format!("{name} {detail}"));
+        }
+    }
+
+    #[test]
+    fn embedded_sources_on_one_cpu_run_on_the_calling_thread() {
+        let sources = setup(2, 8);
+        let engine = ExecutorEngine::new(8);
+        let one_cpu = WorkerPool::new(2, 1);
+        let seen = Arc::new(SeenOnThisThread::default());
+        let _probe = probe::install(Probe::new(seen.clone(), 0));
+        let inputs = vec![
+            input("ds_0", "SELECT v FROM t_0"),
+            input("ds_1", "SELECT v FROM t_1"),
+            input("ds_0", "SELECT v FROM t_1"),
+        ];
+        let (results, report) = engine
+            .execute_on(
+                &one_cpu,
+                &sources,
+                inputs,
+                shared_params(&[]),
+                None,
+                None,
+                true,
+                None,
+            )
+            .unwrap();
+        assert_eq!(results.len(), 3);
+        assert_eq!(report.units.len(), 3);
+        // Every unit took its snapshot where this thread's probe could see.
+        let seen = seen.0.lock();
+        let snapshots = |ds: &str| {
+            let prefix = format!("mvcc_snapshot {ds} ");
+            seen.iter().filter(|s| s.starts_with(&prefix)).count()
+        };
+        assert_eq!((snapshots("ds_0"), snapshots("ds_1")), (2, 1), "{seen:?}");
+    }
+
+    #[test]
+    fn first_error_in_group_order_wins_and_later_groups_do_not_start() {
+        let sources = setup(2, 8);
+        let engine = ExecutorEngine::new(1);
+        let one_cpu = WorkerPool::new(2, 1);
+        let before = sources["ds_1"].engine().statements_executed();
+        let inputs = vec![
+            input("ds_0", "SELECT v FROM t_0"),
+            input("ds_0", "SELECT v FROM missing_a"),
+            input("ds_0", "SELECT v FROM t_1"),
+            input("ds_1", "SELECT v FROM missing_b"),
+        ];
+        let ran_on_ds0 = sources["ds_0"].engine().statements_executed();
+        let err = engine
+            .execute_on(
+                &one_cpu,
+                &sources,
+                inputs,
+                shared_params(&[]),
+                None,
+                None,
+                false,
+                None,
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("missing_a"), "{err}");
+        // The failing group stopped at its failure; the next never ran.
+        assert_eq!(
+            sources["ds_0"].engine().statements_executed(),
+            ran_on_ds0 + 2
+        );
+        assert_eq!(sources["ds_1"].engine().statements_executed(), before);
+        // Permits came back either way.
+        assert_eq!(sources["ds_0"].pool().available(), 8);
+        assert_eq!(sources["ds_1"].pool().available(), 8);
+    }
+
+    #[test]
+    fn deadline_abandons_a_hung_source() {
+        use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
+        let sources = setup(2, 8);
+        let engine = ExecutorEngine::new(8);
+        sources["ds_1"]
+            .engine()
+            .fault_injector()
+            .inject(FaultPlan::new(
+                FaultOp::ScanOpen,
+                FaultKind::Hang {
+                    max: Duration::from_secs(10),
+                },
+                FaultTrigger::Once,
+            ));
+        let inputs = vec![
+            input("ds_0", "SELECT v FROM t_0"),
+            input("ds_1", "SELECT v FROM t_1"),
+        ];
+        let err = engine
+            .execute_with_deadline(
+                &sources,
+                inputs,
+                shared_params(&[]),
+                None,
+                Some(Instant::now() + Duration::from_millis(50)),
+                false,
+                None,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, KernelError::Timeout(m) if m.contains("1 of 2 unit(s) outstanding")),
+            "{err}"
+        );
+        // Releasing the hang lets the abandoned group finish and return its
+        // connection.
+        sources["ds_1"].engine().clear_faults();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sources["ds_1"].pool().available() < 8 {
+            assert!(Instant::now() < deadline, "abandoned group never drained");
+            std::thread::yield_now();
+        }
     }
 
     #[test]

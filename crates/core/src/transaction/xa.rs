@@ -13,16 +13,21 @@ use crate::obs::{Histogram, SpanScope};
 use parking_lot::Mutex;
 use shard_storage::probe::{self, Probe, SpanSink};
 use shard_storage::{StorageEngine, TxnId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How the coordinator drives each 2PC phase across branches.
 ///
-/// `Parallel` (the default) fans `prepare` / `commit_prepared` /
-/// `rollback_prepared` out on the shared [`WorkerPool`], so the phase costs
-/// one branch round trip instead of the sum of all of them — the
-/// coordinator-fan-out bottleneck of arXiv 2602.19440. `Serial` is the
-/// pre-fan-out behaviour, kept for ablation (`SET xa_fanout = serial`).
+/// Both are the same fork-join on the shared [`WorkerPool`]
+/// ([`WorkerPool::run_all`]); they differ in who may run a branch.
+/// `Parallel` (the default) lets pool workers help wherever they can —
+/// always when a branch *waits* on its engine, so the phase costs one
+/// branch round trip instead of the sum of all of them (the
+/// coordinator-fan-out bottleneck of arXiv 2602.19440). `Serial` allows no
+/// helpers — the coordinator thread visits the branches one by one and stops
+/// asking for votes at the first NO — kept for ablation
+/// (`SET xa_fanout = serial`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum XaFanOut {
     Serial,
@@ -30,7 +35,9 @@ pub enum XaFanOut {
     Parallel,
 }
 
-/// Durable coordinator decision per global transaction.
+/// Durable coordinator decision per global transaction. A transaction whose
+/// phase 2 every branch has acknowledged has no entry: nothing of it can be
+/// in doubt, so recovery never asks about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XaDecision {
     /// Phase 1 in progress.
@@ -39,8 +46,6 @@ pub enum XaDecision {
     Commit,
     /// Some vote failed; rollback everywhere.
     Rollback,
-    /// Phase 2 finished on every branch.
-    Done,
 }
 
 /// The transaction manager's durable log. Like the storage WAL, durability
@@ -57,62 +62,64 @@ impl XaLog {
     }
 
     pub fn record(&self, xid: &str, decision: XaDecision) {
-        self.state.lock().insert(xid.to_string(), decision);
+        let mut state = self.state.lock();
+        match state.get_mut(xid) {
+            Some(slot) => *slot = decision,
+            None => {
+                state.insert(xid.to_string(), decision);
+            }
+        }
+    }
+
+    /// Phase 2 finished on every branch: drop the transaction's entry.
+    pub fn forget(&self, xid: &str) {
+        self.state.lock().remove(xid);
     }
 
     pub fn decision(&self, xid: &str) -> Option<XaDecision> {
         self.state.lock().get(xid).copied()
     }
 
-    /// Transactions whose phase 2 never completed.
+    /// Transactions whose phase 2 never completed — everything the log
+    /// still holds.
     pub fn unfinished(&self) -> Vec<(String, XaDecision)> {
         self.state
             .lock()
             .iter()
-            .filter(|(_, d)| !matches!(d, XaDecision::Done))
             .map(|(x, d)| (x.clone(), *d))
             .collect()
     }
 }
 
-type BranchVec = Vec<(String, Arc<StorageEngine>, TxnId)>;
-type FanJob = Box<dyn FnOnce() -> shard_storage::Result<()> + Send>;
+type Branches = HashMap<String, (Arc<StorageEngine>, TxnId)>;
 
-/// Run one job per branch, in parallel on the shared [`WorkerPool`] when
-/// requested (and worth it), collecting results in submission order so the
-/// caller sees a deterministic view regardless of completion order.
-fn fan_out(jobs: Vec<FanJob>, parallel: bool) -> Vec<shard_storage::Result<()>> {
-    if !parallel || jobs.len() <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    let n = jobs.len();
-    let (tx, rx) = crossbeam::channel::bounded(n);
-    for (i, job) in jobs.into_iter().enumerate() {
-        let tx = tx.clone();
-        WorkerPool::global().submit(move || {
-            let _ = tx.send((i, job()));
-        });
-    }
-    drop(tx);
-    let mut out: Vec<Option<shard_storage::Result<()>>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (i, r) = rx.recv().expect("xa fan-out worker exited");
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every fan-out job reports once"))
-        .collect()
+/// Run one task per branch on the shared [`WorkerPool`]'s fork-join; results
+/// come back in task order, so the caller sees a deterministic view
+/// regardless of completion order. The coordinator thread runs branches
+/// itself; `fanout` and whether any branch `waits` decide how many workers
+/// help it.
+fn fan_out<T, F>(tasks: Vec<F>, fanout: XaFanOut, waits: bool) -> Vec<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let pool = WorkerPool::global();
+    let helpers = match fanout {
+        XaFanOut::Serial => 0,
+        XaFanOut::Parallel => pool.helpers_for(tasks.len(), waits),
+    };
+    pool.run_all(tasks, helpers)
+}
+
+fn any_waits(branches: &Branches) -> bool {
+    branches.values().any(|(engine, _)| engine.waits())
 }
 
 /// Run 2PC over the branches of one global transaction with the default
 /// (parallel) fan-out.
 ///
 /// `branches` maps data source name → (engine, local txn id).
-pub fn two_phase_commit(
-    xid: &str,
-    log: &XaLog,
-    branches: &HashMap<String, (Arc<StorageEngine>, TxnId)>,
-) -> Result<()> {
+pub fn two_phase_commit(xid: &str, log: &XaLog, branches: &Branches) -> Result<()> {
     two_phase_commit_with(xid, log, branches, XaFanOut::default())
 }
 
@@ -120,7 +127,7 @@ pub fn two_phase_commit(
 pub fn two_phase_commit_with(
     xid: &str,
     log: &XaLog,
-    branches: &HashMap<String, (Arc<StorageEngine>, TxnId)>,
+    branches: &Branches,
     fanout: XaFanOut,
 ) -> Result<()> {
     two_phase_commit_observed(xid, log, branches, fanout, None, None)
@@ -128,27 +135,30 @@ pub fn two_phase_commit_with(
 
 /// Wrap one branch operation in a span (when a trace rides along) with the
 /// storage probe installed, so WAL flushes and lock waits inside the branch
-/// parent to its `xa_prepare` / `xa_commit` span.
+/// parent to its `xa_prepare` / `xa_commit` span. The span opens when the
+/// operation starts, on whichever thread runs it.
 fn branch_job(
     spans: Option<&SpanScope>,
     name: &'static str,
     branch: &str,
     f: impl FnOnce() -> shard_storage::Result<()> + Send + 'static,
-) -> FanJob {
-    let span = spans.map(|s| {
-        let id = s.recorder.begin(Some(s.parent), name, branch.to_string());
-        (Arc::clone(&s.recorder), id)
-    });
-    Box::new(move || {
-        let _probe = span
-            .as_ref()
-            .map(|(rec, id)| probe::install(Probe::new(Arc::clone(rec) as Arc<dyn SpanSink>, *id)));
+) -> impl FnOnce() -> shard_storage::Result<()> + Send + 'static {
+    let traced = spans.map(|scope| (scope.clone(), branch.to_string()));
+    move || {
+        let Some((scope, branch)) = traced else {
+            return f();
+        };
+        let id = scope.recorder.begin(Some(scope.parent), name, branch);
+        let _probe = probe::install(Probe::new(
+            Arc::clone(&scope.recorder) as Arc<dyn SpanSink>,
+            id,
+        ));
         let r = f();
-        if let Some((rec, id)) = &span {
-            rec.finish(*id, r.as_ref().err().map(|e| e.to_string()));
-        }
+        scope
+            .recorder
+            .finish(id, r.as_ref().err().map(|e| e.to_string()));
         r
-    })
+    }
 }
 
 /// Histogram handles for the two 2PC phases (the kernel metrics registry's
@@ -163,94 +173,78 @@ pub struct XaPhaseObserver<'a> {
 pub fn two_phase_commit_observed(
     xid: &str,
     log: &XaLog,
-    branches: &HashMap<String, (Arc<StorageEngine>, TxnId)>,
+    branches: &Branches,
     fanout: XaFanOut,
     obs: Option<&XaPhaseObserver<'_>>,
     spans: Option<&SpanScope>,
 ) -> Result<()> {
     log.record(xid, XaDecision::Preparing);
     let phase_start = std::time::Instant::now();
-    let parallel = fanout == XaFanOut::Parallel;
+    let waits = any_waits(branches);
     // Branches in name order: "first error" selection is deterministic no
     // matter which branch answers first.
-    let mut ordered: BranchVec = branches
-        .iter()
-        .map(|(n, (e, t))| (n.clone(), Arc::clone(e), *t))
-        .collect();
-    ordered.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut ordered: Vec<(&String, &(Arc<StorageEngine>, TxnId))> = branches.iter().collect();
+    ordered.sort_by_key(|(name, _)| *name);
 
-    // Phase 1: prepare (vote collection). `None` = never attempted (the
-    // serial path stops at the first NO vote; the parallel path asks every
-    // branch).
-    let votes: Vec<Option<shard_storage::Result<()>>> = if parallel && ordered.len() > 1 {
-        let jobs: Vec<FanJob> = ordered
+    // Phase 1: prepare (vote collection). `None` = never asked: the serial
+    // coordinator stops at the first NO vote; the parallel one asks every
+    // branch, so the NO it names does not depend on who answered first.
+    let stop_at_no = fanout == XaFanOut::Serial;
+    let refused = Arc::new(AtomicBool::new(false));
+    let shared_xid: Arc<str> = Arc::from(xid);
+    let votes: Vec<Option<shard_storage::Result<()>>> = fan_out(
+        ordered
             .iter()
-            .map(|(name, engine, txn)| {
-                let engine = Arc::clone(engine);
-                let txn = *txn;
-                let xid = xid.to_string();
-                branch_job(spans, "xa_prepare", name, move || engine.prepare(txn, &xid))
+            .map(|(name, (engine, txn))| {
+                let (engine, txn, xid) = (Arc::clone(engine), *txn, Arc::clone(&shared_xid));
+                let prepare =
+                    branch_job(spans, "xa_prepare", name, move || engine.prepare(txn, &xid));
+                let refused = Arc::clone(&refused);
+                move || {
+                    if stop_at_no && refused.load(Ordering::Relaxed) {
+                        return None;
+                    }
+                    let vote = prepare();
+                    if vote.is_err() {
+                        refused.store(true, Ordering::Relaxed);
+                    }
+                    Some(vote)
+                }
             })
-            .collect();
-        fan_out(jobs, true).into_iter().map(Some).collect()
-    } else {
-        let mut votes: Vec<Option<shard_storage::Result<()>>> =
-            (0..ordered.len()).map(|_| None).collect();
-        for (i, (name, engine, txn)) in ordered.iter().enumerate() {
-            let engine = Arc::clone(engine);
-            let txn = *txn;
-            let xid_owned = xid.to_string();
-            let job = branch_job(spans, "xa_prepare", name, move || {
-                engine.prepare(txn, &xid_owned)
-            });
-            let vote = job();
-            let no = vote.is_err();
-            votes[i] = Some(vote);
-            if no {
-                break;
-            }
-        }
-        votes
-    };
+            .collect(),
+        fanout,
+        waits,
+    );
     if let Some(obs) = obs {
         obs.prepare_us
             .record_us(phase_start.elapsed().as_micros() as u64);
     }
 
-    let prepared: HashSet<usize> = votes
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| matches!(v, Some(Ok(()))))
-        .map(|(i, _)| i)
-        .collect();
     if let Some(no_idx) = votes.iter().position(|v| matches!(v, Some(Err(_)))) {
         // A NO vote aborts the global transaction. Refusing branches already
         // rolled back inside `prepare`; roll the survivors back in the same
         // fan-out — prepared siblings via `rollback_prepared`, branches the
         // serial path never reached via plain `rollback`.
         log.record(xid, XaDecision::Rollback);
-        let jobs: Vec<FanJob> = ordered
+        let survivors = ordered
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !matches!(votes[*i], Some(Err(_))))
-            .map(|(i, (_, engine, txn))| {
-                let engine = Arc::clone(engine);
-                let txn = *txn;
-                let was_prepared = prepared.contains(&i);
-                Box::new(move || {
-                    let result = if was_prepared {
+            .zip(&votes)
+            .filter(|(_, vote)| !matches!(vote, Some(Err(_))))
+            .map(|((_, (engine, txn)), vote)| {
+                let (engine, txn, was_prepared) = (Arc::clone(engine), *txn, vote.is_some());
+                move || {
+                    // The branch may already be gone; recovery handles it.
+                    let _ = if was_prepared {
                         engine.rollback_prepared(txn)
                     } else {
                         engine.rollback(txn)
                     };
-                    let _ = result; // branch may already be gone; recovery handles it
-                    Ok(())
-                }) as FanJob
+                }
             })
             .collect();
-        let _ = fan_out(jobs, parallel);
-        log.record(xid, XaDecision::Done);
-        let (name, _, _) = &ordered[no_idx];
+        fan_out(survivors, fanout, waits);
+        log.forget(xid);
+        let name = ordered[no_idx].0;
         let vote_no = match &votes[no_idx] {
             Some(Err(e)) => e,
             _ => unreachable!("no_idx indexes a NO vote"),
@@ -266,67 +260,59 @@ pub fn two_phase_commit_observed(
     // Phase 2: commit every branch. Failures here do NOT abort the global
     // transaction — the decision is committed; recovery re-drives stragglers.
     let phase_start = std::time::Instant::now();
-    let jobs: Vec<FanJob> = ordered
-        .iter()
-        .map(|(name, engine, txn)| {
-            let engine = Arc::clone(engine);
-            let txn = *txn;
-            branch_job(spans, "xa_commit", name, move || {
-                engine.commit_prepared(txn)
+    let acks = fan_out(
+        ordered
+            .iter()
+            .map(|(name, (engine, txn))| {
+                let (engine, txn) = (Arc::clone(engine), *txn);
+                branch_job(spans, "xa_commit", name, move || {
+                    engine.commit_prepared(txn)
+                })
             })
-        })
-        .collect();
-    let results = fan_out(jobs, parallel);
+            .collect(),
+        fanout,
+        waits,
+    );
     if let Some(obs) = obs {
         obs.commit_us
             .record_us(phase_start.elapsed().as_micros() as u64);
     }
-    let lagging: Vec<String> = results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_err())
-        .map(|(i, _)| ordered[i].0.clone())
-        .collect();
-    if lagging.is_empty() {
-        log.record(xid, XaDecision::Done);
+    // Acknowledged everywhere: no branch can be in doubt, nothing left for
+    // recovery to ask. A lagging branch keeps the decision on the log.
+    if acks.iter().all(|ack| ack.is_ok()) {
+        log.forget(xid);
     }
     Ok(())
 }
 
-/// Fire 1PC commit at every branch in parallel, ignoring failures (the
-/// Local transaction type, paper Fig 5(d)): each branch's durability flush
-/// overlaps instead of queueing behind the previous branch's round trip.
-pub fn commit_all(branches: &HashMap<String, (Arc<StorageEngine>, TxnId)>) {
-    let jobs: Vec<FanJob> = branches
+/// Run `op` on every branch through the fan-out, ignoring failures.
+fn for_each_branch(branches: &Branches, op: fn(&StorageEngine, TxnId)) {
+    let tasks = branches
         .values()
         .map(|(engine, txn)| {
-            let engine = Arc::clone(engine);
-            let txn = *txn;
-            Box::new(move || {
-                let _ = engine.commit(txn);
-                Ok(())
-            }) as FanJob
+            let (engine, txn) = (Arc::clone(engine), *txn);
+            move || op(&engine, txn)
         })
         .collect();
-    let _ = fan_out(jobs, true);
+    fan_out(tasks, XaFanOut::Parallel, any_waits(branches));
 }
 
-/// Roll back all branches (explicit ROLLBACK before prepare), fanned out in
-/// parallel — an abort of a wide transaction should not pay one round trip
-/// per branch either.
-pub fn rollback_all(branches: &HashMap<String, (Arc<StorageEngine>, TxnId)>) {
-    let jobs: Vec<FanJob> = branches
-        .values()
-        .map(|(engine, txn)| {
-            let engine = Arc::clone(engine);
-            let txn = *txn;
-            Box::new(move || {
-                let _ = engine.rollback(txn);
-                Ok(())
-            }) as FanJob
-        })
-        .collect();
-    let _ = fan_out(jobs, true);
+/// Fire 1PC commit at every branch, ignoring failures (the Local transaction
+/// type, paper Fig 5(d)): where branches wait, each one's durability flush
+/// overlaps instead of queueing behind the previous branch's round trip.
+pub fn commit_all(branches: &Branches) {
+    for_each_branch(branches, |engine, txn| {
+        let _ = engine.commit(txn);
+    });
+}
+
+/// Roll back all branches (explicit ROLLBACK before prepare) through the
+/// same fan-out — an abort of a wide transaction should not pay one round
+/// trip per branch either.
+pub fn rollback_all(branches: &Branches) {
+    for_each_branch(branches, |engine, txn| {
+        let _ = engine.rollback(txn);
+    });
 }
 
 /// Recovery manager: resolves in-doubt branches against the coordinator log
@@ -355,14 +341,6 @@ impl XaRecoveryManager {
                     // No commit decision was logged: presume abort.
                     Some(XaDecision::Rollback) | Some(XaDecision::Preparing) | None => {
                         if engine.rollback_prepared(txn).is_ok() {
-                            resolved += 1;
-                        }
-                    }
-                    Some(XaDecision::Done) => {
-                        // Decision says done but the branch is in doubt:
-                        // treat as commit (decision reached Done only after
-                        // commit decision).
-                        if engine.commit_prepared(txn).is_ok() {
                             resolved += 1;
                         }
                     }
@@ -417,7 +395,8 @@ mod tests {
         two_phase_commit("x1", &log, &branches).unwrap();
         assert_eq!(value(&a), Value::Int(100));
         assert_eq!(value(&b), Value::Int(200));
-        assert_eq!(log.decision("x1"), Some(XaDecision::Done));
+        assert_eq!(log.decision("x1"), None);
+        assert!(log.unfinished().is_empty());
     }
 
     #[test]
@@ -491,7 +470,8 @@ mod tests {
         assert_eq!(value(&a), Value::Int(10));
         assert_eq!(value(&b), Value::Int(10));
         assert!(a.in_doubt().is_empty() && b.in_doubt().is_empty());
-        assert_eq!(log.decision("x5"), Some(XaDecision::Done));
+        assert_eq!(log.decision("x5"), None);
+        assert!(log.unfinished().is_empty());
     }
 
     #[test]
@@ -546,15 +526,62 @@ mod tests {
             elapsed < Duration::from_millis(60),
             "parallel 2PC took {elapsed:?}, expected well under the ~80ms serial cost"
         );
-        assert_eq!(log.decision("x7"), Some(XaDecision::Done));
+        assert_eq!(log.decision("x7"), None);
+        assert!(log.unfinished().is_empty());
     }
 
     #[test]
     fn unfinished_listing() {
         let log = XaLog::new();
+        log.record("a", XaDecision::Preparing);
         log.record("a", XaDecision::Commit);
-        log.record("b", XaDecision::Done);
+        log.record("b", XaDecision::Commit);
+        log.forget("b");
         let unfinished = log.unfinished();
         assert_eq!(unfinished, vec![("a".to_string(), XaDecision::Commit)]);
+    }
+
+    #[test]
+    fn the_log_forgets_finished_transactions() {
+        let a = engine_with_row("a");
+        let b = engine_with_row("b");
+        let log = XaLog::new();
+        for i in 0..1000 {
+            let mut branches = HashMap::new();
+            branches.insert("a".to_string(), (a.clone(), start_branch(&a, i)));
+            branches.insert("b".to_string(), (b.clone(), start_branch(&b, i)));
+            if i % 100 == 99 {
+                // An aborted transaction is finished too.
+                b.inject_commit_failure();
+                two_phase_commit(&format!("x{i}"), &log, &branches).unwrap_err();
+            } else {
+                two_phase_commit(&format!("x{i}"), &log, &branches).unwrap();
+            }
+        }
+        assert_eq!(value(&a), Value::Int(998));
+        assert_eq!(value(&b), Value::Int(998));
+        assert!(log.unfinished().is_empty());
+    }
+
+    #[test]
+    fn a_lagging_branch_keeps_the_decision_on_the_log() {
+        use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
+        let a = engine_with_row("a");
+        let b = engine_with_row("b");
+        let mut branches = HashMap::new();
+        branches.insert("a".to_string(), (a.clone(), start_branch(&a, 100)));
+        branches.insert("b".to_string(), (b.clone(), start_branch(&b, 200)));
+        b.fault_injector().inject(FaultPlan::new(
+            FaultOp::CommitPrepared,
+            FaultKind::Error("down".into()),
+            FaultTrigger::Once,
+        ));
+        let log = XaLog::new();
+        two_phase_commit("x8", &log, &branches).unwrap();
+        assert_eq!(log.decision("x8"), Some(XaDecision::Commit));
+        assert_eq!(b.in_doubt().len(), 1);
+        // Recovery re-drives the straggler from the entry that was kept.
+        assert_eq!(XaRecoveryManager::new(log).recover(&[a, b.clone()]), 1);
+        assert_eq!(value(&b), Value::Int(200));
     }
 }

@@ -150,15 +150,36 @@ fn batch_scan_variable_round_trips() {
         .is_err());
 }
 
-/// A consumer that abandons a batch stream mid-way stops the producers: the
-/// per-source pull counters stay well short of the full table (each unit
-/// fetches at most the columnar batches already in flight).
+/// A consumer that abandons a batch stream mid-way stops the producers: each
+/// unit fetches no more columnar batches than its bounded channel can hold
+/// in flight, however large its table is.
 #[test]
 fn abandoned_batch_stream_stops_pulling() {
+    const UNITS: u64 = 4;
+    const BATCHES_PER_UNIT: u64 = 10;
+    // What one producer can have fetched when its consumer walks away: a
+    // full channel (64 messages of 32 rows), one message blocked in `send`
+    // and one the consumer took — 66 × 32 rows, which is into its third
+    // 1024-row batch. One more for slack against the constants moving.
+    const IN_FLIGHT_PER_UNIT: u64 = 4;
+
     let runtime = sharded_runtime();
     let mut s = runtime.session();
-    load_sales(&mut s, 2000);
-    let before = rows_pulled_total(&runtime);
+    let rows = UNITS * BATCHES_PER_UNIT * shard_storage::BATCH_SIZE as u64;
+    for first in (0..rows).step_by(512) {
+        let values: Vec<String> = (first..first + 512)
+            .map(|sid| format!("({sid}, 'east', {}.5, {}, NULL)", sid, sid % 11))
+            .collect();
+        s.execute_sql(
+            &format!(
+                "INSERT INTO t_sales (sid, region, amount, qty, note) VALUES {}",
+                values.join(", ")
+            ),
+            &[],
+        )
+        .unwrap();
+    }
+    let (before, _) = scan_batch_totals(&runtime);
 
     {
         let mut stream = s.query_stream("SELECT sid, qty FROM t_sales", &[]).unwrap();
@@ -168,13 +189,26 @@ fn abandoned_batch_stream_stops_pulling() {
         // Dropping the stream here closes the channels; producers see the
         // send failure and abandon their cursors between batches.
     }
-    // Give the cancelled producers a moment to observe the closed channels.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let pulled = rows_pulled_total(&runtime) - before;
-    assert!(pulled > 0, "stream never touched storage");
+    // A producer holds its connection until it has seen its channel closed
+    // and let go of its cursor: all permits back means all producers done.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    for ds in ["ds_0", "ds_1"] {
+        let pool = runtime.datasource(ds).unwrap().pool().clone();
+        while pool.available() < pool.capacity() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{ds}: producers still running"
+            );
+            std::thread::yield_now();
+        }
+    }
+    let (after, _) = scan_batch_totals(&runtime);
+    let fetched = after - before;
+    assert!(fetched > 0, "stream never touched storage");
     assert!(
-        pulled < 2000,
-        "abandoned stream drained the whole table: pulled {pulled}"
+        fetched <= UNITS * IN_FLIGHT_PER_UNIT,
+        "abandoned stream kept scanning: {fetched} of {} batches fetched",
+        UNITS * BATCHES_PER_UNIT
     );
 }
 

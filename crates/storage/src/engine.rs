@@ -334,6 +334,17 @@ impl StorageEngine {
         self.latency
     }
 
+    /// Does a request to this engine spend time *waiting* — a simulated
+    /// round trip, a queue for a server slot, an open group-commit window —
+    /// rather than only computing? Waits on different engines overlap on any
+    /// machine, computation only across CPUs; whoever fans requests out
+    /// decides from this whether other threads can help.
+    pub fn waits(&self) -> bool {
+        !self.latency.is_zero()
+            || self.server_slots.is_some()
+            || self.group_commit.window_micros() > 0
+    }
+
     pub fn wal(&self) -> &SharedLog {
         &self.wal
     }

@@ -32,6 +32,11 @@ impl LatencyModel {
         cached_rows: u64::MAX,
     };
 
+    /// True when no request is ever charged anything.
+    pub fn is_zero(&self) -> bool {
+        self.per_request.is_zero() && self.per_row.is_zero() && self.page_miss.is_zero()
+    }
+
     /// A LAN-attached data source: ~100µs RTT, 200ns/row transfer.
     pub fn lan() -> Self {
         LatencyModel {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide lint gate: clippy clean (warnings are errors) and rustfmt clean.
-# Run before sending a PR; CI runs the same two commands.
+# Repo-wide gate: clippy clean (warnings are errors), rustfmt clean, every
+# test in the workspace, the bench smokes and the benchmark smoke.
+# Run before sending a PR; CI runs the same commands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,39 +41,19 @@ timeout 600 cargo bench -p shard-bench --bench analytics -- --test
 echo "==> cargo bench -p shard-bench --bench mvcc -- --test"
 timeout 600 cargo bench -p shard-bench --bench mvcc -- --test
 
-# MVCC gate: seeded snapshot-isolation integration tests (snapshot scan
-# stability, read-your-writes, reader/writer stress with a balanced-SUM
-# invariant, the on/off equivalence matrix, recovery discarding
-# uncommitted versions, snapshot-pinned vacuum).
-echo "==> mvcc: snapshot-isolation integration tests"
-timeout 600 cargo test --test mvcc -q
-
-# Chaos gate: the deterministic fault-matrix run (fixed seed baked into the
-# tests). The scenario has its own in-test watchdog, so a hung thread fails
-# the step instead of wedging CI; `timeout` is a second line of defence.
-echo "==> chaos: seeded fault-matrix integration tests"
-timeout 600 cargo test --test chaos -q
-timeout 600 cargo test -p shard-core --test chaos_faults -q
-
-# Reshard gate: live online resharding under seeded chaos (replica loss,
-# write faults, fence-timeout rollback, mid-backfill cancel). Like the chaos
-# gate, every scenario carries its own in-test watchdog; `timeout` is a
-# second line of defence.
-echo "==> reshard: seeded chaos-during-reshard integration tests"
-timeout 600 cargo test --test reshard -q
-
-# Trace gate: end-to-end distributed tracing (cross-layer span trees, head
-# sampling + tail keep, the flight recorder, the SLO burn-rate monitor,
-# background-job traces) — including the seeded chaos scenario that drives
-# an injected commit fault into a recorded incident.
-echo "==> trace: distributed-tracing integration tests"
-timeout 600 cargo test -p shard-core --test tracing -q
-
-# Proxy gate: the wire protocol and its I/O contract (one write per small
-# response and per request, batched streaming of large results, mid-stream
-# fault framing, prompt shutdown) plus the protocol fuzz suite.
-echo "==> proxy: wire protocol and frame I/O tests"
-timeout 600 cargo test -p shard-proxy -q
+# Test gate: every suite in the workspace — the root package's integration
+# tests and the several hundred tests inside crates/* (plain `cargo test`
+# runs only the former). This is also the MVCC gate (`--test mvcc`: seeded
+# snapshot-isolation scenarios), the chaos gate (`--test chaos`, `-p
+# shard-core --test chaos_faults`: the deterministic fault matrix), the
+# reshard gate (`--test reshard`: online resharding under seeded chaos), the
+# trace gate (`-p shard-core --test tracing`) and the proxy gate (`-p
+# shard-proxy`: wire protocol, frame I/O contract, protocol fuzz). The
+# chaos and reshard scenarios carry their own in-test watchdogs, so a hung
+# thread fails the step instead of wedging CI; `timeout` is a second line
+# of defence.
+echo "==> cargo test --workspace -q"
+timeout 1800 cargo test --workspace -q
 
 # Benchmark smoke: every BENCHMARK.json workload, traced and untraced, at
 # 1/100 of the work, with outputs and correctness checked against the
