@@ -6,14 +6,12 @@
 //! driver, and one binary per paper table/figure (see `src/bin/`).
 
 pub mod experiments;
-pub mod keydist;
 pub mod metrics;
 pub mod runner;
 pub mod sysbench;
 pub mod systems;
 pub mod tpcc;
 
-pub use keydist::{Hotspot, KeyDist, Uniform, Zipfian};
 pub use metrics::{LatencyRecorder, Metrics};
 pub use runner::{run, RunConfig, Workload};
 pub use systems::{Deployment, Flavor, Mode, Sut, TableSpec, Topology};

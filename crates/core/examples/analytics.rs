@@ -1,7 +1,6 @@
 //! Analytics tour: the vectorized batch-scan path computing full-table
 //! aggregates over columnar batches, the `scan_mode` verdict in EXPLAIN
-//! ANALYZE, the `SET batch_scan = off` ablation, and the batch counters —
-//! against a 4-shard event table over two embedded data sources.
+//! ANALYZE, and the batch counters — against a 4-shard event table over two embedded data sources.
 //!
 //! ```bash
 //! cargo run --release -p shard-core --example analytics
@@ -56,12 +55,6 @@ fn main() {
         "EXPLAIN ANALYZE SELECT event_id, url FROM t_hits ORDER BY event_id LIMIT 3",
         // The counters the batch path feeds.
         "SHOW METRICS LIKE 'scan_batch%'",
-        // Ablation: byte-identical results through the row cursor.
-        "SET VARIABLE batch_scan = off",
-        "EXPLAIN ANALYZE SELECT region, COUNT(*), SUM(bytes_sent), AVG(duration_ms), \
-         MIN(price), MAX(price) FROM t_hits GROUP BY region ORDER BY region",
-        "SET VARIABLE batch_scan = on",
-        "SHOW VARIABLE batch_scan",
     ] {
         println!("--- {sql}");
         match s.execute_sql(sql, &[]).unwrap() {

@@ -263,11 +263,11 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
 
         // --- RAL ------------------------------------------------------------
         DistSqlStatement::SetVariable { name, value } => {
-            session.set_variable(name, value)?;
+            crate::settings::set(session, name, value)?;
             Ok(ExecuteResult::Update { affected: 0 })
         }
         DistSqlStatement::ShowVariable { name } => {
-            let value = session.get_variable(name)?;
+            let value = crate::settings::show(session, name)?;
             Ok(ExecuteResult::Query(ResultSet::new(
                 vec!["variable".into(), "value".into()],
                 vec![vec![Value::Str(name.clone()), Value::Str(value)]],
@@ -400,9 +400,6 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
                         e.route_strategy.map(Value::Str).unwrap_or(Value::Null),
                         e.scan_mode.map(Value::Str).unwrap_or(Value::Null),
                         e.reshard_state.map(Value::Str).unwrap_or(Value::Null),
-                        e.mvcc
-                            .map(|m| Value::Str(if m { "on" } else { "off" }.into()))
-                            .unwrap_or(Value::Null),
                     ]
                 })
                 .collect();
@@ -417,7 +414,6 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
                     "route_strategy".into(),
                     "scan_mode".into(),
                     "reshard_state".into(),
-                    "mvcc".into(),
                 ],
                 rows,
             )))

@@ -21,6 +21,7 @@ pub mod rewrite;
 pub mod route;
 
 pub mod runtime;
+pub mod settings;
 pub mod transaction;
 
 pub use error::{ErrorClass, KernelError, Result};
@@ -30,4 +31,4 @@ pub use obs::{
 };
 pub use route::RouteStrategy;
 pub use runtime::{QueryStream, RuntimeBuilder, Session, ShardingRuntime, StreamOutcome};
-pub use transaction::{TransactionType, XaFanOut};
+pub use transaction::TransactionType;

@@ -9,6 +9,7 @@
 
 use super::accumulate::{combine, finish_avg};
 use super::orderby::{compare_rows, OrderByStreamMerger, SortKey};
+use super::stream::GroupStreamIter;
 use crate::rewrite::{AggKind, AggSpec};
 use shard_sql::Value;
 use shard_storage::ResultSet;
@@ -86,32 +87,12 @@ pub fn group_stream_merge(
     group_positions: &[usize],
     aggs: &[AggPositions],
 ) -> Vec<Vec<Value>> {
-    let merger = OrderByStreamMerger::new(results, sort_keys.to_vec());
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let mut current: Option<Vec<Value>> = None;
-    for row in merger {
-        match &mut current {
-            Some(cur)
-                if group_positions
-                    .iter()
-                    .all(|&p| cur[p].total_cmp(&row[p]) == std::cmp::Ordering::Equal) =>
-            {
-                combine_row(cur, &row, aggs);
-            }
-            _ => {
-                if let Some(mut done) = current.take() {
-                    finish_row(&mut done, aggs);
-                    out.push(done);
-                }
-                current = Some(row);
-            }
-        }
-    }
-    if let Some(mut done) = current.take() {
-        finish_row(&mut done, aggs);
-        out.push(done);
-    }
-    out
+    GroupStreamIter::new(
+        OrderByStreamMerger::new(results, sort_keys.to_vec()),
+        group_positions.to_vec(),
+        aggs.to_vec(),
+    )
+    .collect()
 }
 
 /// Memory group merge: hash-combine, then sort by the ORDER BY keys.

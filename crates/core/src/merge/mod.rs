@@ -3,7 +3,9 @@
 //! Merger selection follows the paper: iteration for plain selects,
 //! priority-queue stream merge for ORDER BY, stream group merge when the
 //! shard streams are sorted by the group keys, memory group merge
-//! otherwise; plus decorators for DISTINCT, HAVING and pagination.
+//! otherwise; plus decorators for DISTINCT, HAVING and pagination. There is
+//! one merger, in [`stream`], generic over its row source; the entry points
+//! here hand it buffered shard results and collect what it yields.
 
 pub mod accumulate;
 pub mod groupby;
@@ -16,10 +18,7 @@ pub use stream::{merge_stream, MergedStream};
 
 use crate::error::{KernelError, Result};
 use crate::rewrite::DerivedInfo;
-use shard_sql::Value;
-use shard_storage::eval::{eval_predicate, EvalContext, Scope};
 use shard_storage::ResultSet;
-use std::collections::HashMap;
 
 /// Which merge strategy handled the query (diagnostics / tests / benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,122 +40,23 @@ pub fn merge(results: Vec<ResultSet>, info: &DerivedInfo) -> Result<ResultSet> {
     Ok(merge_explain(results, info)?.0)
 }
 
-/// Like [`merge`] but also reports which strategy was used.
+/// Like [`merge`] but also reports which strategy was used. The merger is
+/// the streaming one ([`stream`]) reading the buffered results: one
+/// strategy selection and one set of decorators serve both entry points.
 pub fn merge_explain(
     mut results: Vec<ResultSet>,
     info: &DerivedInfo,
 ) -> Result<(ResultSet, MergerKind)> {
-    if results.is_empty() {
-        return Ok((ResultSet::empty(), MergerKind::PassThrough));
+    if results.len() == 1 && !info.is_grouped() && info.derived_columns == 0 {
+        // One shard answered and there is nothing to strip: its result is
+        // the answer. The merger would pass the same rows through one by
+        // one; on a 6 µs point select that is 0.09 vs 0.3 µs.
+        let only = results.pop().expect("one result");
+        return Ok((only, MergerKind::PassThrough));
     }
-    // Shards that returned nothing still define the column shape.
-    let columns = results
-        .iter()
-        .map(|r| &r.columns)
-        .max_by_key(|c| c.len())
-        .expect("non-empty results")
-        .clone();
-
-    if results.len() == 1 && !info.is_grouped() {
-        // Single-shard SELECT: the shard already ordered AND paginated it
-        // (the single-node optimization leaves LIMIT/OFFSET on the shard
-        // statement), so re-applying the window here would drop rows.
-        // Derived columns only exist on multi-unit rewrites, but stripping
-        // zero of them is harmless.
-        let mut rs = results.pop().expect("one result");
-        strip_derived(&mut rs, info);
-        return Ok((rs, MergerKind::PassThrough));
-    }
-
-    let shape = ResultSet::new(columns.clone(), Vec::new());
-
-    let (mut rows, kind) = if info.raw_rows {
-        // Ablated pushdown: every shard row is a raw source row; aggregate
-        // kernel-side with the storage accumulators.
-        let aggs = AggPositions::resolve(&info.aggregates, &shape).ok_or_else(|| {
-            KernelError::Merge("aggregate columns missing from shard results".into())
-        })?;
-        let group_positions: Option<Vec<usize>> = info
-            .group_by
-            .iter()
-            .map(|c| shape.column_index(c))
-            .collect();
-        let group_positions = group_positions.ok_or_else(|| {
-            KernelError::Merge("group-by columns missing from shard results".into())
-        })?;
-        let sort_keys = resolve_sort_keys(info, &shape)?;
-        (
-            groupby::raw_aggregate_merge(
-                results,
-                &sort_keys,
-                &group_positions,
-                &aggs,
-                columns.len(),
-            ),
-            MergerKind::RawAggregate,
-        )
-    } else if info.is_grouped() {
-        let aggs = AggPositions::resolve(&info.aggregates, &shape).ok_or_else(|| {
-            KernelError::Merge("aggregate columns missing from shard results".into())
-        })?;
-        if info.group_by.is_empty() {
-            (
-                groupby::single_group_merge(results, &aggs),
-                MergerKind::SingleGroup,
-            )
-        } else {
-            let group_positions: Option<Vec<usize>> = info
-                .group_by
-                .iter()
-                .map(|c| shape.column_index(c))
-                .collect();
-            let group_positions = group_positions.ok_or_else(|| {
-                KernelError::Merge("group-by columns missing from shard results".into())
-            })?;
-            let sort_keys = resolve_sort_keys(info, &shape)?;
-            if info.group_streamable {
-                (
-                    groupby::group_stream_merge(results, &sort_keys, &group_positions, &aggs),
-                    MergerKind::GroupByStream,
-                )
-            } else {
-                (
-                    groupby::group_memory_merge(results, &sort_keys, &group_positions, &aggs),
-                    MergerKind::GroupByMemory,
-                )
-            }
-        }
-    } else if !info.order_by.is_empty() {
-        let sort_keys = resolve_sort_keys(info, &shape)?;
-        (
-            OrderByStreamMerger::new(results, sort_keys).collect(),
-            MergerKind::OrderByStream,
-        )
-    } else {
-        // Iteration merger: chain the cursors.
-        let mut rows = Vec::new();
-        for rs in results {
-            rows.extend(rs.rows);
-        }
-        (rows, MergerKind::Iteration)
-    };
-
-    // DISTINCT decorator.
-    if info.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
-    }
-
-    let mut rs = ResultSet::new(columns, rows);
-
-    // HAVING decorator (merged groups only).
-    if let Some(having) = &info.having {
-        apply_having(&mut rs, having, info)?;
-    }
-
-    apply_pagination(&mut rs, info);
-    strip_derived(&mut rs, info);
-    Ok((rs, kind))
+    let merged = stream::merge_results(results, info)?;
+    let kind = merged.kind();
+    Ok((merged.into_result_set()?, kind))
 }
 
 pub(crate) fn resolve_sort_keys(info: &DerivedInfo, shape: &ResultSet) -> Result<Vec<SortKey>> {
@@ -179,63 +79,11 @@ pub(crate) fn resolve_sort_keys(info: &DerivedInfo, shape: &ResultSet) -> Result
         .collect()
 }
 
-fn apply_having(rs: &mut ResultSet, having: &shard_sql::Expr, info: &DerivedInfo) -> Result<()> {
-    let scope = Scope::from_columns(&rs.columns);
-    // Aggregate values for HAVING come from the merged aggregate columns,
-    // keyed by the rendered call text.
-    let agg_positions: Vec<(String, usize)> = info
-        .aggregates
-        .iter()
-        .filter_map(|a| rs.column_index(&a.column).map(|p| (a.call_text.clone(), p)))
-        .collect();
-    let mut kept = Vec::with_capacity(rs.rows.len());
-    for row in rs.rows.drain(..) {
-        let aggs: HashMap<String, Value> = agg_positions
-            .iter()
-            .map(|(text, p)| (text.clone(), row[*p].clone()))
-            .collect();
-        let mut ctx = EvalContext::new(&scope, &row, &[]);
-        ctx.aggregates = Some(&aggs);
-        let keep = eval_predicate(having, &ctx)
-            .map_err(|e| KernelError::Merge(format!("HAVING evaluation failed: {e}")))?;
-        if keep {
-            kept.push(row);
-        }
-    }
-    rs.rows = kept;
-    Ok(())
-}
-
-fn apply_pagination(rs: &mut ResultSet, info: &DerivedInfo) {
-    if let Some((offset, limit)) = info.limit {
-        let offset = offset as usize;
-        if offset >= rs.rows.len() {
-            rs.rows.clear();
-        } else if offset > 0 {
-            rs.rows.drain(..offset);
-        }
-        if let Some(l) = limit {
-            rs.rows.truncate(l as usize);
-        }
-    }
-}
-
-fn strip_derived(rs: &mut ResultSet, info: &DerivedInfo) {
-    if info.derived_columns == 0 {
-        return;
-    }
-    let keep = rs.columns.len().saturating_sub(info.derived_columns);
-    rs.columns.truncate(keep);
-    for row in &mut rs.rows {
-        row.truncate(keep);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rewrite::derive_select;
-    use shard_sql::{parse_statement, Statement};
+    use shard_sql::{parse_statement, Statement, Value};
 
     fn info_for(sql: &str) -> DerivedInfo {
         match parse_statement(sql).unwrap() {

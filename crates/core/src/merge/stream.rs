@@ -1,13 +1,16 @@
-//! Streaming merge: drives the §VI-E mergers directly off live shard row
-//! streams instead of buffered `ResultSet`s.
+//! The result merger (paper §VI-E): strategy selection and the DISTINCT /
+//! HAVING / pagination / strip-derived decorators, written once over a
+//! generic per-shard row cursor.
 //!
-//! Strategy selection mirrors [`merge_explain`](super::merge_explain)
-//! exactly — pass-through, iteration, priority-queue order-by merge, stream
-//! group merge — except that the sorted strategies consume
-//! [`RowStream`]s as they arrive, so merging starts with the first shard
-//! row. Memory-bound strategies (single-group and hash group merge) still
-//! materialize, because they cannot emit anything before every shard
-//! finishes.
+//! [`merge_stream`] feeds it live shard [`RowStream`]s (the proxy and
+//! `Session::query_stream`): the sorted strategies — pass-through, iteration,
+//! priority-queue order-by merge, stream group merge — consume rows as they
+//! arrive, so merging starts with the first shard row.
+//! [`merge_results`] feeds it buffered `ResultSet`s (the materialized entry
+//! points [`merge`](super::merge) / [`merge_explain`](super::merge_explain)).
+//! Memory-bound strategies (single-group, hash group merge, raw aggregate)
+//! drain their cursors first either way, because they cannot emit anything
+//! before every shard finishes.
 //!
 //! The merged stream re-applies the original `LIMIT offset, n` window. Once
 //! the window is filled it drops its sources (closing every bounded shard
@@ -31,6 +34,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 type ErrorSlot = Arc<Mutex<Option<KernelError>>>;
+type Rows = Box<dyn Iterator<Item = Vec<Value>> + Send>;
 
 /// Adapts one shard's [`RowStream`] to the plain-row iterator the mergers
 /// expect: the first error is parked in the shared slot (and cancels the
@@ -60,17 +64,42 @@ impl Iterator for SourceAdapter {
     }
 }
 
-/// Stream group merge as an iterator: adjacent merged rows with equal group
-/// keys combine in O(1) state; a group is emitted when the next group key
-/// arrives (or at end of input).
-struct GroupStreamIter {
-    merger: OrderByStreamMerger<SourceAdapter>,
+/// Stream group merge as an iterator over a sorted merge of the shard
+/// cursors (sorted by the group keys, which form a prefix of the sort keys):
+/// adjacent merged rows with equal group keys combine in O(1) state; a group
+/// is emitted when the next group key arrives (or at end of input).
+pub(crate) struct GroupStreamIter<C>
+where
+    C: Iterator<Item = Vec<Value>>,
+{
+    merger: OrderByStreamMerger<C>,
     group_positions: Vec<usize>,
     aggs: Vec<AggPositions>,
     current: Option<Vec<Value>>,
 }
 
-impl Iterator for GroupStreamIter {
+impl<C> GroupStreamIter<C>
+where
+    C: Iterator<Item = Vec<Value>>,
+{
+    pub(crate) fn new(
+        merger: OrderByStreamMerger<C>,
+        group_positions: Vec<usize>,
+        aggs: Vec<AggPositions>,
+    ) -> Self {
+        GroupStreamIter {
+            merger,
+            group_positions,
+            aggs,
+            current: None,
+        }
+    }
+}
+
+impl<C> Iterator for GroupStreamIter<C>
+where
+    C: Iterator<Item = Vec<Value>>,
+{
     type Item = Vec<Value>;
 
     fn next(&mut self) -> Option<Vec<Value>> {
@@ -100,8 +129,7 @@ impl Iterator for GroupStreamIter {
     }
 }
 
-/// Per-row HAVING decorator (merged groups only), mirroring the
-/// materialized `apply_having`.
+/// Per-row HAVING decorator (merged groups only).
 struct HavingFilter {
     expr: Expr,
     scope: Scope,
@@ -126,8 +154,9 @@ impl HavingFilter {
 pub struct MergedStream {
     columns: Vec<String>,
     kind: MergerKind,
-    inner: Option<Box<dyn Iterator<Item = Vec<Value>> + Send>>,
-    error: ErrorSlot,
+    inner: Option<Rows>,
+    /// Where live shard cursors park a failure; buffered sources cannot fail.
+    error: Option<ErrorSlot>,
     cancel: CancelToken,
     distinct: Option<HashSet<Vec<Value>>>,
     having: Option<HavingFilter>,
@@ -151,7 +180,7 @@ impl MergedStream {
     /// cancels every in-flight shard scan.
     pub fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
         loop {
-            if let Some(e) = self.error.lock().take() {
+            if let Some(e) = take_error(self.error.as_ref()) {
                 self.inner = None;
                 return Err(e);
             }
@@ -167,10 +196,7 @@ impl MergedStream {
             let Some(mut row) = inner.next() else {
                 // The sources may have parked an error while draining.
                 self.inner = None;
-                if let Some(e) = self.error.lock().take() {
-                    return Err(e);
-                }
-                return Ok(None);
+                return take_error(self.error.as_ref()).map_or(Ok(None), Err);
             };
             if let Some(seen) = &mut self.distinct {
                 if !seen.insert(row.clone()) {
@@ -226,47 +252,25 @@ impl Drop for MergedStream {
     }
 }
 
-/// Build the merged stream for live shard streams, using the same strategy
-/// selection as the materialized [`merge_explain`](super::merge_explain).
+fn take_error(slot: Option<&ErrorSlot>) -> Option<KernelError> {
+    slot.and_then(|slot| slot.lock().take())
+}
+
+/// Build the merged stream over live shard streams.
 pub fn merge_stream(
     streams: Vec<RowStream>,
     info: &DerivedInfo,
     cancel: CancelToken,
 ) -> Result<MergedStream> {
     let error: ErrorSlot = Arc::new(Mutex::new(None));
-    if streams.is_empty() {
-        return Ok(MergedStream {
-            columns: Vec::new(),
-            kind: MergerKind::PassThrough,
-            inner: None,
-            error,
-            cancel,
-            distinct: None,
-            having: None,
-            offset_left: 0,
-            limit_left: None,
-            keep: usize::MAX,
-        });
-    }
-
     // Shards that return nothing still define the column shape.
-    let columns = streams
+    let shape = streams
         .iter()
-        .map(|s| s.columns().to_vec())
+        .map(|s| s.columns())
         .max_by_key(|c| c.len())
-        .expect("non-empty streams");
-    let shape = ResultSet::new(columns.clone(), Vec::new());
-    let keep = if info.derived_columns == 0 {
-        usize::MAX
-    } else {
-        columns.len().saturating_sub(info.derived_columns)
-    };
-    let stripped_columns: Vec<String> = match keep {
-        usize::MAX => columns.clone(),
-        k => columns.iter().take(k).cloned().collect(),
-    };
-
-    let mut adapters: Vec<SourceAdapter> = streams
+        .unwrap_or_default()
+        .to_vec();
+    let adapters = streams
         .into_iter()
         .map(|stream| SourceAdapter {
             stream,
@@ -274,141 +278,172 @@ pub fn merge_stream(
             cancel: cancel.clone(),
         })
         .collect();
+    build(shape, adapters, info, Some(error), cancel)
+}
 
-    // Single-shard SELECT: the shard already ordered AND paginated it (the
-    // single-node optimization), so no decorator may run here.
-    if adapters.len() == 1 && !info.is_grouped() {
-        let adapter = adapters.pop().expect("one adapter");
-        return Ok(MergedStream {
-            columns: stripped_columns,
-            kind: MergerKind::PassThrough,
-            inner: Some(Box::new(adapter)),
-            error,
-            cancel,
-            distinct: None,
-            having: None,
-            offset_left: 0,
-            limit_left: None,
-            keep,
+/// Build the merged stream over buffered shard results: the same merger,
+/// reading rows that have already arrived.
+pub(crate) fn merge_results(
+    mut results: Vec<ResultSet>,
+    info: &DerivedInfo,
+) -> Result<MergedStream> {
+    let shape = results
+        .iter_mut()
+        .map(|r| &mut r.columns)
+        .max_by_key(|c| c.len())
+        .map(std::mem::take)
+        .unwrap_or_default();
+    let cursors = results.into_iter().map(|r| r.rows.into_iter()).collect();
+    build(shape, cursors, info, None, CancelToken::new())
+}
+
+/// Select the merge strategy from the rewrite guidance and wrap it in the
+/// decorators. `shape` is the shard result column list (derived columns
+/// included); `error` is the slot live cursors park a shard failure in.
+fn build<C>(
+    shape: Vec<String>,
+    mut cursors: Vec<C>,
+    info: &DerivedInfo,
+    error: Option<ErrorSlot>,
+    cancel: CancelToken,
+) -> Result<MergedStream>
+where
+    C: Iterator<Item = Vec<Value>> + Send + 'static,
+{
+    let keep = if info.derived_columns == 0 {
+        usize::MAX
+    } else {
+        shape.len().saturating_sub(info.derived_columns)
+    };
+    let mut merged = MergedStream {
+        columns: Vec::new(),
+        kind: MergerKind::PassThrough,
+        inner: None,
+        error,
+        cancel,
+        distinct: None,
+        having: None,
+        offset_left: 0,
+        limit_left: None,
+        keep,
+    };
+    let mut shape = ResultSet::new(shape, Vec::new());
+    if cursors.len() == 1 && !info.is_grouped() {
+        // Single-shard SELECT: the shard already ordered AND paginated it
+        // (the single-node optimization leaves LIMIT/OFFSET on the shard
+        // statement), so no decorator may run here.
+        merged.inner = Some(Box::new(cursors.pop().expect("one cursor")));
+    } else if !cursors.is_empty() {
+        let (inner, kind) = select_strategy(cursors, &shape, info, merged.error.as_ref())?;
+        merged.inner = Some(inner);
+        merged.kind = kind;
+        merged.distinct = info.distinct.then(HashSet::new);
+        // HAVING evaluates over the full (pre-strip) column shape. Aggregate
+        // values come from the merged aggregate columns, keyed by the
+        // rendered call text.
+        merged.having = info.having.as_ref().map(|expr| HavingFilter {
+            expr: expr.clone(),
+            scope: Scope::from_columns(&shape.columns),
+            agg_positions: info
+                .aggregates
+                .iter()
+                .filter_map(|a| {
+                    shape
+                        .column_index(&a.column)
+                        .map(|p| (a.call_text.clone(), p))
+                })
+                .collect(),
         });
+        (merged.offset_left, merged.limit_left) = info.limit.unwrap_or((0, None));
     }
+    shape.columns.truncate(keep);
+    merged.columns = shape.columns;
+    Ok(merged)
+}
 
-    let (inner, kind): (Box<dyn Iterator<Item = Vec<Value>> + Send>, MergerKind) = if info.raw_rows
-    {
+/// The paper's merger selection (§VI-E), for two or more shard cursors (or
+/// one, when grouped).
+fn select_strategy<C>(
+    cursors: Vec<C>,
+    shape: &ResultSet,
+    info: &DerivedInfo,
+    error: Option<&ErrorSlot>,
+) -> Result<(Rows, MergerKind)>
+where
+    C: Iterator<Item = Vec<Value>> + Send + 'static,
+{
+    let resolve_aggs = || {
+        AggPositions::resolve(&info.aggregates, shape).ok_or_else(|| {
+            KernelError::Merge("aggregate columns missing from shard results".into())
+        })
+    };
+    let resolve_groups = || {
+        info.group_by
+            .iter()
+            .map(|c| shape.column_index(c))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| KernelError::Merge("group-by columns missing from shard results".into()))
+    };
+    Ok(if info.raw_rows {
         // Ablated pushdown: shards ship raw rows; aggregate kernel-side.
         // Memory-bound by nature — nothing can be emitted until every
         // raw row has been folded into its group.
-        let aggs = AggPositions::resolve(&info.aggregates, &shape).ok_or_else(|| {
-            KernelError::Merge("aggregate columns missing from shard results".into())
-        })?;
-        let group_positions: Option<Vec<usize>> = info
-            .group_by
-            .iter()
-            .map(|c| shape.column_index(c))
-            .collect();
-        let group_positions = group_positions.ok_or_else(|| {
-            KernelError::Merge("group-by columns missing from shard results".into())
-        })?;
-        let sort_keys = resolve_sort_keys(info, &shape)?;
-        let results = drain_adapters(adapters, &error)?;
         let rows = groupby::raw_aggregate_merge(
-            results,
-            &sort_keys,
-            &group_positions,
-            &aggs,
-            columns.len(),
+            drain(cursors, error)?,
+            &resolve_sort_keys(info, shape)?,
+            &resolve_groups()?,
+            &resolve_aggs()?,
+            shape.columns.len(),
         );
         (Box::new(rows.into_iter()), MergerKind::RawAggregate)
     } else if info.is_grouped() {
-        let aggs = AggPositions::resolve(&info.aggregates, &shape).ok_or_else(|| {
-            KernelError::Merge("aggregate columns missing from shard results".into())
-        })?;
+        let aggs = resolve_aggs()?;
         if info.group_by.is_empty() {
-            let results = drain_adapters(adapters, &error)?;
-            let rows = groupby::single_group_merge(results, &aggs);
+            let rows = groupby::single_group_merge(drain(cursors, error)?, &aggs);
             (Box::new(rows.into_iter()), MergerKind::SingleGroup)
         } else {
-            let group_positions: Option<Vec<usize>> = info
-                .group_by
-                .iter()
-                .map(|c| shape.column_index(c))
-                .collect();
-            let group_positions = group_positions.ok_or_else(|| {
-                KernelError::Merge("group-by columns missing from shard results".into())
-            })?;
-            let sort_keys = resolve_sort_keys(info, &shape)?;
+            let group_positions = resolve_groups()?;
+            let sort_keys = resolve_sort_keys(info, shape)?;
             if info.group_streamable {
-                let merger = OrderByStreamMerger::from_cursors(adapters, sort_keys);
+                let merger = OrderByStreamMerger::from_cursors(cursors, sort_keys);
                 (
-                    Box::new(GroupStreamIter {
-                        merger,
-                        group_positions,
-                        aggs,
-                        current: None,
-                    }),
+                    Box::new(GroupStreamIter::new(merger, group_positions, aggs)),
                     MergerKind::GroupByStream,
                 )
             } else {
-                let results = drain_adapters(adapters, &error)?;
-                let rows =
-                    groupby::group_memory_merge(results, &sort_keys, &group_positions, &aggs);
+                let rows = groupby::group_memory_merge(
+                    drain(cursors, error)?,
+                    &sort_keys,
+                    &group_positions,
+                    &aggs,
+                );
                 (Box::new(rows.into_iter()), MergerKind::GroupByMemory)
             }
         }
     } else if !info.order_by.is_empty() {
-        let sort_keys = resolve_sort_keys(info, &shape)?;
+        let sort_keys = resolve_sort_keys(info, shape)?;
         (
-            Box::new(OrderByStreamMerger::from_cursors(adapters, sort_keys)),
+            Box::new(OrderByStreamMerger::from_cursors(cursors, sort_keys)),
             MergerKind::OrderByStream,
         )
     } else {
         (
-            Box::new(adapters.into_iter().flatten()),
+            Box::new(cursors.into_iter().flatten()),
             MergerKind::Iteration,
         )
-    };
-
-    // HAVING evaluates over the full (pre-strip) column shape, like the
-    // materialized decorator which filters before `strip_derived`.
-    let having = info.having.as_ref().map(|expr| HavingFilter {
-        expr: expr.clone(),
-        scope: Scope::from_columns(&columns),
-        agg_positions: info
-            .aggregates
-            .iter()
-            .filter_map(|a| {
-                shape
-                    .column_index(&a.column)
-                    .map(|p| (a.call_text.clone(), p))
-            })
-            .collect(),
-    });
-    let (offset_left, limit_left) = match info.limit {
-        Some((offset, limit)) => (offset, limit),
-        None => (0, None),
-    };
-
-    Ok(MergedStream {
-        columns: stripped_columns,
-        kind,
-        inner: Some(inner),
-        error,
-        cancel,
-        distinct: info.distinct.then(HashSet::new),
-        having,
-        offset_left,
-        limit_left,
-        keep,
     })
 }
 
-/// Materialize every adapter (memory-merge strategies). A parked shard error
+/// Materialize every cursor (memory-merge strategies). A parked shard error
 /// aborts the merge immediately.
-fn drain_adapters(adapters: Vec<SourceAdapter>, error: &ErrorSlot) -> Result<Vec<ResultSet>> {
-    let mut results = Vec::with_capacity(adapters.len());
-    for adapter in adapters {
-        let rows: Vec<Vec<Value>> = adapter.collect();
-        if let Some(e) = error.lock().take() {
+fn drain<C>(cursors: Vec<C>, error: Option<&ErrorSlot>) -> Result<Vec<ResultSet>>
+where
+    C: Iterator<Item = Vec<Value>>,
+{
+    let mut results = Vec::with_capacity(cursors.len());
+    for cursor in cursors {
+        let rows: Vec<Vec<Value>> = cursor.collect();
+        if let Some(e) = take_error(error) {
             return Err(e);
         }
         results.push(ResultSet::new(Vec::new(), rows));

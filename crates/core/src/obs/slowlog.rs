@@ -31,7 +31,6 @@ pub struct SlowQueryEntry {
     pub route_strategy: Option<String>,
     pub scan_mode: Option<String>,
     pub reshard_state: Option<String>,
-    pub mvcc: Option<bool>,
 }
 
 /// Bounded ring buffer of the most recent slow statements.
@@ -111,7 +110,6 @@ impl SlowQueryLog {
             route_strategy: trace.route_strategy.clone(),
             scan_mode: trace.scan_mode.clone(),
             reshard_state: trace.reshard_state.clone(),
-            mvcc: trace.mvcc,
         };
         let mut entries = self.entries.lock();
         while entries.len() >= capacity {
@@ -153,7 +151,6 @@ mod tests {
             route_strategy: Some("scatter".into()),
             scan_mode: None,
             reshard_state: None,
-            mvcc: Some(true),
             rows: 0,
         }
     }
@@ -165,7 +162,6 @@ mod tests {
         log.record(&trace("SELECT 1", 10));
         let entry = &log.entries()[0];
         assert_eq!(entry.route_strategy.as_deref(), Some("scatter"));
-        assert_eq!(entry.mvcc, Some(true));
         assert_eq!(entry.scan_mode, None);
     }
 

@@ -81,9 +81,6 @@ pub struct StatementTrace {
     /// Online-resharding phase of a touched table (`backfill`, `catch_up`,
     /// …), when one of the statement's tables is mid-migration.
     pub reshard_state: Option<String>,
-    /// Whether MVCC snapshot reads were enabled when the statement ran
-    /// (`SET mvcc = on|off`); `None` for non-reads.
-    pub mvcc: Option<bool>,
     /// Rows in the final (merged, decrypted) result.
     pub rows: u64,
 }
@@ -113,8 +110,7 @@ impl StatementTrace {
                     if !self.units.is_empty()
                         || self.route_strategy.is_some()
                         || self.scan_mode.is_some()
-                        || self.reshard_state.is_some()
-                        || self.mvcc.is_some() =>
+                        || self.reshard_state.is_some() =>
                 {
                     line.push(' ');
                     line.push('[');
@@ -142,13 +138,6 @@ impl StatementTrace {
                             line.push(' ');
                         }
                         line.push_str(&format!("reshard_state={r}"));
-                        first = false;
-                    }
-                    if let Some(m) = self.mvcc {
-                        if !first {
-                            line.push(' ');
-                        }
-                        line.push_str(&format!("mvcc={}", if m { "on" } else { "off" }));
                     }
                     line.push(']');
                 }
@@ -188,7 +177,6 @@ pub struct TraceContext {
     route_strategy: Option<String>,
     scan_mode: Option<String>,
     reshard_state: Option<String>,
-    mvcc: Option<bool>,
     rows: u64,
 }
 
@@ -210,7 +198,6 @@ impl TraceContext {
             route_strategy: None,
             scan_mode: None,
             reshard_state: None,
-            mvcc: None,
             rows: 0,
         }
     }
@@ -272,10 +259,6 @@ impl TraceContext {
         self.reshard_state = state;
     }
 
-    pub fn set_mvcc(&mut self, mvcc: Option<bool>) {
-        self.mvcc = mvcc;
-    }
-
     pub fn set_rows(&mut self, rows: u64) {
         self.rows = rows;
     }
@@ -291,7 +274,6 @@ impl TraceContext {
             route_strategy: self.route_strategy,
             scan_mode: self.scan_mode,
             reshard_state: self.reshard_state,
-            mvcc: self.mvcc,
             rows: self.rows,
         }
     }
@@ -344,7 +326,6 @@ mod tests {
             route_strategy: Some("scatter".into()),
             scan_mode: Some("row".into()),
             reshard_state: Some("backfill".into()),
-            mvcc: Some(true),
             rows: 3,
         };
         let lines = trace.render();
@@ -352,7 +333,7 @@ mod tests {
         assert!(lines[0].contains("total=120us"));
         assert!(lines.iter().any(|l| l.contains("route")
             && l.contains(
-                "[units=2 route_strategy=scatter scan_mode=row reshard_state=backfill mvcc=on]"
+                "[units=2 route_strategy=scatter scan_mode=row reshard_state=backfill]"
             )));
         assert!(lines.iter().any(|l| l.contains("ds_0.t_0 40us rows=3")));
         assert!(lines.iter().any(|l| l.contains("ds_1.t_1 38us rows=3")));

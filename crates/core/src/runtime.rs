@@ -32,9 +32,7 @@ use crate::route::{
     RouteUnit,
 };
 use crate::transaction::xa::{commit_all, two_phase_commit_observed, XaPhaseObserver};
-use crate::transaction::{
-    base, TransactionCoordinator, TransactionType, XaFanOut, XaLog, XaRecoveryManager,
-};
+use crate::transaction::{base, TransactionCoordinator, TransactionType, XaLog, XaRecoveryManager};
 use parking_lot::RwLock;
 use shard_sql::ast::{Expr, Statement, StatementCategory};
 use shard_sql::Value;
@@ -68,27 +66,14 @@ pub struct ShardingRuntime {
     pub(crate) plan_cache: SqlPlanCache,
     /// The long-lived automatic execution engine (MaxCon updates apply live).
     pub(crate) executor: ExecutorEngine,
-    /// Desired batched-write mode, applied to every engine (including ones
-    /// registered later). `SET batch_writes = 0` restores the per-row
-    /// storage write path for ablation.
-    batch_writes: std::sync::atomic::AtomicBool,
     /// Desired group-commit window (µs), applied to every engine
     /// (`SET group_commit_window_us`).
     group_commit_window_us: AtomicU64,
     /// Global secondary indexes (route narrowing for non-shard-key lookups).
     pub(crate) gsi: GsiRegistry,
-    /// `SET gsi = off`: disable index-assisted routing for ablation.
-    /// Maintenance keeps running so the mapping stays correct.
-    gsi_enabled: std::sync::atomic::AtomicBool,
     /// `SET agg_pushdown = off`: ship raw rows to the merger instead of
     /// per-shard partial aggregates (the ablation baseline).
     agg_pushdown: std::sync::atomic::AtomicBool,
-    /// `SET batch_scan = off`: restore the row-at-a-time scan cursors in
-    /// every storage engine (the vectorized path's ablation baseline).
-    batch_scan: std::sync::atomic::AtomicBool,
-    /// `SET mvcc = off`: read latest committed state without snapshots in
-    /// every storage engine (the MVCC read path's ablation baseline).
-    mvcc: std::sync::atomic::AtomicBool,
     /// Online-resharding jobs (state machines, generation claims).
     pub(crate) reshard: ReshardManager,
     /// DML statements currently in flight (plan through execution,
@@ -177,11 +162,8 @@ impl ShardingRuntime {
     }
 
     pub fn add_datasource(&self, name: &str, engine: Arc<StorageEngine>, pool: usize) {
-        // Late-joining sources inherit the runtime's write/scan settings.
-        engine.set_batch_writes(self.batch_writes.load(Ordering::Relaxed));
+        // A late-joining source inherits the runtime's commit window.
         engine.set_group_commit_window(self.group_commit_window_us.load(Ordering::Relaxed));
-        engine.set_batch_scan(self.batch_scan.load(Ordering::Relaxed));
-        engine.set_mvcc(self.mvcc.load(Ordering::Relaxed));
         let ds = Arc::new(DataSource::new(name, engine, pool));
         {
             // Copy-on-write: topology changes are rare, reads are per
@@ -272,19 +254,6 @@ impl ShardingRuntime {
         self.executor.max_connections() as u64
     }
 
-    /// Toggle the batched multi-row write path on every registered engine
-    /// (`SET batch_writes`; on by default, off = per-row ablation arm).
-    pub fn set_batch_writes(&self, enabled: bool) {
-        self.batch_writes.store(enabled, Ordering::Relaxed);
-        for ds in self.datasource_snapshot().values() {
-            ds.engine().set_batch_writes(enabled);
-        }
-    }
-
-    pub fn batch_writes(&self) -> bool {
-        self.batch_writes.load(Ordering::Relaxed)
-    }
-
     /// Group-commit coalescing window in microseconds on every registered
     /// engine (`SET group_commit_window_us`; 0 = flush per commit).
     pub fn set_group_commit_window_us(&self, micros: u64) {
@@ -303,17 +272,6 @@ impl ShardingRuntime {
         &self.gsi
     }
 
-    /// Toggle index-assisted routing (`SET gsi`; on by default). Off only
-    /// disables lookups — maintenance continues so the mapping stays
-    /// correct for when the knob comes back on.
-    pub fn set_gsi_enabled(&self, enabled: bool) {
-        self.gsi_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn gsi_enabled(&self) -> bool {
-        self.gsi_enabled.load(Ordering::Relaxed)
-    }
-
     /// Toggle partial-aggregate pushdown (`SET agg_pushdown`; on by
     /// default, off = merge-side row-streaming ablation arm).
     pub fn set_agg_pushdown(&self, enabled: bool) {
@@ -322,34 +280,6 @@ impl ShardingRuntime {
 
     pub fn agg_pushdown(&self) -> bool {
         self.agg_pushdown.load(Ordering::Relaxed)
-    }
-
-    /// Toggle the vectorized batch-scan path on every registered engine
-    /// (`SET batch_scan`; on by default, off = row-cursor ablation arm).
-    pub fn set_batch_scan(&self, enabled: bool) {
-        self.batch_scan.store(enabled, Ordering::Relaxed);
-        for ds in self.datasource_snapshot().values() {
-            ds.engine().set_batch_scan(enabled);
-        }
-    }
-
-    pub fn batch_scan(&self) -> bool {
-        self.batch_scan.load(Ordering::Relaxed)
-    }
-
-    /// Toggle MVCC snapshot reads on every registered engine (`SET mvcc`;
-    /// on by default, off = latest-state read ablation arm). Version chains
-    /// keep being maintained either way — the knob only switches what reads
-    /// resolve against, so flipping it mid-flight is safe.
-    pub fn set_mvcc(&self, enabled: bool) {
-        self.mvcc.store(enabled, Ordering::Relaxed);
-        for ds in self.datasource_snapshot().values() {
-            ds.engine().set_mvcc(enabled);
-        }
-    }
-
-    pub fn mvcc(&self) -> bool {
-        self.mvcc.load(Ordering::Relaxed)
     }
 
     /// Snapshot of a table rule (scaling, diagnostics).
@@ -495,7 +425,6 @@ impl ShardingRuntime {
             txn_type: TransactionType::Local,
             txn: None,
             statement_timeout: None,
-            xa_fanout: XaFanOut::default(),
             last_report: None,
             last_merger: None,
             last_route_strategy: None,
@@ -758,13 +687,9 @@ impl RuntimeBuilder {
             next_xid: AtomicU64::new(1),
             plan_cache,
             executor,
-            batch_writes: std::sync::atomic::AtomicBool::new(true),
             group_commit_window_us: AtomicU64::new(0),
             gsi: GsiRegistry::new(),
-            gsi_enabled: std::sync::atomic::AtomicBool::new(true),
             agg_pushdown: std::sync::atomic::AtomicBool::new(true),
-            batch_scan: std::sync::atomic::AtomicBool::new(true),
-            mvcc: std::sync::atomic::AtomicBool::new(true),
             reshard: ReshardManager::new(),
             dml_in_flight: Arc::new(AtomicU64::new(0)),
             reshard_fence_timeout_ms: AtomicU64::new(1000),
@@ -909,10 +834,7 @@ pub struct Session {
     txn: Option<SessionTxn>,
     /// Per-statement deadline (`SET statement_timeout_ms = …`; None = no
     /// deadline). Flows into the executor so hung shards are abandoned.
-    statement_timeout: Option<Duration>,
-    /// 2PC phase fan-out (`SET xa_fanout = serial | parallel`); serial is
-    /// the pre-fan-out coordinator, kept for ablation.
-    xa_fanout: XaFanOut,
+    pub(crate) statement_timeout: Option<Duration>,
     /// Diagnostics from the last statement (tests, Fig 15 bench).
     last_report: Option<ExecutionReport>,
     last_merger: Option<MergerKind>,
@@ -953,17 +875,6 @@ const STAGE_SAMPLE_PERIOD: u8 = 16;
 
 /// Base backoff doubled per attempt (plus deterministic jitter).
 const RETRY_BACKOFF_BASE_MS: u64 = 5;
-
-/// Parse an on/off style boolean RAL value.
-fn parse_on_off(value: &str, name: &str) -> Result<bool> {
-    match value.to_lowercase().as_str() {
-        "1" | "on" | "true" => Ok(true),
-        "0" | "off" | "false" => Ok(false),
-        _ => Err(KernelError::Config(format!(
-            "{name} must be 0/1, on/off or true/false"
-        ))),
-    }
-}
 
 /// Bounded exponential backoff with jitter. The jitter is seeded from a
 /// process-wide counter (not wall clock / OS randomness) so chaos runs are
@@ -1213,7 +1124,7 @@ impl Session {
                 Ok(ExecuteResult::Update { affected: 0 })
             }
             Statement::SetVariable { name, value } => {
-                self.set_variable(name, &value.to_string())?;
+                crate::settings::set(self, name, &value.to_string())?;
                 Ok(ExecuteResult::Update { affected: 0 })
             }
             Statement::ShowTables => {
@@ -1331,239 +1242,6 @@ impl Session {
         Ok((result, trace))
     }
 
-    pub(crate) fn set_variable(&mut self, name: &str, value: &str) -> Result<()> {
-        match name.to_lowercase().as_str() {
-            "transaction_type" => {
-                let t = TransactionType::parse(value).ok_or_else(|| {
-                    KernelError::Config(format!("unknown transaction type '{value}'"))
-                })?;
-                self.set_transaction_type(t)
-            }
-            "max_connections_per_query" | "maxcon" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("max_connections_per_query must be an integer".into())
-                })?;
-                self.runtime.set_max_connections_per_query(n);
-                Ok(())
-            }
-            "max_requests_per_second" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("max_requests_per_second must be an integer".into())
-                })?;
-                self.runtime.set_throttle(n);
-                Ok(())
-            }
-            "sql_plan_cache_size" => {
-                let n: usize = value.parse().map_err(|_| {
-                    KernelError::Config("sql_plan_cache_size must be an integer".into())
-                })?;
-                self.runtime.plan_cache.set_capacity(n);
-                Ok(())
-            }
-            "statement_timeout_ms" | "statement_timeout" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("statement_timeout_ms must be an integer".into())
-                })?;
-                self.statement_timeout = (n > 0).then(|| Duration::from_millis(n));
-                Ok(())
-            }
-            "batch_writes" => {
-                let enabled = match value.to_lowercase().as_str() {
-                    "1" | "on" | "true" => true,
-                    "0" | "off" | "false" => false,
-                    _ => {
-                        return Err(KernelError::Config(
-                            "batch_writes must be 0/1, on/off or true/false".into(),
-                        ))
-                    }
-                };
-                self.runtime.set_batch_writes(enabled);
-                Ok(())
-            }
-            "group_commit_window_us" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("group_commit_window_us must be an integer".into())
-                })?;
-                self.runtime.set_group_commit_window_us(n);
-                Ok(())
-            }
-            "xa_fanout" => {
-                self.xa_fanout = match value.to_lowercase().as_str() {
-                    "serial" => XaFanOut::Serial,
-                    "parallel" => XaFanOut::Parallel,
-                    _ => {
-                        return Err(KernelError::Config(
-                            "xa_fanout must be 'serial' or 'parallel'".into(),
-                        ))
-                    }
-                };
-                Ok(())
-            }
-            "trace" => {
-                self.trace_enabled = parse_on_off(value, "trace")?;
-                Ok(())
-            }
-            "metrics" => {
-                let enabled = parse_on_off(value, "metrics")?;
-                self.runtime.metrics.set_enabled(enabled);
-                Ok(())
-            }
-            "slow_query_threshold_ms" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("slow_query_threshold_ms must be an integer".into())
-                })?;
-                self.runtime
-                    .slow_log
-                    .set_threshold_us(n.saturating_mul(1000));
-                Ok(())
-            }
-            "slow_query_log_size" => {
-                let n: usize = value.parse().map_err(|_| {
-                    KernelError::Config("slow_query_log_size must be an integer".into())
-                })?;
-                self.runtime.slow_log.set_capacity(n);
-                Ok(())
-            }
-            "gsi" => {
-                let enabled = parse_on_off(value, "gsi")?;
-                self.runtime.set_gsi_enabled(enabled);
-                Ok(())
-            }
-            "agg_pushdown" => {
-                let enabled = parse_on_off(value, "agg_pushdown")?;
-                self.runtime.set_agg_pushdown(enabled);
-                Ok(())
-            }
-            "batch_scan" => {
-                let enabled = parse_on_off(value, "batch_scan")?;
-                self.runtime.set_batch_scan(enabled);
-                Ok(())
-            }
-            "mvcc" => {
-                let enabled = parse_on_off(value, "mvcc")?;
-                self.runtime.set_mvcc(enabled);
-                Ok(())
-            }
-            "reshard_fence_timeout_ms" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("reshard_fence_timeout_ms must be an integer".into())
-                })?;
-                self.runtime.set_reshard_fence_timeout_ms(n);
-                Ok(())
-            }
-            "trace_sample" => {
-                // Accepts `off`/`0`, a plain period `N`, or the ratio form
-                // `1/N` (keep spans for one statement in N).
-                let v = value.to_lowercase();
-                let period: u32 = if v == "off" || v == "0" {
-                    0
-                } else {
-                    let n = v.strip_prefix("1/").unwrap_or(&v);
-                    n.parse().map_err(|_| {
-                        KernelError::Config("trace_sample must be off, N or 1/N".into())
-                    })?
-                };
-                self.runtime.collector.set_sample_period(period);
-                Ok(())
-            }
-            "slo_read_p99_ms" => {
-                let n: u64 = value.parse().map_err(|_| {
-                    KernelError::Config("slo_read_p99_ms must be an integer (0 unsets)".into())
-                })?;
-                self.runtime.slo.set_read_p99_ms(n);
-                Ok(())
-            }
-            "slo_error_pct" => {
-                let pct: f64 = value.parse().map_err(|_| {
-                    KernelError::Config("slo_error_pct must be a percentage (0 unsets)".into())
-                })?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err(KernelError::Config(
-                        "slo_error_pct must be between 0 and 100".into(),
-                    ));
-                }
-                self.runtime.slo.set_error_pct_x100((pct * 100.0) as u64);
-                Ok(())
-            }
-            // autocommit & friends accepted for driver compatibility.
-            "autocommit" | "sql_mode" | "time_zone" | "character_set_results" => Ok(()),
-            other => Err(KernelError::Config(format!("unknown variable '{other}'"))),
-        }
-    }
-
-    pub(crate) fn get_variable(&self, name: &str) -> Result<String> {
-        match name.to_lowercase().as_str() {
-            "transaction_type" => Ok(self.txn_type.to_string()),
-            "max_connections_per_query" | "maxcon" => {
-                Ok(self.runtime.max_connections_per_query().to_string())
-            }
-            "max_requests_per_second" => Ok(self
-                .runtime
-                .throttle
-                .read()
-                .as_ref()
-                .map(|t| t.rate().to_string())
-                .unwrap_or_else(|| "unlimited".into())),
-            "sql_plan_cache_size" => Ok(self.runtime.plan_cache.capacity().to_string()),
-            "statement_timeout_ms" | "statement_timeout" => Ok(self
-                .statement_timeout
-                .map(|t| t.as_millis().to_string())
-                .unwrap_or_else(|| "0".into())),
-            "batch_writes" => Ok(if self.runtime.batch_writes() {
-                "1"
-            } else {
-                "0"
-            }
-            .into()),
-            "group_commit_window_us" => Ok(self.runtime.group_commit_window_us().to_string()),
-            "xa_fanout" => Ok(match self.xa_fanout {
-                XaFanOut::Serial => "serial".into(),
-                XaFanOut::Parallel => "parallel".into(),
-            }),
-            "trace" => Ok(if self.trace_enabled { "on" } else { "off" }.into()),
-            "metrics" => Ok(if self.runtime.metrics.on() {
-                "on"
-            } else {
-                "off"
-            }
-            .into()),
-            "slow_query_threshold_ms" => {
-                Ok((self.runtime.slow_log.threshold_us() / 1000).to_string())
-            }
-            "slow_query_log_size" => Ok(self.runtime.slow_log.capacity().to_string()),
-            "gsi" => Ok(if self.runtime.gsi_enabled() {
-                "on"
-            } else {
-                "off"
-            }
-            .into()),
-            "agg_pushdown" => Ok(if self.runtime.agg_pushdown() {
-                "on"
-            } else {
-                "off"
-            }
-            .into()),
-            "batch_scan" => Ok(if self.runtime.batch_scan() {
-                "on"
-            } else {
-                "off"
-            }
-            .into()),
-            "mvcc" => Ok(if self.runtime.mvcc() { "on" } else { "off" }.into()),
-            "reshard_fence_timeout_ms" => Ok(self.runtime.reshard_fence_timeout_ms().to_string()),
-            "trace_sample" => Ok(match self.runtime.collector.sample_period() {
-                0 => "off".into(),
-                n => format!("1/{n}"),
-            }),
-            "slo_read_p99_ms" => Ok(self.runtime.slo.read_p99_ms().to_string()),
-            "slo_error_pct" => Ok(format!(
-                "{}",
-                self.runtime.slo.error_pct_x100() as f64 / 100.0
-            )),
-            other => Err(KernelError::Config(format!("unknown variable '{other}'"))),
-        }
-    }
-
     // -- transaction control -------------------------------------------------
 
     pub fn begin(&mut self) -> Result<()> {
@@ -1626,7 +1304,6 @@ impl Session {
                     &txn.xid,
                     &self.runtime.xa_log,
                     &txn.branches,
-                    self.xa_fanout,
                     m.on().then_some(&observer),
                     scope.as_ref(),
                 );
@@ -2016,9 +1693,9 @@ impl Session {
         // 3.5 Feature: global secondary index. An equality/IN predicate on
         // an indexed non-shard-key column resolves to owning shard keys via
         // the hidden mapping, replacing the scatter with a route to the few
-        // shards that hold the rows (`SET gsi = off` disables lookups only).
+        // shards that hold the rows.
         let mut index_routed = false;
-        if route.units.len() > 1 && self.runtime.gsi_enabled() && !self.runtime.gsi.is_empty() {
+        if route.units.len() > 1 && !self.runtime.gsi.is_empty() {
             if let Some(units) = self.gsi_narrow_route(stmt, params) {
                 route.kind = if units.len() <= 1 {
                     RouteKind::Single
@@ -2134,21 +1811,12 @@ impl Session {
         // per-shard statement (what storage actually sees) with the same
         // admission predicate the engines use, so the tag cannot drift from
         // the path taken.
-        if self.active_trace.is_some() {
-            let batch_on = self.runtime.batch_scan();
-            let mode = inputs.first().and_then(|i| match &i.stmt {
-                Statement::Select(s) => Some(if batch_on && batch_admissible(s) {
-                    "batch".to_string()
-                } else {
-                    "row".to_string()
-                }),
+        if let Some(t) = self.active_trace.as_mut() {
+            t.set_scan_mode(inputs.first().and_then(|i| match &i.stmt {
+                Statement::Select(s) if batch_admissible(s) => Some("batch".to_string()),
+                Statement::Select(_) => Some("row".to_string()),
                 _ => None,
-            });
-            let mvcc = is_query.then(|| self.runtime.mvcc());
-            if let Some(t) = self.active_trace.as_mut() {
-                t.set_scan_mode(mode);
-                t.set_mvcc(mvcc);
-            }
+            }));
         }
 
         // 6.5 Feature: online resharding. A write admitted while the table

@@ -6,7 +6,7 @@ pub mod base;
 pub mod xa;
 
 pub use base::{BranchUndo, Compensation, TransactionCoordinator};
-pub use xa::{XaDecision, XaFanOut, XaLog, XaPhaseObserver, XaRecoveryManager};
+pub use xa::{XaDecision, XaLog, XaPhaseObserver, XaRecoveryManager};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -14,26 +14,7 @@ use parking_lot::Mutex;
 use shard_storage::probe::{self, Probe, SpanSink};
 use shard_storage::{StorageEngine, TxnId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How the coordinator drives each 2PC phase across branches.
-///
-/// Both are the same fork-join on the shared [`WorkerPool`]
-/// ([`WorkerPool::run_all`]); they differ in who may run a branch.
-/// `Parallel` (the default) lets pool workers help wherever they can —
-/// always when a branch *waits* on its engine, so the phase costs one
-/// branch round trip instead of the sum of all of them (the
-/// coordinator-fan-out bottleneck of arXiv 2602.19440). `Serial` allows no
-/// helpers — the coordinator thread visits the branches one by one and stops
-/// asking for votes at the first NO — kept for ablation
-/// (`SET xa_fanout = serial`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum XaFanOut {
-    Serial,
-    #[default]
-    Parallel,
-}
 
 /// Durable coordinator decision per global transaction. A transaction whose
 /// phase 2 every branch has acknowledged has no entry: nothing of it can be
@@ -96,18 +77,17 @@ type Branches = HashMap<String, (Arc<StorageEngine>, TxnId)>;
 /// Run one task per branch on the shared [`WorkerPool`]'s fork-join; results
 /// come back in task order, so the caller sees a deterministic view
 /// regardless of completion order. The coordinator thread runs branches
-/// itself; `fanout` and whether any branch `waits` decide how many workers
-/// help it.
-fn fan_out<T, F>(tasks: Vec<F>, fanout: XaFanOut, waits: bool) -> Vec<T>
+/// itself; pool workers help wherever they can — always when a branch
+/// `waits` on its engine, so a phase costs one branch round trip instead of
+/// the sum of all of them (the coordinator-fan-out bottleneck of arXiv
+/// 2602.19440).
+fn fan_out<T, F>(tasks: Vec<F>, waits: bool) -> Vec<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
     let pool = WorkerPool::global();
-    let helpers = match fanout {
-        XaFanOut::Serial => 0,
-        XaFanOut::Parallel => pool.helpers_for(tasks.len(), waits),
-    };
+    let helpers = pool.helpers_for(tasks.len(), waits);
     pool.run_all(tasks, helpers)
 }
 
@@ -115,22 +95,11 @@ fn any_waits(branches: &Branches) -> bool {
     branches.values().any(|(engine, _)| engine.waits())
 }
 
-/// Run 2PC over the branches of one global transaction with the default
-/// (parallel) fan-out.
+/// Run 2PC over the branches of one global transaction.
 ///
 /// `branches` maps data source name → (engine, local txn id).
 pub fn two_phase_commit(xid: &str, log: &XaLog, branches: &Branches) -> Result<()> {
-    two_phase_commit_with(xid, log, branches, XaFanOut::default())
-}
-
-/// Run 2PC over the branches of one global transaction.
-pub fn two_phase_commit_with(
-    xid: &str,
-    log: &XaLog,
-    branches: &Branches,
-    fanout: XaFanOut,
-) -> Result<()> {
-    two_phase_commit_observed(xid, log, branches, fanout, None, None)
+    two_phase_commit_observed(xid, log, branches, None, None)
 }
 
 /// Wrap one branch operation in a span (when a trace rides along) with the
@@ -174,7 +143,6 @@ pub fn two_phase_commit_observed(
     xid: &str,
     log: &XaLog,
     branches: &Branches,
-    fanout: XaFanOut,
     obs: Option<&XaPhaseObserver<'_>>,
     spans: Option<&SpanScope>,
 ) -> Result<()> {
@@ -186,33 +154,17 @@ pub fn two_phase_commit_observed(
     let mut ordered: Vec<(&String, &(Arc<StorageEngine>, TxnId))> = branches.iter().collect();
     ordered.sort_by_key(|(name, _)| *name);
 
-    // Phase 1: prepare (vote collection). `None` = never asked: the serial
-    // coordinator stops at the first NO vote; the parallel one asks every
-    // branch, so the NO it names does not depend on who answered first.
-    let stop_at_no = fanout == XaFanOut::Serial;
-    let refused = Arc::new(AtomicBool::new(false));
+    // Phase 1: prepare (vote collection). Every branch is asked, so the NO
+    // the error names does not depend on who answered first.
     let shared_xid: Arc<str> = Arc::from(xid);
-    let votes: Vec<Option<shard_storage::Result<()>>> = fan_out(
+    let votes: Vec<shard_storage::Result<()>> = fan_out(
         ordered
             .iter()
             .map(|(name, (engine, txn))| {
                 let (engine, txn, xid) = (Arc::clone(engine), *txn, Arc::clone(&shared_xid));
-                let prepare =
-                    branch_job(spans, "xa_prepare", name, move || engine.prepare(txn, &xid));
-                let refused = Arc::clone(&refused);
-                move || {
-                    if stop_at_no && refused.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let vote = prepare();
-                    if vote.is_err() {
-                        refused.store(true, Ordering::Relaxed);
-                    }
-                    Some(vote)
-                }
+                branch_job(spans, "xa_prepare", name, move || engine.prepare(txn, &xid))
             })
             .collect(),
-        fanout,
         waits,
     );
     if let Some(obs) = obs {
@@ -220,35 +172,30 @@ pub fn two_phase_commit_observed(
             .record_us(phase_start.elapsed().as_micros() as u64);
     }
 
-    if let Some(no_idx) = votes.iter().position(|v| matches!(v, Some(Err(_)))) {
+    if let Some((no_idx, vote_no)) = votes
+        .iter()
+        .enumerate()
+        .find_map(|(i, v)| v.as_ref().err().map(|e| (i, e)))
+    {
         // A NO vote aborts the global transaction. Refusing branches already
-        // rolled back inside `prepare`; roll the survivors back in the same
-        // fan-out — prepared siblings via `rollback_prepared`, branches the
-        // serial path never reached via plain `rollback`.
+        // rolled back inside `prepare`; roll their prepared siblings back in
+        // the same fan-out.
         log.record(xid, XaDecision::Rollback);
         let survivors = ordered
             .iter()
             .zip(&votes)
-            .filter(|(_, vote)| !matches!(vote, Some(Err(_))))
-            .map(|((_, (engine, txn)), vote)| {
-                let (engine, txn, was_prepared) = (Arc::clone(engine), *txn, vote.is_some());
+            .filter(|(_, vote)| vote.is_ok())
+            .map(|((_, (engine, txn)), _)| {
+                let (engine, txn) = (Arc::clone(engine), *txn);
                 move || {
                     // The branch may already be gone; recovery handles it.
-                    let _ = if was_prepared {
-                        engine.rollback_prepared(txn)
-                    } else {
-                        engine.rollback(txn)
-                    };
+                    let _ = engine.rollback_prepared(txn);
                 }
             })
             .collect();
-        fan_out(survivors, fanout, waits);
+        fan_out(survivors, waits);
         log.forget(xid);
         let name = ordered[no_idx].0;
-        let vote_no = match &votes[no_idx] {
-            Some(Err(e)) => e,
-            _ => unreachable!("no_idx indexes a NO vote"),
-        };
         return Err(KernelError::Transaction(format!(
             "XA transaction {xid} aborted: branch '{name}' voted NO ({vote_no})"
         )));
@@ -270,7 +217,6 @@ pub fn two_phase_commit_observed(
                 })
             })
             .collect(),
-        fanout,
         waits,
     );
     if let Some(obs) = obs {
@@ -294,7 +240,7 @@ fn for_each_branch(branches: &Branches, op: fn(&StorageEngine, TxnId)) {
             move || op(&engine, txn)
         })
         .collect();
-    fan_out(tasks, XaFanOut::Parallel, any_waits(branches));
+    fan_out(tasks, any_waits(branches));
 }
 
 /// Fire 1PC commit at every branch, ignoring failures (the Local transaction
@@ -411,8 +357,13 @@ mod tests {
         let log = XaLog::new();
         let err = two_phase_commit("x2", &log, &branches).unwrap_err();
         assert!(matches!(err, KernelError::Transaction(_)));
+        assert!(err.to_string().contains("voted NO"), "{err}");
         assert_eq!(value(&a), Value::Int(10));
         assert_eq!(value(&b), Value::Int(10));
+        // Nothing of an aborted transaction is in doubt or left on the log.
+        assert!(a.in_doubt().is_empty() && b.in_doubt().is_empty());
+        assert_eq!(log.decision("x2"), None);
+        assert!(log.unfinished().is_empty());
     }
 
     #[test]
@@ -457,24 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_fanout_preserves_abort_semantics() {
-        let a = engine_with_row("a");
-        let b = engine_with_row("b");
-        let mut branches = HashMap::new();
-        branches.insert("a".to_string(), (a.clone(), start_branch(&a, 100)));
-        branches.insert("b".to_string(), (b.clone(), start_branch(&b, 200)));
-        b.inject_commit_failure();
-        let log = XaLog::new();
-        let err = two_phase_commit_with("x5", &log, &branches, XaFanOut::Serial).unwrap_err();
-        assert!(err.to_string().contains("voted NO"), "{err}");
-        assert_eq!(value(&a), Value::Int(10));
-        assert_eq!(value(&b), Value::Int(10));
-        assert!(a.in_doubt().is_empty() && b.in_doubt().is_empty());
-        assert_eq!(log.decision("x5"), None);
-        assert!(log.unfinished().is_empty());
-    }
-
-    #[test]
     fn parallel_abort_names_first_branch_in_name_order() {
         // Two branches vote NO; regardless of which one answers first, the
         // surfaced error must name the lexicographically first NO-voter.
@@ -500,9 +433,9 @@ mod tests {
     fn parallel_fanout_overlaps_branch_round_trips() {
         use shard_storage::LatencyModel;
         use std::time::Duration;
-        // 8 branches, 5ms per round trip: the serial coordinator pays
-        // 8 × (prepare + commit flush) = ~80ms; the parallel fan-out pays
-        // roughly two round trips. Generous bound to stay robust on slow CI.
+        // 8 branches, 5ms per round trip: one branch after another would pay
+        // 8 × (prepare + commit flush) = ~80ms; the fan-out pays roughly two
+        // round trips. Generous bound to stay robust on slow CI.
         let mut branches = HashMap::new();
         let mut engines = Vec::new();
         for i in 0..8 {

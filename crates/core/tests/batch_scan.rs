@@ -1,32 +1,42 @@
-//! Vectorized batch-scan integration tests: byte-identical equivalence with
-//! the row-cursor baseline (`SET batch_scan = off`), early abandonment of a
-//! batch stream, mid-stream fault parity, the `scan_mode` EXPLAIN tag, the
+//! Vectorized batch-scan integration tests: equivalence with one unsharded
+//! engine, early abandonment of a batch stream, mid-stream fault parity
+//! between the batch and the row cursor, the `scan_mode` EXPLAIN tag, the
 //! batch counters, and the rows-counted-once gauge audit.
 
+mod common;
+
+use common::Oracle;
 use shard_core::{ErrorClass, Session, ShardingRuntime, StreamOutcome};
 use shard_sql::Value;
 use shard_storage::{ExecuteResult, FaultKind, FaultOp, FaultPlan, FaultTrigger, StorageEngine};
 use std::sync::Arc;
 
-fn sharded_runtime() -> Arc<ShardingRuntime> {
+/// Two sources with four shards per table, and one unsharded engine holding
+/// the same tables.
+fn sharded_runtime() -> (Arc<ShardingRuntime>, Oracle) {
     let runtime = ShardingRuntime::builder()
         .datasource("ds_0", StorageEngine::new("ds_0"))
         .datasource("ds_1", StorageEngine::new("ds_1"))
         .build();
+    let oracle = Oracle::new();
     let mut s = runtime.session();
     for sql in [
         "CREATE SHARDING TABLE RULE t_sales (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=sid, TYPE=mod, PROPERTIES(\"sharding-count\"=4))",
-        "CREATE TABLE t_sales (sid BIGINT PRIMARY KEY, region VARCHAR(16), amount DOUBLE, qty INT, note VARCHAR(32))",
         "CREATE SHARDING TABLE RULE t_empty (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=eid, TYPE=mod, PROPERTIES(\"sharding-count\"=4))",
-        "CREATE TABLE t_empty (eid BIGINT PRIMARY KEY, v INT)",
     ] {
         s.execute_sql(sql, &[]).unwrap();
     }
-    runtime
+    for sql in [
+        "CREATE TABLE t_sales (sid BIGINT PRIMARY KEY, region VARCHAR(16), amount DOUBLE, qty INT, note VARCHAR(32))",
+        "CREATE TABLE t_empty (eid BIGINT PRIMARY KEY, v INT)",
+    ] {
+        oracle.write_both(&mut s, sql, &[]);
+    }
+    (runtime, oracle)
 }
 
 /// Rows with NULL-heavy columns: every 3rd amount and every 2nd note NULL.
-fn load_sales(s: &mut Session, n: i64) {
+fn load_sales(s: &mut Session, oracle: &Oracle, n: i64) {
     let regions = ["east", "west", "north", "south", "central"];
     for sid in 0..n {
         let amount = if sid % 3 == 0 {
@@ -39,7 +49,8 @@ fn load_sales(s: &mut Session, n: i64) {
         } else {
             Value::Str(format!("n{sid}"))
         };
-        s.execute_sql(
+        oracle.write_both(
+            s,
             "INSERT INTO t_sales (sid, region, amount, qty, note) VALUES (?, ?, ?, ?, ?)",
             &[
                 Value::Int(sid),
@@ -48,8 +59,7 @@ fn load_sales(s: &mut Session, n: i64) {
                 Value::Int(sid % 11),
                 note,
             ],
-        )
-        .unwrap();
+        );
     }
 }
 
@@ -80,10 +90,10 @@ fn scan_batch_totals(runtime: &Arc<ShardingRuntime>) -> (u64, u64) {
 /// The equivalence matrix: NULL-heavy aggregates, GROUP BY with HAVING /
 /// ORDER BY / LIMIT, DISTINCT aggregates, WHERE-filtered scans, plain
 /// scatter projections, expression group keys, and empty shards — every
-/// query must produce byte-identical results with `batch_scan` on and off,
-/// on both the buffered and streaming paths.
+/// query returns what one unsharded engine returns, on both the buffered
+/// and the streaming path.
 #[test]
-fn batch_and_row_paths_are_byte_identical() {
+fn batch_path_matches_the_unsharded_oracle() {
     let queries = [
         "SELECT region, SUM(amount), COUNT(*), AVG(amount), MIN(amount), MAX(amount) FROM t_sales GROUP BY region ORDER BY region",
         "SELECT COUNT(*), COUNT(amount), COUNT(note), SUM(qty), AVG(qty) FROM t_sales",
@@ -93,61 +103,23 @@ fn batch_and_row_paths_are_byte_identical() {
         "SELECT region, COUNT(*) FROM t_sales GROUP BY region HAVING COUNT(*) > 20 ORDER BY COUNT(*) DESC, region LIMIT 3",
         "SELECT qty, SUM(amount * 2) FROM t_sales WHERE amount > 10 GROUP BY qty ORDER BY qty",
         "SELECT sid, region, qty FROM t_sales WHERE qty = 7",
+        "SELECT sid, amount, note FROM t_sales",
         "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t_empty",
         "SELECT v, COUNT(*) FROM t_empty GROUP BY v",
         "SELECT region, AVG(amount) FROM t_sales WHERE note IS NULL GROUP BY region ORDER BY region",
     ];
-
-    let runtime = sharded_runtime();
+    let (runtime, oracle) = sharded_runtime();
     let mut s = runtime.session();
-    load_sales(&mut s, 200);
-
+    load_sales(&mut s, &oracle, 200);
+    let (batches_before, _) = scan_batch_totals(&runtime);
     for sql in queries {
-        let on = query(&mut s, sql);
-        s.execute_sql("SET VARIABLE batch_scan = off", &[]).unwrap();
-        let off = query(&mut s, sql);
-        s.execute_sql("SET VARIABLE batch_scan = on", &[]).unwrap();
-        assert_eq!(on.columns, off.columns, "columns diverged for {sql}");
-        assert_eq!(on.rows, off.rows, "rows diverged for {sql}");
-
-        // Streaming path: same statement through the executor's bounded
-        // channels and the stream mergers.
-        let streamed: Vec<Vec<Value>> = s
-            .query_stream(sql, &[])
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(on.rows, streamed, "streamed rows diverged for {sql}");
+        oracle.assert_same(&mut s, sql, &[]);
     }
-}
-
-/// Ablation round-trips through RAL and is visible via SHOW.
-#[test]
-fn batch_scan_variable_round_trips() {
-    let runtime = sharded_runtime();
-    let mut s = runtime.session();
-    assert!(runtime.batch_scan());
-    s.execute_sql("SET VARIABLE batch_scan = off", &[]).unwrap();
-    assert!(!runtime.batch_scan());
-    for ds in ["ds_0", "ds_1"] {
-        assert!(!runtime
-            .datasource(ds)
-            .unwrap()
-            .engine()
-            .batch_scan_enabled());
-    }
-    s.execute_sql("SET VARIABLE batch_scan = on", &[]).unwrap();
-    assert!(runtime.batch_scan());
-    for ds in ["ds_0", "ds_1"] {
-        assert!(runtime
-            .datasource(ds)
-            .unwrap()
-            .engine()
-            .batch_scan_enabled());
-    }
-    assert!(s
-        .execute_sql("SET VARIABLE batch_scan = sideways", &[])
-        .is_err());
+    let (batches_after, _) = scan_batch_totals(&runtime);
+    assert!(
+        batches_after > batches_before,
+        "no query took the batch path"
+    );
 }
 
 /// A consumer that abandons a batch stream mid-way stops the producers: each
@@ -163,7 +135,7 @@ fn abandoned_batch_stream_stops_pulling() {
     // 1024-row batch. One more for slack against the constants moving.
     const IN_FLIGHT_PER_UNIT: u64 = 4;
 
-    let runtime = sharded_runtime();
+    let (runtime, _) = sharded_runtime();
     let mut s = runtime.session();
     let rows = UNITS * BATCHES_PER_UNIT * shard_storage::BATCH_SIZE as u64;
     for first in (0..rows).step_by(512) {
@@ -216,9 +188,9 @@ fn abandoned_batch_stream_stops_pulling() {
 /// LIMIT, admission rejects it, and the EXPLAIN tag says so.
 #[test]
 fn limit_scans_stay_on_row_path() {
-    let runtime = sharded_runtime();
+    let (runtime, oracle) = sharded_runtime();
     let mut s = runtime.session();
-    load_sales(&mut s, 200);
+    load_sales(&mut s, &oracle, 200);
     let (batches_before, _) = scan_batch_totals(&runtime);
     let rs = query(&mut s, "EXPLAIN ANALYZE SELECT sid FROM t_sales LIMIT 5");
     let tree = rs
@@ -235,18 +207,29 @@ fn limit_scans_stay_on_row_path() {
     assert_eq!(batches_after, batches_before, "LIMIT scan fetched batches");
 }
 
-/// A mid-stream injected fault kills the batch stream exactly as it kills
-/// the row stream: one transient structured error, early termination, and
-/// sibling cursors cancelled — in both scan modes.
+/// A mid-stream injected fault kills a batch stream exactly as it kills a
+/// row stream: one transient structured error, early termination, and
+/// sibling cursors cancelled — whichever cursor the statement's shape picks.
 #[test]
-fn mid_stream_fault_parity_between_modes() {
-    for mode_off in [false, true] {
-        let runtime = sharded_runtime();
+fn mid_stream_fault_parity_between_cursors() {
+    for (label, sql) in [
+        (
+            "batch",
+            "SELECT region, COUNT(*) FROM t_sales GROUP BY region",
+        ),
+        (
+            "row",
+            "SELECT sid, region FROM t_sales ORDER BY sid LIMIT 150",
+        ),
+    ] {
+        let (runtime, oracle) = sharded_runtime();
         let mut s = runtime.session();
-        load_sales(&mut s, 200);
-        if mode_off {
-            s.execute_sql("SET VARIABLE batch_scan = off", &[]).unwrap();
-        }
+        load_sales(&mut s, &oracle, 200);
+        // Fault-free, the statement's shape picks the cursor the label says.
+        let (batches_before, _) = scan_batch_totals(&runtime);
+        query(&mut s, sql);
+        let (batches_after, _) = scan_batch_totals(&runtime);
+        assert_eq!(batches_after > batches_before, label == "batch", "{label}");
         runtime
             .datasource("ds_1")
             .unwrap()
@@ -258,10 +241,7 @@ fn mid_stream_fault_parity_between_modes() {
                 FaultTrigger::EveryNth(1),
             ));
 
-        let outcome = s
-            .execute_sql_stream("SELECT region, COUNT(*) FROM t_sales GROUP BY region", &[])
-            .unwrap();
-        let mut rows = match outcome {
+        let mut rows = match s.execute_sql_stream(sql, &[]).unwrap() {
             StreamOutcome::Rows(rows) => rows,
             StreamOutcome::Update { .. } => panic!("expected a row stream"),
         };
@@ -274,7 +254,6 @@ fn mid_stream_fault_parity_between_modes() {
                 Err(e) => errors.push(e),
             }
         }
-        let label = if mode_off { "row" } else { "batch" };
         assert_eq!(errors.len(), 1, "{label}: exactly one error: {errors:?}");
         assert_eq!(errors[0].class(), ErrorClass::Transient, "{label}");
         assert!(
@@ -287,13 +266,13 @@ fn mid_stream_fault_parity_between_modes() {
 }
 
 /// The scan_mode tag says batch for a full-table aggregate, the batch
-/// counters move, the gauges surface through SHOW METRICS, and switching
-/// the variable off flips the tag to row without touching the counters.
+/// counters move, the gauges surface through SHOW METRICS, and what the
+/// batch path returned is what one unsharded engine returns.
 #[test]
 fn explain_tag_and_counters_track_the_path() {
-    let runtime = sharded_runtime();
+    let (runtime, oracle) = sharded_runtime();
     let mut s = runtime.session();
-    load_sales(&mut s, 300);
+    load_sales(&mut s, &oracle, 300);
 
     let (b0, r0) = scan_batch_totals(&runtime);
     let rs = query(
@@ -330,23 +309,11 @@ fn explain_tag_and_counters_track_the_path() {
     assert_eq!(gauge("scan_batches_total") as u64, b1);
     assert_eq!(gauge("scan_batch_rows_total") as u64, r1);
 
-    s.execute_sql("SET VARIABLE batch_scan = off", &[]).unwrap();
-    let rs = query(
+    oracle.assert_same(
         &mut s,
-        "EXPLAIN ANALYZE SELECT region, SUM(amount) FROM t_sales GROUP BY region",
+        "SELECT region, SUM(amount) FROM t_sales GROUP BY region",
+        &[],
     );
-    let tree = rs
-        .rows
-        .iter()
-        .map(|r| match &r[0] {
-            Value::Str(s) => s.clone(),
-            other => panic!("non-string line {other:?}"),
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(tree.contains("scan_mode=row"), "{tree}");
-    let (b2, _) = scan_batch_totals(&runtime);
-    assert_eq!(b2, b1, "row-mode scan fetched columnar batches");
 }
 
 /// Gauge audit: a streamed full-table aggregate on the batch path counts
@@ -355,9 +322,9 @@ fn explain_tag_and_counters_track_the_path() {
 /// `scan_batch_rows`.
 #[test]
 fn batch_rows_are_counted_once() {
-    let runtime = sharded_runtime();
+    let (runtime, oracle) = sharded_runtime();
     let mut s = runtime.session();
-    load_sales(&mut s, 500);
+    load_sales(&mut s, &oracle, 500);
 
     let pulled_before = rows_pulled_total(&runtime);
     let (_, rows_before) = scan_batch_totals(&runtime);

@@ -208,3 +208,80 @@ fn single_shard_pagination_not_applied_twice() {
         check(&runtime, &reference, sql);
     }
 }
+
+/// One merger behind both front doors: a statement of each merge strategy,
+/// with DISTINCT / HAVING / `LIMIT o, n` / a derived ORDER BY column mixed
+/// in, returns the same columns and rows and reports the same strategy
+/// through the materialized door (`execute_sql`, JDBC's) and the streaming
+/// door (`query_stream`, the proxy's).
+#[test]
+fn both_front_doors_merge_alike() {
+    use shard_core::merge::MergerKind;
+
+    let (runtime, reference) = harness();
+    for id in 0..40i64 {
+        let sql = format!(
+            "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {})",
+            id % 6,
+            (id * 7) % 11
+        );
+        both(&runtime, &reference, &sql);
+    }
+    let mut s = runtime.session();
+    let mut run = |sql: &str, expect: MergerKind| {
+        let materialized = s.execute_sql(sql, &[]).unwrap().query();
+        assert_eq!(s.last_merger_kind(), Some(expect), "materialized {sql}");
+        let stream = s.query_stream(sql, &[]).unwrap();
+        assert!(
+            stream.is_streaming(),
+            "{sql} fell back to the buffered path"
+        );
+        let streamed = stream.into_result_set().unwrap();
+        assert_eq!(s.last_merger_kind(), Some(expect), "streamed {sql}");
+        assert_eq!(materialized.columns, streamed.columns, "{sql}");
+        assert_eq!(materialized.rows, streamed.rows, "{sql}");
+        assert!(!materialized.rows.is_empty(), "{sql} returned nothing");
+        materialized
+    };
+    for (sql, kind) in [
+        (
+            "SELECT DISTINCT grp FROM t WHERE id = 9 LIMIT 1",
+            MergerKind::PassThrough,
+        ),
+        (
+            "SELECT DISTINCT grp FROM t LIMIT 1, 3",
+            MergerKind::Iteration,
+        ),
+        (
+            "SELECT id, grp FROM t ORDER BY v DESC, id LIMIT 2, 5",
+            MergerKind::OrderByStream,
+        ),
+        (
+            "SELECT grp, COUNT(*), AVG(v) FROM t GROUP BY grp HAVING MAX(v) > 8 LIMIT 1, 3",
+            MergerKind::GroupByStream,
+        ),
+        (
+            "SELECT grp, SUM(v) FROM t GROUP BY grp HAVING COUNT(*) > 6 \
+             ORDER BY SUM(v) DESC, grp LIMIT 1, 2",
+            MergerKind::GroupByMemory,
+        ),
+        (
+            "SELECT COUNT(*), AVG(v), MAX(v), SUM(id) FROM t WHERE id < 30",
+            MergerKind::SingleGroup,
+        ),
+    ] {
+        let rs = run(sql, kind);
+        // Deterministically ordered statements also equal the reference.
+        if sql.contains("ORDER BY") || kind == MergerKind::SingleGroup {
+            let want = reference.execute_sql(sql, &[], None).unwrap().query();
+            assert_eq!(rs.columns, want.columns, "{sql}");
+            assert_eq!(rs.rows, want.rows, "{sql}");
+        }
+    }
+    runtime.set_agg_pushdown(false);
+    run(
+        "SELECT grp, COUNT(*), AVG(v) FROM t GROUP BY grp HAVING COUNT(*) > 6 \
+         ORDER BY grp DESC LIMIT 1, 2",
+        MergerKind::RawAggregate,
+    );
+}

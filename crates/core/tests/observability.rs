@@ -129,7 +129,7 @@ fn explain_analyze_renders_full_stage_tree() {
     // Fan-out width and routing verdict annotated on the route line;
     // 4 shards over 2 sources, full scatter (ORDER BY, no aggregates).
     assert!(
-        tree.contains("[units=4 route_strategy=scatter scan_mode=row mvcc=on]"),
+        tree.contains("[units=4 route_strategy=scatter scan_mode=row]"),
         "{tree}"
     );
     // One child line per shard execution unit, under the execute stage.
@@ -195,8 +195,7 @@ fn slow_query_log_via_ral() {
             "rows",
             "route_strategy",
             "scan_mode",
-            "reshard_state",
-            "mvcc"
+            "reshard_state"
         ]
     );
     // Capacity 2: the first slow query was evicted, newest first.

@@ -400,12 +400,12 @@ fn ral_surface_round_trips() {
             .unwrap_or_else(|| panic!("missing column {name} in {:?}", rs.columns))
     };
     let route_idx = header_idx("route_strategy");
-    let mvcc_idx = header_idx("mvcc");
+    let scan_idx = header_idx("scan_mode");
     let row = rs
         .rows
         .iter()
         .find(|r| matches!(&r[1], Value::Str(sql) if sql.contains("SELECT COUNT")))
         .expect("slow-query entry for the COUNT statement");
     assert!(matches!(row[route_idx], Value::Str(_)), "{row:?}");
-    assert!(matches!(row[mvcc_idx], Value::Str(_)), "{row:?}");
+    assert_eq!(row[scan_idx], Value::Str("batch".into()), "{row:?}");
 }

@@ -134,10 +134,9 @@ impl Default for BatchCounters {
 
 /// Accounting hooks a batch source reports into. The streaming cursors set
 /// all of them (matching the row cursors' per-pull discipline, amortized
-/// per batch); the materialized path sets only the counters — the
-/// materialized row path has no per-source-row fault point, pull count or
-/// transfer charge either, and equivalence with `batch_scan = off` must
-/// hold for fault schedules and latency totals, not just result bytes.
+/// per batch); the materialized path sets only the counters — like
+/// `execute_select`, it has no per-source-row fault point, pull count or
+/// transfer charge.
 pub(crate) struct BatchHooks {
     pub pulled: Option<Arc<AtomicU64>>,
     pub latency: Option<LatencyModel>,

@@ -266,7 +266,7 @@ pub(crate) fn try_open_streaming(
     pulled: Arc<AtomicU64>,
     latency: LatencyModel,
     faults: Arc<FaultInjector>,
-    batch: Option<BatchCounters>,
+    batch: BatchCounters,
     view: ReadView,
 ) -> Result<Option<QueryCursor>> {
     let Some(from) = &stmt.from else {
@@ -284,9 +284,9 @@ pub(crate) fn try_open_streaming(
         return Ok(None);
     }
 
-    // Plain admissible scans (no LIMIT / ORDER BY) take the vectorized path
-    // when batch scanning is enabled: same id snapshot, columnar fetches.
-    if let Some(counters) = batch.filter(|_| batch_admissible(stmt)) {
+    // Plain admissible scans (no LIMIT / ORDER BY) take the vectorized path:
+    // same id snapshot, columnar fetches.
+    if batch_admissible(stmt) {
         let table = catalog.table(from.name.as_str())?;
         let guard = table.read();
         let schema_cols = guard.schema.column_names();
@@ -304,7 +304,7 @@ pub(crate) fn try_open_streaming(
             pulled: Some(pulled),
             latency: Some(latency),
             faults: Some(faults),
-            counters,
+            counters: batch,
         };
         let open = open_source(
             table,
@@ -414,7 +414,7 @@ fn open_grouped(
     pulled: Arc<AtomicU64>,
     latency: LatencyModel,
     faults: Arc<FaultInjector>,
-    batch: Option<BatchCounters>,
+    batch: BatchCounters,
     view: ReadView,
 ) -> Result<Option<QueryCursor>> {
     let Some(from) = &stmt.from else {
@@ -443,14 +443,14 @@ fn open_grouped(
 
     // Vectorized grouped path: same id snapshot and source order, aggregates
     // fed column vectors, one shared finish with the row path.
-    if let Some(counters) = batch.filter(|_| batch_admissible(stmt)) {
+    if batch_admissible(stmt) {
         let schema_cols = guard.schema.column_names();
         drop(guard);
         let hooks = BatchHooks {
             pulled: Some(pulled),
             latency: Some(latency),
             faults: Some(faults),
-            counters,
+            counters: batch,
         };
         let open = open_source(
             table,
@@ -522,33 +522,52 @@ mod tests {
         }
     }
 
+    /// Open a streaming cursor for `sql`, check which cursor serves it, and
+    /// compare its rows with the general materializing executor
+    /// (`exec_select::execute_select`), which shares no scan code with either
+    /// cursor.
+    fn assert_matches_materialized(e: &StorageEngine, sql: &str, batch: bool) -> Vec<Vec<Value>> {
+        let stmt = select(sql);
+        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
+        assert!(cursor.is_streaming(), "{sql}");
+        assert_eq!(cursor.is_batch(), batch, "{sql}");
+        let columns = cursor.columns().to_vec();
+        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
+        let materialized =
+            crate::exec_select::execute_select(e, &stmt, &[], &e.read_view(None)).unwrap();
+        assert_eq!(columns, materialized.columns, "{sql}");
+        assert_eq!(rows, materialized.rows, "{sql}");
+        rows
+    }
+
     #[test]
     fn shard_shaped_order_by_limit_streams() {
         let e = engine_with_rows(50);
-        let stmt = select("SELECT id, v FROM t ORDER BY id DESC LIMIT 5");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming());
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
-        let materialized = e
-            .execute(&Statement::Select(stmt), &[], None)
-            .unwrap()
-            .query();
-        assert_eq!(rows, materialized.rows);
+        let rows =
+            assert_matches_materialized(&e, "SELECT id, v FROM t ORDER BY id DESC LIMIT 5", false);
         assert_eq!(rows[0][0], Value::Int(49));
     }
 
     #[test]
     fn streaming_matches_materialized_with_where_and_offset() {
         let e = engine_with_rows(60);
-        let stmt = select("SELECT id FROM t WHERE v = 3 ORDER BY id LIMIT 2, 4");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming());
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
-        let materialized = e
-            .execute(&Statement::Select(stmt), &[], None)
-            .unwrap()
-            .query();
-        assert_eq!(rows, materialized.rows);
+        let sql = "SELECT id FROM t WHERE v = 3 ORDER BY id LIMIT 2, 4";
+        assert_eq!(assert_matches_materialized(&e, sql, false).len(), 4);
+    }
+
+    #[test]
+    fn batch_scan_matches_materialized() {
+        // 300 rows: more than one columnar batch per scan.
+        let e = engine_with_rows(300);
+        for sql in [
+            "SELECT id, v FROM t",
+            "SELECT v, id FROM t WHERE v = 3",
+            "SELECT id + v, v * 2 FROM t WHERE id >= 17 AND v <> 0",
+            "SELECT * FROM t WHERE id IN (1, 2, 299)",
+        ] {
+            assert!(!assert_matches_materialized(&e, sql, true).is_empty());
+        }
+        assert!(assert_matches_materialized(&e, "SELECT id FROM t WHERE v > 9", true).is_empty());
     }
 
     #[test]
@@ -579,20 +598,15 @@ mod tests {
 
     #[test]
     fn group_by_streams_and_matches_materialized() {
-        let e = engine_with_rows(50);
-        let stmt = select(
+        let e = engine_with_rows(300);
+        for sql in [
             "SELECT v, COUNT(*), SUM(id) FROM t WHERE id < 40 \
              GROUP BY v HAVING COUNT(*) > 2 ORDER BY v",
-        );
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming());
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
-        let materialized = e
-            .execute(&Statement::Select(stmt), &[], None)
-            .unwrap()
-            .query();
-        assert_eq!(rows, materialized.rows);
-        assert!(!rows.is_empty());
+            "SELECT v, MIN(id), MAX(id), AVG(id) FROM t GROUP BY v ORDER BY v DESC LIMIT 1, 3",
+            "SELECT COUNT(*), SUM(v), AVG(v) FROM t WHERE id >= 100",
+        ] {
+            assert!(!assert_matches_materialized(&e, sql, true).is_empty());
+        }
     }
 
     #[test]
@@ -638,15 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn deleted_rows_are_skipped_mid_scan_with_mvcc_off() {
-        let e = engine_with_rows(10);
-        e.set_mvcc(false);
-        let stmt = select("SELECT id FROM t ORDER BY id");
-        let mut cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert_eq!(cursor.next_row().unwrap(), Some(vec![Value::Int(0)]));
-        e.execute_sql("DELETE FROM t WHERE id = 1", &[], None)
+    fn locking_read_in_a_transaction_sees_latest_state() {
+        let e = engine_with_rows(3);
+        let writer = e.begin();
+        e.execute_sql("DELETE FROM t WHERE id = 1", &[], Some(writer))
             .unwrap();
-        // Latest-state reads (the pre-MVCC behavior) skip the deleted row.
-        assert_eq!(cursor.next_row().unwrap(), Some(vec![Value::Int(2)]));
+        let ids = |sql: &str, txn| -> Vec<Value> {
+            let cursor = e.open_cursor(&select(sql), &[], txn).unwrap();
+            cursor.map(|r| r.unwrap().remove(0)).collect()
+        };
+        // A snapshot read does not see the uncommitted delete ...
+        let all = vec![Value::Int(0), Value::Int(1), Value::Int(2)];
+        assert_eq!(ids("SELECT id FROM t ORDER BY id", None), all);
+        // ... but FOR UPDATE inside a transaction resolves `ReadView::Latest`:
+        // it reads (and locks) the rows as they currently stand, so the row
+        // another transaction has already deleted is not among them.
+        let reader = e.begin();
+        assert_eq!(
+            ids("SELECT id FROM t ORDER BY id FOR UPDATE", Some(reader)),
+            vec![Value::Int(0), Value::Int(2)]
+        );
+        // Outside a transaction FOR UPDATE locks nothing and reads a snapshot.
+        assert_eq!(ids("SELECT id FROM t ORDER BY id FOR UPDATE", None), all);
+        e.rollback(reader).unwrap();
+        e.rollback(writer).unwrap();
     }
 }

@@ -29,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use shard_sql::ast::*;
 use shard_sql::{format_statement, parse_statement, Dialect, Value};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,23 +99,10 @@ pub struct StorageEngine {
     /// Coalesces the simulated durability flush of concurrent committers
     /// (`SET group_commit_window_us`).
     group_commit: GroupCommitter,
-    /// Multi-row INSERTs take the batched single-pass write path (locks,
-    /// WAL, indexes each touched once per statement). Off = the pre-batching
-    /// per-row path, kept for ablation benchmarks.
-    batch_writes: AtomicBool,
-    /// Admissible SELECTs take the vectorized columnar batch-scan path.
-    /// Off = the row-at-a-time path, kept for ablation benchmarks
-    /// (`SET batch_scan = off`).
-    batch_scan: AtomicBool,
     /// Columnar batches fetched / rows delivered in them (metrics; shared
     /// with batch sources so both streaming and materialized paths count).
     scan_batches: Arc<AtomicU64>,
     scan_batch_rows: Arc<AtomicU64>,
-    /// Snapshot-isolation reads (on by default). Off = reads resolve
-    /// [`ReadView::Latest`], the pre-MVCC read-latest behaviour, kept for
-    /// ablation (`SET mvcc = off`). Writers stamp versions either way so the
-    /// knob can be flipped at runtime.
-    mvcc: AtomicBool,
     /// Last published commit timestamp; readers snapshot this.
     commit_clock: AtomicU64,
     /// Serializes version stamping + clock publication at commit, so a
@@ -190,11 +177,8 @@ impl StorageEngine {
             recovered_undo: Mutex::new(HashMap::new()),
             server_slots: None,
             group_commit: GroupCommitter::new(),
-            batch_writes: AtomicBool::new(true),
-            batch_scan: AtomicBool::new(true),
             scan_batches: Arc::new(AtomicU64::new(0)),
             scan_batch_rows: Arc::new(AtomicU64::new(0)),
-            mvcc: AtomicBool::new(true),
             commit_clock: AtomicU64::new(0),
             commit_seal: Mutex::new(()),
             snapshots: SnapshotRegistry::default(),
@@ -232,44 +216,10 @@ impl StorageEngine {
         &self.group_commit
     }
 
-    /// Toggle the batched multi-row INSERT path (on by default; off restores
-    /// the per-row lock/WAL/index path for ablation).
-    pub fn set_batch_writes(&self, enabled: bool) {
-        self.batch_writes.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn batch_writes_enabled(&self) -> bool {
-        self.batch_writes.load(Ordering::Relaxed)
-    }
-
-    /// Toggle the vectorized batch-scan path (on by default; off restores
-    /// the row-at-a-time cursor and `execute_select` for ablation).
-    pub fn set_batch_scan(&self, enabled: bool) {
-        self.batch_scan.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn batch_scan_enabled(&self) -> bool {
-        self.batch_scan.load(Ordering::Relaxed)
-    }
-
-    /// Toggle snapshot-isolation reads (on by default; off restores the
-    /// lock-era read-latest path for ablation, `SET mvcc = off`).
-    pub fn set_mvcc(&self, enabled: bool) {
-        self.mvcc.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn mvcc_enabled(&self) -> bool {
-        self.mvcc.load(Ordering::Relaxed)
-    }
-
     /// The read view for one statement (or one cursor open): a registered
-    /// snapshot of the commit clock when MVCC is on, [`ReadView::Latest`]
-    /// otherwise. `txn` makes the transaction's own pending writes visible
-    /// (read-your-writes).
+    /// snapshot of the commit clock. `txn` makes the transaction's own
+    /// pending writes visible (read-your-writes).
     pub fn read_view(&self, txn: Option<TxnId>) -> ReadView {
-        if !self.mvcc_enabled() {
-            return ReadView::Latest;
-        }
         let span = crate::probe::begin();
         let (ts, guard) = self.snapshots.acquire(&self.commit_clock);
         crate::probe::end(span, "mvcc_snapshot", || format!("{} ts={ts}", self.name));
@@ -700,7 +650,7 @@ impl StorageEngine {
                 self.rows_pulled.clone(),
                 self.latency,
                 Arc::clone(&self.faults),
-                self.batch_scan_enabled().then(|| self.batch_counters()),
+                self.batch_counters(),
                 self.read_view(txn),
             )? {
                 self.latency.charge(0);
@@ -854,12 +804,7 @@ impl StorageEngine {
         // Vectorized takeover of the buffered path for admissible shapes
         // (FOR UPDATE is never admissible, so the locking below keeps its
         // materialized rows).
-        let batched = if self.batch_scan_enabled() {
-            execute_select_batch(self, stmt, params, self.batch_counters(), &view)?
-        } else {
-            None
-        };
-        let rs = match batched {
+        let rs = match execute_select_batch(self, stmt, params, self.batch_counters(), &view)? {
             Some(rs) => rs,
             None => execute_select(self, stmt, params, &view)?,
         };
@@ -900,7 +845,9 @@ impl StorageEngine {
         params: &[Value],
         txn: TxnId,
     ) -> Result<ExecuteResult> {
-        if stmt.rows.len() > 1 && self.batch_writes.load(Ordering::Relaxed) {
+        // One row is cheaper through the plain per-row steps than through a
+        // batch of one (5.9 vs 6.8 µs on `read_write_xa_jdbc`'s INSERT).
+        if stmt.rows.len() > 1 {
             return self.insert_batched(stmt, params, txn);
         }
         let table = self.table(stmt.table.as_str())?;

@@ -21,10 +21,8 @@
 //!
 //! [`ReadView::Latest`] bypasses snapshot resolution and sees the current
 //! (newest, not-ended) version regardless of stamps. It serves the write
-//! paths (a writer holding row locks must see the truth it locked),
-//! `SELECT ... FOR UPDATE` (locking reads want current rows, not history)
-//! and the `SET mvcc = off` ablation, which reproduces the pre-MVCC
-//! read-latest behaviour exactly.
+//! paths (a writer holding row locks must see the truth it locked) and
+//! `SELECT ... FOR UPDATE` (locking reads want current rows, not history).
 //!
 //! GC: every snapshot registers its timestamp in a [`SnapshotRegistry`] and
 //! holds an RAII [`SnapGuard`]; vacuum reclaims versions whose `end`
@@ -95,8 +93,7 @@ impl RowVersion {
 /// The reader's side of MVCC: how a statement resolves row versions.
 #[derive(Clone)]
 pub enum ReadView {
-    /// Current versions only, stamps ignored (write paths, FOR UPDATE,
-    /// `SET mvcc = off`).
+    /// Current versions only, stamps ignored (write paths, FOR UPDATE).
     Latest,
     /// Fixed snapshot: everything committed at or before `ts`, plus the
     /// reader's own in-flight writes.

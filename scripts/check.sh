@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide gate: clippy clean (warnings are errors), rustfmt clean, every
-# test in the workspace, the bench smokes and the benchmark smoke.
+# Repo-wide gate: clippy clean (warnings are errors), rustfmt clean, the
+# criterion benches compile, every test in the workspace, the benchmark
+# smoke and the observability-overhead gate.
 # Run before sending a PR; CI runs the same commands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,33 +14,6 @@ cargo fmt --all -- --check
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
-
-# Write-path smoke: the writes bench doubles as an integration test of the
-# batched/parallel write path and its ablation knobs (real criterion runs
-# each bench once under --test; the offline shim ignores the flag and runs
-# the full — still fast — sample loop).
-echo "==> cargo bench -p shard-bench --bench writes -- --test"
-timeout 600 cargo bench -p shard-bench --bench writes -- --test
-
-# Routing smoke: the routing bench doubles as an integration test of the
-# GSI-narrowed point lookup and the partial-aggregate pushdown path against
-# their ablation knobs (each bench arm asserts its result rows).
-echo "==> cargo bench -p shard-bench --bench routing -- --test"
-timeout 600 cargo bench -p shard-bench --bench routing -- --test
-
-# Analytics smoke: the analytics bench doubles as an integration test of the
-# vectorized batch-scan path against its `SET batch_scan = off` ablation —
-# setup asserts byte-identical results between the two modes and every bench
-# arm asserts its result rows.
-echo "==> cargo bench -p shard-bench --bench analytics -- --test"
-timeout 600 cargo bench -p shard-bench --bench analytics -- --test
-
-# MVCC smoke: the mvcc bench doubles as an integration test of the
-# snapshot-read path against its `SET mvcc = off` ablation — setup asserts
-# byte-identical results between modes, and the under-load phase asserts
-# zero reader-attributable lock waits with 8 concurrent writers.
-echo "==> cargo bench -p shard-bench --bench mvcc -- --test"
-timeout 600 cargo bench -p shard-bench --bench mvcc -- --test
 
 # Test gate: every suite in the workspace — the root package's integration
 # tests and the several hundred tests inside crates/* (plain `cargo test`

@@ -11,16 +11,20 @@
 //! 3. Concurrent readers under sustained write load never block on a lock
 //!    (`lock_waits_read` stays zero), never error, and always observe
 //!    transaction-atomic state (a balanced-transfer SUM invariant).
-//! 4. Results are byte-identical with `SET mvcc = off` (the latest-state
-//!    ablation) on a quiescent sharded cluster, and the RAL knob fans out.
+//! 4. On a quiescent sharded cluster whose version chains hold more than
+//!    one version, results equal those of one unsharded engine.
 //! 5. WAL recovery discards uncommitted versions: committed data survives,
 //!    crash-active transactions vanish, prepared ones stay in-doubt.
 //! 6. Vacuum reclaims versions no live snapshot can reach and reports them
 //!    through the `mvcc_gc_reclaimed_total` / `mvcc_versions_live` gauges.
 
-use shardingsphere_rs::core::{Session, ShardingRuntime};
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::Oracle;
+use shardingsphere_rs::core::ShardingRuntime;
 use shardingsphere_rs::sql::Value;
-use shardingsphere_rs::storage::{ExecuteResult, LatencyModel, SharedLog, StorageEngine};
+use shardingsphere_rs::storage::{LatencyModel, SharedLog, StorageEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,15 +46,9 @@ fn watchdogged(scenario: fn()) {
     }
 }
 
-fn query(s: &mut Session, sql: &str) -> shardingsphere_rs::storage::ResultSet {
-    match s.execute_sql(sql, &[]).unwrap() {
-        ExecuteResult::Query(rs) => rs,
-        other => panic!("expected rows from {sql}, got {other:?}"),
-    }
-}
-
-/// Two-shard runtime with a sharded table, `n` seeded rows.
-fn sharded_runtime(n: i64) -> Arc<ShardingRuntime> {
+/// Two-shard runtime with a sharded table and `n` seeded rows, mirrored into
+/// the unsharded `oracle`.
+fn sharded_runtime(n: i64, oracle: &Oracle) -> Arc<ShardingRuntime> {
     let runtime = ShardingRuntime::builder()
         .datasource("ds_0", StorageEngine::new("ds_0"))
         .datasource("ds_1", StorageEngine::new("ds_1"))
@@ -62,21 +60,21 @@ fn sharded_runtime(n: i64) -> Arc<ShardingRuntime> {
         &[],
     )
     .unwrap();
-    s.execute_sql(
+    oracle.write_both(
+        &mut s,
         "CREATE TABLE t_acct (aid BIGINT PRIMARY KEY, owner VARCHAR(16), balance BIGINT)",
         &[],
-    )
-    .unwrap();
+    );
     for aid in 0..n {
-        s.execute_sql(
+        oracle.write_both(
+            &mut s,
             "INSERT INTO t_acct (aid, owner, balance) VALUES (?, ?, ?)",
             &[
                 Value::Int(aid),
                 Value::Str(format!("u{}", aid % 7)),
                 Value::Int(1000),
             ],
-        )
-        .unwrap();
+        );
     }
     runtime
 }
@@ -190,6 +188,7 @@ fn readers_never_block_and_see_atomic_commits() {
         const WRITERS: usize = 4;
         const ACCOUNTS: i64 = 2 * WRITERS as i64;
         const TOTAL: i64 = ACCOUNTS * 1000;
+        const TRANSFERS: i64 = 2000;
         let e = StorageEngine::new("ds");
         e.execute_sql(
             "CREATE TABLE acct (aid BIGINT PRIMARY KEY, balance BIGINT)",
@@ -205,17 +204,15 @@ fn readers_never_block_and_see_atomic_commits() {
             )
             .unwrap();
         }
-        let stop = Arc::new(AtomicBool::new(false));
+        let writers_done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for w in 0..WRITERS {
             let e = Arc::clone(&e);
-            let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
                 // Each writer owns a disjoint account pair: no write-write
                 // conflicts, so any lock wait would be a reader's fault.
                 let (a, b) = (2 * w as i64, 2 * w as i64 + 1);
-                let mut i = 0i64;
-                while !stop.load(Ordering::Relaxed) {
+                for i in 0..TRANSFERS {
                     let amt = 1 + (i % 7);
                     let txn = e.begin();
                     e.execute_sql(
@@ -231,17 +228,17 @@ fn readers_never_block_and_see_atomic_commits() {
                     )
                     .unwrap();
                     e.commit(txn).unwrap();
-                    i += 1;
                 }
             }));
         }
+        // Readers run for as long as the writers do: fixed work, no timer.
         let mut readers = Vec::new();
         for _ in 0..3 {
             let e = Arc::clone(&e);
-            let stop = Arc::clone(&stop);
+            let writers_done = Arc::clone(&writers_done);
             readers.push(std::thread::spawn(move || {
                 let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                while reads == 0 || !writers_done.load(Ordering::Acquire) {
                     let rs = e
                         .execute_sql("SELECT SUM(balance) FROM acct", &[], None)
                         .expect("snapshot read must never fail")
@@ -256,11 +253,10 @@ fn readers_never_block_and_see_atomic_commits() {
                 reads
             }));
         }
-        std::thread::sleep(Duration::from_millis(500));
-        stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
+        writers_done.store(true, Ordering::Release);
         let mut total_reads = 0;
         for r in readers {
             total_reads += r.join().unwrap();
@@ -274,54 +270,31 @@ fn readers_never_block_and_see_atomic_commits() {
     });
 }
 
-/// Byte-identical equivalence with the ablation arm: the same statement
-/// matrix against a quiescent sharded cluster yields identical bytes with
-/// `SET mvcc = on` and `SET mvcc = off`, and the knob fans out to engines.
+/// Snapshot reads on a quiescent sharded cluster equal one unsharded
+/// engine's, after updates and deletes left chains more than one version
+/// deep and dead rows behind.
 #[test]
-fn results_match_mvcc_off_ablation() {
+fn sharded_snapshot_reads_match_the_unsharded_oracle() {
     watchdogged(|| {
-        let on = sharded_runtime(200);
-        let off = sharded_runtime(200);
-        let mut s_off = off.session();
-        s_off.execute_sql("SET VARIABLE mvcc = off", &[]).unwrap();
-        assert!(!off.mvcc());
-        for ds in ["ds_0", "ds_1"] {
-            assert!(!off.datasource(ds).unwrap().engine().mvcc_enabled());
-            assert!(on.datasource(ds).unwrap().engine().mvcc_enabled());
-        }
-        assert_eq!(
-            query(&mut s_off, "SHOW VARIABLE mvcc").rows[0][1].to_string(),
-            "off"
-        );
-
-        let mut s_on = on.session();
-        // Mutate both identically so chains hold more than one version.
-        for s in [&mut s_on, &mut s_off] {
-            s.execute_sql(
-                "UPDATE t_acct SET balance = balance + 5 WHERE aid < 90",
-                &[],
-            )
-            .unwrap();
-            s.execute_sql("DELETE FROM t_acct WHERE aid >= 180", &[])
-                .unwrap();
+        let oracle = Oracle::new();
+        let runtime = sharded_runtime(200, &oracle);
+        let mut s = runtime.session();
+        for sql in [
+            "UPDATE t_acct SET balance = balance + 5 WHERE aid < 90",
+            "DELETE FROM t_acct WHERE aid >= 180",
+        ] {
+            oracle.write_both(&mut s, sql, &[]);
         }
         for sql in [
             "SELECT aid, owner, balance FROM t_acct ORDER BY aid",
+            "SELECT aid, balance FROM t_acct WHERE owner = 'u3'",
             "SELECT COUNT(*), SUM(balance) FROM t_acct",
             "SELECT owner, COUNT(*), SUM(balance) FROM t_acct GROUP BY owner ORDER BY owner",
             "SELECT balance FROM t_acct WHERE aid = 42",
             "SELECT aid FROM t_acct WHERE balance > 1000 ORDER BY aid LIMIT 10",
         ] {
-            let a = query(&mut s_on, sql);
-            let b = query(&mut s_off, sql);
-            assert_eq!(a.columns, b.columns, "columns diverged for {sql}");
-            assert_eq!(a.rows, b.rows, "rows diverged for {sql}");
+            oracle.assert_same(&mut s, sql, &[]);
         }
-        s_off.execute_sql("SET VARIABLE mvcc = on", &[]).unwrap();
-        assert!(off.mvcc());
-        assert!(s_off
-            .execute_sql("SET VARIABLE mvcc = sideways", &[])
-            .is_err());
     });
 }
 
