@@ -10,11 +10,11 @@
 
 use crate::error::{KernelError, Result};
 use crate::governor::CircuitBreaker;
+use crate::obs::{IncidentKind, TraceCollector};
 use parking_lot::{Condvar, Mutex};
-use shard_sql::{Statement, Value};
-use shard_storage::{ExecuteResult, StorageEngine, TxnId};
+use shard_storage::StorageEngine;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Replication role, used by the read-write splitting feature.
@@ -33,6 +33,9 @@ pub struct DataSource {
     /// Closed → open on consecutive infrastructure failures → half-open
     /// probe; consulted by the executor before every dispatch.
     breaker: CircuitBreaker,
+    /// Where breaker state transitions freeze an incident, once the source
+    /// belongs to a runtime.
+    flight_recorder: OnceLock<Arc<TraceCollector>>,
     pub role: Role,
 }
 
@@ -49,6 +52,7 @@ impl DataSource {
             engine,
             enabled: AtomicBool::new(true),
             breaker: CircuitBreaker::default(),
+            flight_recorder: OnceLock::new(),
             role: Role::Primary,
         }
     }
@@ -80,6 +84,11 @@ impl DataSource {
         &self.breaker
     }
 
+    /// Wire the flight recorder in (once; later calls are ignored).
+    pub fn set_flight_recorder(&self, collector: Arc<TraceCollector>) {
+        let _ = self.flight_recorder.set(collector);
+    }
+
     /// True when a request may be dispatched: the source is enabled and its
     /// breaker admits the request (possibly as a half-open probe).
     pub fn is_routable(&self) -> bool {
@@ -91,18 +100,53 @@ impl DataSource {
         self.engine.ping().is_ok()
     }
 
-    /// Execute through an already-acquired connection permit.
-    pub fn execute_on(
+    /// Make one call on the engine under this source's guard: a disabled
+    /// source or an open breaker refuses it (sources marked down by health
+    /// detection fail fast), and the call's outcome feeds the breaker. Only
+    /// infrastructure failures count against it — semantic errors (missing
+    /// table, bad SQL) say nothing about the source's health. A breaker
+    /// state transition freezes the flight recorder.
+    pub fn guarded<T>(
         &self,
-        _conn: &Connection,
-        stmt: &Statement,
-        params: &[Value],
-        txn: Option<TxnId>,
-    ) -> Result<ExecuteResult> {
+        call: impl FnOnce(&StorageEngine) -> shard_storage::Result<T>,
+    ) -> Result<T> {
         if !self.is_enabled() {
-            return Err(KernelError::Unavailable(self.name.clone()));
+            return Err(KernelError::Unavailable(format!(
+                "{} is disabled",
+                self.name
+            )));
         }
-        Ok(self.engine.execute(stmt, params, txn)?)
+        if !self.breaker.allow_request() {
+            return Err(KernelError::Unavailable(format!(
+                "{} circuit breaker is open",
+                self.name
+            )));
+        }
+        let e = match call(&self.engine) {
+            Ok(r) => {
+                self.breaker.record_success();
+                return Ok(r);
+            }
+            Err(e) => KernelError::Storage(e),
+        };
+        if e.is_infrastructure() {
+            let before = self.breaker.state();
+            self.breaker.record_failure();
+            let after = self.breaker.state();
+            if let Some(c) = self.flight_recorder.get().filter(|_| before != after) {
+                c.record_incident(
+                    IncidentKind::BreakerTransition,
+                    format!(
+                        "{}: breaker {} -> {} ({e})",
+                        self.name,
+                        before.as_str(),
+                        after.as_str()
+                    ),
+                    None,
+                );
+            }
+        }
+        Err(e)
     }
 }
 
@@ -281,18 +325,50 @@ mod tests {
         assert_eq!(pool.available(), 2);
     }
 
+    /// The guard refuses a disabled source, counts only infrastructure
+    /// failures against the breaker, and freezes the flight recorder when
+    /// they trip it.
     #[test]
-    fn datasource_circuit_breaker() {
+    fn guarded_calls_feed_the_breaker_and_the_flight_recorder() {
+        use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
         let ds = DataSource::new("ds_0", shard_storage::StorageEngine::new("ds_0"), 4);
-        assert!(ds.is_enabled());
+        let collector = Arc::new(TraceCollector::new());
+        ds.set_flight_recorder(Arc::clone(&collector));
+        let run = |sql: &'static str| ds.guarded(|e| e.execute_sql(sql, &[], None));
         assert!(ds.ping());
+        run("CREATE TABLE t (id BIGINT PRIMARY KEY)").unwrap();
+        for _ in 0..10 {
+            assert!(matches!(
+                run("SELECT * FROM missing"),
+                Err(KernelError::Storage(_))
+            ));
+        }
+        run("SELECT * FROM t").expect("semantic errors leave the breaker closed");
+
+        ds.engine().fault_injector().inject(FaultPlan::new(
+            FaultOp::ScanOpen,
+            FaultKind::Error("disk gone".into()),
+            FaultTrigger::EveryNth(1),
+        ));
+        let mut attempts = 0;
+        while ds.breaker().allow_request() {
+            assert!(run("SELECT * FROM t").is_err());
+            attempts += 1;
+            assert!(attempts < 100, "the breaker never opened");
+        }
+        let refused = run("SELECT * FROM t").unwrap_err();
+        assert!(refused.to_string().contains("breaker is open"), "{refused}");
+        let incidents = collector.incidents();
+        assert_eq!(incidents.len(), 1, "one transition, one incident");
+        assert_eq!(incidents[0].kind, IncidentKind::BreakerTransition);
+
+        ds.engine().clear_faults();
+        ds.breaker().reset();
         ds.set_enabled(false);
-        let conn = ds
-            .pool()
-            .acquire_atomic(1, Duration::from_millis(10))
-            .unwrap();
-        let stmt = shard_sql::parse_statement("SHOW TABLES").unwrap();
-        let err = ds.execute_on(&conn[0], &stmt, &[], None).unwrap_err();
-        assert!(matches!(err, KernelError::Unavailable(_)));
+        let disabled = run("SELECT * FROM t").unwrap_err();
+        assert!(
+            matches!(disabled, KernelError::Unavailable(_)),
+            "{disabled}"
+        );
     }
 }

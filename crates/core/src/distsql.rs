@@ -6,6 +6,7 @@
 use crate::algorithm::Props;
 use crate::config::{AutoTablePlanner, TableRule};
 use crate::error::{KernelError, Result};
+use crate::obs::Stage;
 use crate::rewrite::{rewrite_for_unit, rewrite_statement};
 use crate::route::{GlobalIndex, RouteEngine, RouteHint};
 use crate::runtime::Session;
@@ -378,28 +379,32 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
             )))
         }
         DistSqlStatement::ShowSlowQueries => {
+            let verdict = |v: Option<&str>| v.map_or(Value::Null, |v| Value::Str(v.into()));
             let rows = session
                 .runtime()
                 .slow_query_log()
                 .entries()
                 .into_iter()
                 .map(|e| {
-                    let stages = e
-                        .stages
+                    let record = &e.record;
+                    let stages = Stage::ALL
                         .iter()
+                        .zip(record.stage_us())
+                        .filter(|(_, us)| *us > 0)
                         .map(|(s, us)| format!("{}={}us", s.as_str(), us))
                         .collect::<Vec<_>>()
                         .join(" ");
                     vec![
                         Value::Int(e.seq as i64),
-                        Value::Str(e.sql),
-                        Value::Int(e.total_us as i64),
+                        Value::Str(record.sql.clone()),
+                        Value::Int(record.total_us as i64),
                         Value::Str(stages),
-                        Value::Int(e.units as i64),
-                        Value::Int(e.rows as i64),
-                        e.route_strategy.map(Value::Str).unwrap_or(Value::Null),
-                        e.scan_mode.map(Value::Str).unwrap_or(Value::Null),
-                        e.reshard_state.map(Value::Str).unwrap_or(Value::Null),
+                        Value::Int(record.units().count() as i64),
+                        Value::Int(record.verdicts.rows as i64),
+                        verdict(record.verdicts.route_strategy),
+                        verdict(record.verdicts.scan_mode),
+                        verdict(record.verdicts.reshard_state),
+                        Value::Int(record.trace_id as i64),
                     ]
                 })
                 .collect();
@@ -414,6 +419,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
                     "route_strategy".into(),
                     "scan_mode".into(),
                     "reshard_state".into(),
+                    "trace_id".into(),
                 ],
                 rows,
             )))

@@ -24,10 +24,9 @@ pub use stream::{CancelToken, RowStream, StreamedQuery};
 
 use crate::datasource::DataSource;
 use crate::error::{KernelError, Result};
-use crate::obs::{IncidentKind, SpanRecorder, SpanScope, TraceCollector, UnitSpan};
+use crate::obs::SpanScope;
 use crate::route::RouteUnit;
 use shard_sql::{Statement, Value};
-use shard_storage::probe::{self, Probe, SpanSink};
 use shard_storage::{ExecuteResult, TxnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,9 +66,6 @@ pub struct ExecutionInput {
 pub struct ExecutionReport {
     /// (datasource, chosen mode, number of SQLs, connections used)
     pub groups: Vec<(String, ConnectionMode, usize, usize)>,
-    /// Per execution unit: where it ran, how long it took, how many rows it
-    /// produced. Feeds `EXPLAIN ANALYZE` and the trace span model.
-    pub units: Vec<UnitSpan>,
 }
 
 impl ExecutionReport {
@@ -87,9 +83,6 @@ pub struct ExecutorEngine {
     max_connections_per_query: std::sync::atomic::AtomicUsize,
     /// Pool acquisition timeout.
     pub acquire_timeout: Duration,
-    /// Flight recorder hook: breaker state transitions observed while
-    /// executing record an incident here. Set once at runtime build.
-    trace_collector: OnceLock<Arc<TraceCollector>>,
 }
 
 impl Default for ExecutorEngine {
@@ -97,7 +90,6 @@ impl Default for ExecutorEngine {
         ExecutorEngine {
             max_connections_per_query: std::sync::atomic::AtomicUsize::new(8),
             acquire_timeout: Duration::from_secs(5),
-            trace_collector: OnceLock::new(),
         }
     }
 }
@@ -122,12 +114,6 @@ impl ExecutorEngine {
             .load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Wire the flight recorder in (once, at runtime build). Subsequent
-    /// calls are ignored.
-    pub fn set_trace_collector(&self, collector: Arc<TraceCollector>) {
-        let _ = self.trace_collector.set(collector);
-    }
-
     /// Execute all inputs; results return in input order.
     ///
     /// `txns` binds data sources to open local transactions: statements for
@@ -149,15 +135,14 @@ impl ExecutorEngine {
     /// cancelled and the statement fails fast with [`KernelError::Timeout`]
     /// instead of hanging on a stuck shard.
     ///
-    /// `want_units` controls whether the report carries per-unit
-    /// [`UnitSpan`]s. Building them costs per-unit label strings on the
-    /// statement's critical path, so callers pass `false` unless a trace
-    /// (EXPLAIN ANALYZE, the slow-query log) will actually render them.
+    /// `spans` is the `execute` stage of a statement that records: each
+    /// executed unit is one span under it, named `datasource.tables` and
+    /// closed with its row count; on a head-sampled statement the storage
+    /// probe is installed too, so engine internals (lock waits, WAL flushes,
+    /// …) parent to the unit that caused them.
     ///
-    /// `spans` carries the live trace of a head-sampled statement: each
-    /// execution unit opens a child span under it, with the storage probe
-    /// installed so engine internals (lock waits, WAL flushes, …) parent to
-    /// the unit that caused them.
+    /// `_want_units` is ignored: units are spans now. The parameter stays
+    /// until the benchmark's replay stops passing it (ROADMAP item 2).
     #[allow(clippy::too_many_arguments)]
     pub fn execute_with_deadline(
         &self,
@@ -166,19 +151,11 @@ impl ExecutorEngine {
         params: Arc<[Value]>,
         txns: Option<&HashMap<String, TxnId>>,
         deadline: Option<Instant>,
-        want_units: bool,
+        _want_units: bool,
         spans: Option<&SpanScope>,
     ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
-        self.execute_on(
-            WorkerPool::global(),
-            datasources,
-            inputs,
-            params,
-            txns,
-            deadline,
-            want_units,
-            spans,
-        )
+        let pool = WorkerPool::global();
+        self.execute_on(pool, datasources, inputs, params, txns, deadline, spans)
     }
 
     /// [`ExecutorEngine::execute_with_deadline`] on a given pool (tests
@@ -192,7 +169,6 @@ impl ExecutorEngine {
         params: Arc<[Value]>,
         txns: Option<&HashMap<String, TxnId>>,
         deadline: Option<Instant>,
-        want_units: bool,
         spans: Option<&SpanScope>,
     ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
         if inputs.is_empty() {
@@ -203,38 +179,13 @@ impl ExecutorEngine {
         struct Group {
             ds: Arc<DataSource>,
             txn: Option<TxnId>,
-            sqls: Vec<(usize, Statement)>,
+            sqls: Vec<Unit>,
         }
         let total = inputs.len();
-        // Capture per-unit identity before grouping consumes the inputs:
-        // (datasource, actual tables) label each UnitSpan in the report.
-        // With `want_units` off the labels stay empty and `unit_spans`
-        // zips down to an empty list for free.
-        let labels: Vec<(String, String)> = if want_units {
-            inputs
-                .iter()
-                .map(|input| {
-                    let mut tables: Vec<&str> = input
-                        .unit
-                        .table_mappings
-                        .values()
-                        .map(|s| s.as_str())
-                        .collect();
-                    tables.sort_unstable();
-                    let tables = if tables.is_empty() {
-                        "-".to_string()
-                    } else {
-                        tables.join(",")
-                    };
-                    (input.unit.datasource.clone(), tables)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut order: Vec<String> = Vec::new();
         let mut groups: HashMap<String, Group> = HashMap::new();
         for (i, input) in inputs.into_iter().enumerate() {
+            let label = spans.map(|_| unit_label(&input.unit));
             let name = input.unit.datasource;
             if !groups.contains_key(&name) {
                 let ds = datasources
@@ -256,7 +207,7 @@ impl ExecutorEngine {
                 .get_mut(&name)
                 .expect("inserted above")
                 .sqls
-                .push((i, input.stmt));
+                .push((i, input.stmt, label));
         }
 
         // ---- Decide modes and build execution units. ----
@@ -298,8 +249,7 @@ impl ExecutorEngine {
                 .groups
                 .push((name.clone(), mode, num_sql, connections));
             // Chunk SQLs over connections round-robin to balance sizes.
-            let mut chunks: Vec<Vec<(usize, Statement)>> =
-                (0..connections).map(|_| Vec::new()).collect();
+            let mut chunks: Vec<Vec<Unit>> = (0..connections).map(|_| Vec::new()).collect();
             for (j, item) in group.sqls.into_iter().enumerate() {
                 chunks[j % connections].push(item);
             }
@@ -324,16 +274,8 @@ impl ExecutorEngine {
         // abandoned. Results land in input order; the first error in group
         // order wins. ----
         let mut results: Vec<Option<ExecuteResult>> = (0..total).map(|_| None).collect();
-        let mut unit_elapsed_us: Vec<u64> = if want_units {
-            vec![0; total]
-        } else {
-            Vec::new()
-        };
         let mut absorb = |outcome: GroupOutcome| -> Result<()> {
-            for (idx, elapsed_us, result) in outcome? {
-                if want_units {
-                    unit_elapsed_us[idx] = elapsed_us;
-                }
+            for (idx, result) in outcome? {
                 results[idx] = Some(result);
             }
             Ok(())
@@ -342,7 +284,6 @@ impl ExecutorEngine {
             params,
             cancelled: AtomicBool::new(false),
             spans: spans.cloned(),
-            collector: self.trace_collector.get().cloned(),
         };
         if planned.len() == 1 && deadline.is_none() {
             // The point query: one group is nothing to fan out, so it skips
@@ -376,20 +317,21 @@ impl ExecutorEngine {
         }
         let collected: Option<Vec<ExecuteResult>> = results.into_iter().collect();
         collected
-            .map(|r| {
-                report.units = unit_spans(labels, &unit_elapsed_us, &r);
-                (r, report)
-            })
+            .map(|r| (r, report))
             .ok_or_else(|| KernelError::Execute("missing execution result".into()))
     }
 }
+
+/// One statement to execute: its input index, the statement, and — when the
+/// statement records — the name of its unit span.
+type Unit = (usize, Statement, Option<String>);
 
 /// One execution group: a chunk of statements bound for one connection of
 /// one data source, run serially on it.
 struct PlannedGroup {
     ds: Arc<DataSource>,
     txn: Option<TxnId>,
-    chunk: Vec<(usize, Statement)>,
+    chunk: Vec<Unit>,
     /// Held until the group has run (or was abandoned).
     _permits: Vec<crate::datasource::Connection>,
 }
@@ -400,146 +342,56 @@ struct Shared {
     /// Set by the first group that fails (or by the deadline): siblings stop
     /// before their next statement instead of running their chunks out.
     cancelled: AtomicBool,
+    /// The statement's `execute` stage, when it records.
     spans: Option<SpanScope>,
-    /// Flight recorder hook for breaker transitions.
-    collector: Option<Arc<TraceCollector>>,
 }
 
-/// What one group reports: `(input index, elapsed µs, result)` per statement
-/// executed, or the error that stopped it.
-type GroupOutcome = Result<Vec<(usize, u64, ExecuteResult)>>;
+/// What one group reports: `(input index, result)` per statement executed,
+/// or the error that stopped it.
+type GroupOutcome = Result<Vec<(usize, ExecuteResult)>>;
 
-/// Run one group's chunk.
-fn run_group(group: PlannedGroup, shared: &Shared) -> GroupOutcome {
-    let span = open_unit_span(shared.spans.as_ref(), &group.ds.name, group.chunk.len());
-    let probe_guard = install_probe(&span);
+/// Run one group's chunk, each statement through its source's breaker guard
+/// and, when the statement records, inside a unit span of its own.
+fn run_group(mut group: PlannedGroup, shared: &Shared) -> GroupOutcome {
     let mut done = Vec::with_capacity(group.chunk.len());
-    let mut failure = None;
-    for (idx, stmt) in &group.chunk {
+    for (idx, stmt, label) in &mut group.chunk {
         if shared.cancelled.load(Ordering::Relaxed) {
             break;
         }
-        let started = Instant::now();
-        match exec_one(
-            &group.ds,
-            stmt,
-            &shared.params,
-            group.txn,
-            shared.collector.as_deref(),
-        ) {
-            Ok(r) => done.push((*idx, (started.elapsed().as_micros() as u64).max(1), r)),
+        let unit = shared
+            .spans
+            .as_ref()
+            .map(|s| (s, s.enter("unit", label.take().unwrap_or_default())));
+        let result = group
+            .ds
+            .guarded(|engine| engine.execute(stmt, &shared.params, group.txn));
+        if let Some((scope, (id, _probe))) = unit {
+            let rows = result.as_ref().ok().map(ExecuteResult::affected);
+            let error = result.as_ref().err().map(|e| e.to_string());
+            scope.recorder.finish(id, rows, error);
+        }
+        match result {
+            Ok(r) => done.push((*idx, r)),
             Err(e) => {
                 shared.cancelled.store(true, Ordering::Relaxed);
-                failure = Some(e);
-                break;
+                return Err(e);
             }
         }
     }
-    drop(probe_guard);
-    close_unit_span(span, failure.as_ref().map(|e| e.to_string()));
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(done),
-    }
+    Ok(done)
 }
 
-/// Zip unit labels, timings, and results into the report's span list.
-fn unit_spans(
-    labels: Vec<(String, String)>,
-    elapsed_us: &[u64],
-    results: &[ExecuteResult],
-) -> Vec<UnitSpan> {
-    labels
-        .into_iter()
-        .zip(elapsed_us.iter().zip(results.iter()))
-        .map(|((datasource, tables), (&elapsed_us, result))| UnitSpan {
-            datasource,
-            tables,
-            elapsed_us,
-            rows: result.affected(),
-        })
-        .collect()
-}
-
-/// A unit span riding on a head-sampled statement's trace.
-type UnitSpanHandle = Option<(Arc<SpanRecorder>, u32)>;
-
-/// Open the per-execution-unit span, when a trace rides along.
-fn open_unit_span(spans: Option<&SpanScope>, ds: &str, chunk: usize) -> UnitSpanHandle {
-    spans.map(|s| {
-        let detail = if chunk == 1 {
-            ds.to_string()
-        } else {
-            format!("{ds} ({chunk} stmts)")
-        };
-        let id = s.recorder.begin(Some(s.parent), "unit", detail);
-        (Arc::clone(&s.recorder), id)
-    })
-}
-
-/// Install the storage probe under the unit span so engine internals
-/// (cursor opens, lock waits, WAL flushes) report into the same trace.
-fn install_probe(span: &UnitSpanHandle) -> Option<probe::ProbeGuard> {
-    span.as_ref()
-        .map(|(rec, id)| probe::install(Probe::new(Arc::clone(rec) as Arc<dyn SpanSink>, *id)))
-}
-
-fn close_unit_span(span: UnitSpanHandle, error: Option<String>) {
-    if let Some((rec, id)) = span {
-        rec.finish(id, error);
-    }
-}
-
-/// Execute one statement on a data source, honouring its circuit breaker
-/// (sources marked down by health detection fail fast) and feeding real
-/// execution outcomes back into the breaker. Breaker state transitions
-/// freeze the flight recorder when one is wired in.
-fn exec_one(
-    ds: &DataSource,
-    stmt: &Statement,
-    params: &[Value],
-    txn: Option<TxnId>,
-    collector: Option<&TraceCollector>,
-) -> Result<ExecuteResult> {
-    if !ds.is_enabled() {
-        return Err(KernelError::Unavailable(format!("{} is disabled", ds.name)));
-    }
-    if !ds.breaker().allow_request() {
-        return Err(KernelError::Unavailable(format!(
-            "{} circuit breaker is open",
-            ds.name
-        )));
-    }
-    match ds.engine().execute(stmt, params, txn) {
-        Ok(r) => {
-            ds.breaker().record_success();
-            Ok(r)
-        }
-        Err(e) => {
-            let e = KernelError::Storage(e);
-            // Only infrastructure failures count against the breaker —
-            // semantic errors (missing table, bad SQL) say nothing about
-            // the data source's health.
-            if e.is_infrastructure() {
-                let before = ds.breaker().state();
-                ds.breaker().record_failure();
-                let after = ds.breaker().state();
-                if before != after {
-                    if let Some(c) = collector {
-                        c.record_incident(
-                            IncidentKind::BreakerTransition,
-                            format!(
-                                "{}: breaker {} -> {} ({e})",
-                                ds.name,
-                                before.as_str(),
-                                after.as_str()
-                            ),
-                            None,
-                        );
-                    }
-                }
-            }
-            Err(e)
+/// A unit span's name: the data source the unit ran on (after read-write
+/// splitting) and the actual table(s) its rewritten SQL targets.
+pub(crate) fn unit_label(unit: &RouteUnit) -> String {
+    let mut tables = unit.table_mappings.values();
+    match (tables.next(), tables.next()) {
+        (None, _) => format!("{}.-", unit.datasource),
+        (Some(table), None) => format!("{}.{table}", unit.datasource),
+        (Some(_), Some(_)) => {
+            let mut tables: Vec<&str> = unit.table_mappings.values().map(|s| s.as_str()).collect();
+            tables.sort_unstable();
+            format!("{}.{}", unit.datasource, tables.join(","))
         }
     }
 }
@@ -547,6 +399,7 @@ fn exec_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::TraceCollector;
     use shard_sql::parse_statement;
     use shard_storage::StorageEngine;
 
@@ -684,57 +537,42 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(0));
     }
 
-    /// Collects what storage internals report through the thread-local
-    /// probe — which they do only on the thread the probe is installed on.
-    #[derive(Default)]
-    struct SeenOnThisThread(parking_lot::Mutex<Vec<String>>);
-
-    impl SpanSink for SeenOnThisThread {
-        fn storage_span(
-            &self,
-            _: u32,
-            name: &'static str,
-            detail: String,
-            _: u64,
-            _: Option<String>,
-        ) {
-            self.0.lock().push(format!("{name} {detail}"));
-        }
-    }
-
+    /// Storage internals report through a thread-local probe, so a unit's
+    /// span has storage children only if the unit ran on the thread that
+    /// installed the probe.
     #[test]
     fn embedded_sources_on_one_cpu_run_on_the_calling_thread() {
         let sources = setup(2, 8);
         let engine = ExecutorEngine::new(8);
         let one_cpu = WorkerPool::new(2, 1);
-        let seen = Arc::new(SeenOnThisThread::default());
-        let _probe = probe::install(Probe::new(seen.clone(), 0));
+        let collector = Arc::new(TraceCollector::new());
+        let root = ("statement", String::new());
+        let trace = collector.start("session", root, "SELECT".into(), Instant::now(), false);
+        let scope = trace.scope();
+        let _probe = scope.install_probe(scope.parent);
         let inputs = vec![
             input("ds_0", "SELECT v FROM t_0"),
             input("ds_1", "SELECT v FROM t_1"),
             input("ds_0", "SELECT v FROM t_1"),
         ];
-        let (results, report) = engine
-            .execute_on(
-                &one_cpu,
-                &sources,
-                inputs,
-                shared_params(&[]),
-                None,
-                None,
-                true,
-                None,
-            )
+        let params = shared_params(&[]);
+        let (results, _) = engine
+            .execute_on(&one_cpu, &sources, inputs, params, None, None, Some(&scope))
             .unwrap();
         assert_eq!(results.len(), 3);
-        assert_eq!(report.units.len(), 3);
+        let record = trace.finish(None, None);
+        // One span per executed unit, closed with its row count.
+        let units: Vec<_> = record.units().collect();
+        assert_eq!(units.len(), 3);
+        assert!(units.iter().all(|u| u.rows == Some(1)), "{units:?}");
         // Every unit took its snapshot where this thread's probe could see.
-        let seen = seen.0.lock();
         let snapshots = |ds: &str| {
-            let prefix = format!("mvcc_snapshot {ds} ");
-            seen.iter().filter(|s| s.starts_with(&prefix)).count()
+            let prefix = format!("{ds} ");
+            let snapshot = |s: &&crate::obs::Span| s.name == "mvcc_snapshot";
+            let on_ds = |s: &&crate::obs::Span| s.detail.starts_with(&prefix);
+            record.spans.iter().filter(snapshot).filter(on_ds).count()
         };
-        assert_eq!((snapshots("ds_0"), snapshots("ds_1")), (2, 1), "{seen:?}");
+        assert_eq!((snapshots("ds_0"), snapshots("ds_1")), (2, 1), "{record:?}");
     }
 
     #[test]
@@ -758,7 +596,6 @@ mod tests {
                 shared_params(&[]),
                 None,
                 None,
-                false,
                 None,
             )
             .unwrap_err();

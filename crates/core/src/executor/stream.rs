@@ -18,8 +18,9 @@
 use crate::datasource::{Connection, DataSource};
 use crate::error::{KernelError, Result};
 use crate::executor::{
-    ConnectionMode, ExecutionInput, ExecutionReport, ExecutorEngine, WorkerPool,
+    unit_label, ConnectionMode, ExecutionInput, ExecutionReport, ExecutorEngine, WorkerPool,
 };
+use crate::obs::{Counter, SpanScope};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use shard_sql::ast::SelectStatement;
 use shard_sql::{Statement, Value};
@@ -84,6 +85,13 @@ pub struct RowStream {
     /// Keeps the unit's pool connection occupied for the stream's lifetime
     /// on the direct (single-unit) path; channel producers own theirs.
     _permits: Vec<Connection>,
+    /// Rows handed to the merger so far.
+    rows: u64,
+    /// The unit's span (its `parent` is the span itself), when the statement
+    /// records: closed with `rows` when the stream ends or is dropped.
+    span: Option<SpanScope>,
+    /// Where `rows` is added when the stream ends (`merge_input_rows_total`).
+    pulled: Option<Arc<Counter>>,
 }
 
 enum RowStreamInner {
@@ -119,6 +127,26 @@ impl RowStream {
     /// Pull the next row; `None` ends the stream. An `Err` is terminal.
     #[allow(clippy::should_implement_trait)]
     pub fn next_row(&mut self) -> Option<Result<Vec<Value>>> {
+        let next = self.pull();
+        match &next {
+            Some(Ok(_)) => self.rows += 1,
+            Some(Err(e)) => self.close(Some(e.to_string())),
+            None => self.close(None),
+        }
+        next
+    }
+
+    /// The unit is over: close its span and count what the merger pulled.
+    fn close(&mut self, error: Option<String>) {
+        if let Some(span) = self.span.take() {
+            span.recorder.finish(span.parent, Some(self.rows), error);
+        }
+        if let Some(pulled) = self.pulled.take() {
+            pulled.add(self.rows);
+        }
+    }
+
+    fn pull(&mut self) -> Option<Result<Vec<Value>>> {
         if let Some(row) = self.buffered.pop_front() {
             return Some(Ok(row));
         }
@@ -182,6 +210,12 @@ impl RowStream {
     }
 }
 
+impl Drop for RowStream {
+    fn drop(&mut self) {
+        self.close(None);
+    }
+}
+
 /// A query's live shard streams (input order) plus the shared token that
 /// cancels every in-flight unit.
 pub struct StreamedQuery {
@@ -226,19 +260,29 @@ impl ExecutorEngine {
     /// [`ExecutorEngine::can_stream`]. Streams return in input order; the
     /// header handshake guarantees every producer opened its cursor (or the
     /// whole query fails) before this returns.
+    ///
+    /// `spans` is the `execute` stage of a statement that records: every
+    /// unit opens a span under it — with the storage probe installed around
+    /// its cursor open on a head-sampled statement — that its [`RowStream`]
+    /// closes with the rows the merger pulled. `pulled` receives the same
+    /// row counts.
     pub fn execute_query_stream(
         &self,
         datasources: &HashMap<String, Arc<DataSource>>,
         inputs: Vec<ExecutionInput>,
         params: Arc<[Value]>,
+        spans: Option<&SpanScope>,
+        pulled: Option<&Arc<Counter>>,
     ) -> Result<StreamedQuery> {
         // Acquire each source's connections atomically up front (same
         // deadlock avoidance as the materialized path), then hand one permit
         // to each unit: streaming is memory-strictly by construction.
         let mut order: Vec<String> = Vec::new();
         let mut counts: HashMap<String, usize> = HashMap::new();
-        let mut selects: Vec<(String, SelectStatement)> = Vec::with_capacity(inputs.len());
+        let mut selects: Vec<(String, SelectStatement, Option<String>)> =
+            Vec::with_capacity(inputs.len());
         for input in inputs {
+            let label = spans.map(|_| unit_label(&input.unit));
             let Statement::Select(stmt) = input.stmt else {
                 return Err(KernelError::Execute(
                     "streaming path requires SELECT statements".into(),
@@ -249,7 +293,7 @@ impl ExecutorEngine {
                 order.push(name.clone());
             }
             *counts.entry(name.clone()).or_default() += 1;
-            selects.push((name, stmt));
+            selects.push((name, stmt, label));
         }
 
         let mut report = ExecutionReport::default();
@@ -267,19 +311,41 @@ impl ExecutorEngine {
         }
 
         let cancel = CancelToken::new();
+        // A unit's span opens here, on the calling thread; its `parent` is
+        // the span itself.
+        let open_span = |label: Option<String>| {
+            spans.zip(label).map(|(s, label)| SpanScope {
+                parent: s.recorder.begin(s.parent, "unit", label),
+                ..s.clone()
+            })
+        };
+        let stream = |inner, span, permits| RowStream {
+            columns: Vec::new(),
+            inner,
+            buffered: std::collections::VecDeque::new(),
+            deadline: None,
+            _permits: permits,
+            rows: 0,
+            span,
+            pulled: pulled.cloned(),
+        };
 
         // Single-unit fast path: open the cursor inline, no pool hop.
         if selects.len() == 1 {
-            let (name, stmt) = selects.pop().expect("len checked");
+            let (name, stmt, label) = selects.pop().expect("len checked");
             let ds = &datasources[&name];
-            let cursor = open_unit_cursor(ds, &stmt, &params)?;
-            let stream = RowStream {
-                columns: cursor.columns().to_vec(),
-                inner: RowStreamInner::Direct(Box::new(cursor)),
-                buffered: std::collections::VecDeque::new(),
-                deadline: None,
-                _permits: permits.remove(&name).unwrap_or_default(),
-            };
+            let permits = permits.remove(&name).unwrap_or_default();
+            let mut stream = stream(RowStreamInner::Done, open_span(label), permits);
+            match open_unit_cursor(ds, &stmt, &params, stream.span.as_ref()) {
+                Ok(cursor) => {
+                    stream.columns = cursor.columns().to_vec();
+                    stream.inner = RowStreamInner::Direct(Box::new(cursor));
+                }
+                Err(e) => {
+                    stream.close(Some(e.to_string()));
+                    return Err(e);
+                }
+            }
             return Ok(StreamedQuery {
                 streams: vec![stream],
                 report,
@@ -290,10 +356,15 @@ impl ExecutorEngine {
         // One producer job per unit, feeding a bounded channel. The header
         // (`Columns`) is the first send, so with capacity ≥ 1 it can never
         // block — the handshake below cannot deadlock.
-        let mut receivers: Vec<Receiver<RowMsg>> = Vec::with_capacity(selects.len());
-        for (name, stmt) in selects {
+        let mut streams = Vec::with_capacity(selects.len());
+        for (name, stmt, label) in selects {
             let (tx, rx) = bounded::<RowMsg>(STREAM_CHANNEL_CAPACITY);
-            receivers.push(rx);
+            let span = open_span(label);
+            streams.push(stream(
+                RowStreamInner::Channel(rx),
+                span.clone(),
+                Vec::new(),
+            ));
             let ds = Arc::clone(&datasources[&name]);
             let permit: Vec<Connection> = permits
                 .get_mut(&name)
@@ -308,7 +379,7 @@ impl ExecutorEngine {
                     let _ = tx.send(RowMsg::End);
                     return;
                 }
-                let mut cursor = match open_unit_cursor(&ds, &stmt, &params) {
+                let mut cursor = match open_unit_cursor(&ds, &stmt, &params, span.as_ref()) {
                     Ok(c) => c,
                     Err(e) => {
                         cancel.cancel();
@@ -387,27 +458,24 @@ impl ExecutorEngine {
         }
 
         // Header handshake: wait for every unit's Columns (or first error).
-        // Dropping `receivers` on the error path stops all producers.
-        let mut streams = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            let columns = loop {
+        // Dropping `streams` on the error path stops all producers and
+        // closes every unit's span.
+        for stream in &mut streams {
+            let RowStreamInner::Channel(rx) = &stream.inner else {
+                continue;
+            };
+            stream.columns = loop {
                 match rx.recv() {
                     Ok(RowMsg::Columns(c)) => break c,
                     Ok(RowMsg::Err(e)) => {
                         cancel.cancel();
+                        stream.close(Some(e.to_string()));
                         return Err(e);
                     }
                     Ok(RowMsg::Row(_)) | Ok(RowMsg::Batch(_)) => continue,
                     Ok(RowMsg::End) | Err(_) => break Vec::new(),
                 }
             };
-            streams.push(RowStream {
-                columns,
-                inner: RowStreamInner::Channel(rx),
-                buffered: std::collections::VecDeque::new(),
-                deadline: None,
-                _permits: Vec::new(),
-            });
         }
         Ok(StreamedQuery {
             streams,
@@ -417,33 +485,15 @@ impl ExecutorEngine {
     }
 }
 
-/// Open one unit's cursor, honouring the source's circuit breaker and
-/// feeding the open's outcome back into it.
+/// Open one unit's cursor under its source's breaker guard; on a
+/// head-sampled statement the storage probe reports the open (`cursor_open`,
+/// `mvcc_snapshot`) under the unit's span.
 fn open_unit_cursor(
     ds: &DataSource,
     stmt: &SelectStatement,
     params: &[Value],
+    span: Option<&SpanScope>,
 ) -> Result<QueryCursor> {
-    if !ds.is_enabled() {
-        return Err(KernelError::Unavailable(format!("{} is disabled", ds.name)));
-    }
-    if !ds.breaker().allow_request() {
-        return Err(KernelError::Unavailable(format!(
-            "{} circuit breaker is open",
-            ds.name
-        )));
-    }
-    match ds.engine().open_cursor(stmt, params, None) {
-        Ok(c) => {
-            ds.breaker().record_success();
-            Ok(c)
-        }
-        Err(e) => {
-            let e = KernelError::Storage(e);
-            if e.is_infrastructure() {
-                ds.breaker().record_failure();
-            }
-            Err(e)
-        }
-    }
+    let _probe = span.filter(|s| s.probe).map(|s| s.install_probe(s.parent));
+    ds.guarded(|engine| engine.open_cursor(stmt, params, None))
 }

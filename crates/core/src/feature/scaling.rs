@@ -39,7 +39,7 @@ use crate::error::{KernelError, Result};
 use crate::executor::ExecutionInput;
 use crate::feature::Throttle;
 use crate::governor::ConfigRegistry;
-use crate::obs::{IncidentKind, SpanRecorder};
+use crate::obs::ActiveTrace;
 use crate::rewrite::{rewrite_for_unit, rewrite_insert_per_unit, rewrite_statement};
 use crate::route::{RouteEngine, RouteHint};
 use crate::runtime::ShardingRuntime;
@@ -49,7 +49,6 @@ use shard_sql::ast::{
     SelectStatement, ShardingRuleSpec, Statement, TableRef,
 };
 use shard_sql::Value;
-use shard_storage::probe::{self, Probe, SpanSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -512,8 +511,7 @@ pub fn reshard(runtime: &Arc<ShardingRuntime>, spec: &ShardingRuleSpec) -> Resul
 /// one child span per coordinator phase, so `SHOW TRACE` renders where a
 /// migration spent its time — and where it died.
 struct ReshardTrace {
-    rec: Arc<SpanRecorder>,
-    root: u32,
+    trace: ActiveTrace,
     current: Option<u32>,
 }
 
@@ -521,12 +519,13 @@ impl ReshardTrace {
     /// Close the running phase span (if any) and open the next one.
     fn phase(&mut self, name: &'static str) {
         self.close_current(None);
-        self.current = Some(self.rec.begin(Some(self.root), name, String::new()));
+        let root = self.trace.scope();
+        self.current = Some(root.recorder.begin(root.parent, name, String::new()));
     }
 
     fn close_current(&mut self, error: Option<String>) {
         if let Some(id) = self.current.take() {
-            self.rec.finish(id, error);
+            self.trace.scope().recorder.finish(id, None, error);
         }
     }
 }
@@ -535,50 +534,35 @@ impl ReshardTrace {
 /// online coordinator (see module docs). When tracing is enabled the whole
 /// job becomes one trace (origin `reshard:<table>`) with a span per phase;
 /// a failed job additionally freezes the span ring into an incident —
-/// fence/barrier drain timeouts as [`IncidentKind::ReshardFenceTimeout`].
+/// fence/barrier drain timeouts as `reshard_fence_timeout`.
 pub fn reshard_with(
     runtime: &Arc<ShardingRuntime>,
     spec: &ShardingRuleSpec,
     opts: ReshardOptions,
 ) -> Result<ScalingReport> {
     let collector = runtime.trace_collector();
-    let mut tr = if collector.enabled() {
-        let rec = SpanRecorder::new(collector.mint_trace_id(), format!("reshard:{}", spec.table));
-        let root = rec.begin(None, "reshard", spec.table.clone());
-        Some(ReshardTrace {
-            rec,
-            root,
-            current: None,
-        })
-    } else {
-        None
-    };
+    let mut tr = collector.enabled().then(|| ReshardTrace {
+        trace: collector.start(
+            &format!("reshard:{}", spec.table),
+            ("reshard", spec.table.clone()),
+            format!("<reshard of '{}'>", spec.table),
+            Instant::now(),
+            true,
+        ),
+        current: None,
+    });
     // Storage internals touched on this thread (backfill cursor opens, the
     // WAL flushes behind the batched inserts) report through the probe and
     // hang under the job's root span.
-    let _probe = tr
-        .as_ref()
-        .map(|t| probe::install(Probe::new(Arc::clone(&t.rec) as Arc<dyn SpanSink>, t.root)));
+    let _probe = tr.as_ref().map(|t| {
+        let root = t.trace.scope();
+        root.install_probe(root.parent)
+    });
     let result = reshard_inner(runtime, spec, opts, &mut tr);
     if let Some(mut t) = tr {
         let err = result.as_ref().err().map(|e| e.to_string());
         t.close_current(err.clone());
-        t.rec.finish(t.root, err.clone());
-        let record = Arc::new(
-            t.rec
-                .seal(format!("<reshard of '{}'>", spec.table), err.clone()),
-        );
-        let trace_id = record.trace_id;
-        let collector = runtime.trace_collector();
-        collector.keep(record);
-        if let Some(msg) = err {
-            let kind = if msg.contains("timed out") {
-                IncidentKind::ReshardFenceTimeout
-            } else {
-                IncidentKind::StatementError
-            };
-            collector.record_incident(kind, msg, Some(trace_id));
-        }
+        t.trace.finish(err, None);
     }
     result
 }

@@ -27,7 +27,7 @@ pub mod transaction;
 pub use error::{ErrorClass, KernelError, Result};
 pub use obs::{
     Incident, IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog,
-    StatementTrace, TraceCollector, TraceContext, TraceRecord,
+    StatementTrace, TraceCollector, TraceRecord,
 };
 pub use route::RouteStrategy;
 pub use runtime::{QueryStream, RuntimeBuilder, Session, ShardingRuntime, StreamOutcome};

@@ -1,15 +1,17 @@
 //! The trace collector ring, the flight recorder, and the SLO burn-rate
 //! monitor.
 //!
-//! **Collector** — finished [`TraceRecord`]s land in a fixed ring of slots.
-//! Writers claim a slot with one relaxed `fetch_add` on the head index and
-//! swap the record in under that slot's own mutex, so concurrent writers
-//! only ever contend when they hash to the same slot — there is no global
-//! lock and no allocation beyond the record itself (already built).
-//! Head sampling (`SET trace_sample = 1/N`, default 1-in-16) decides at
-//! statement start whether a recorder exists at all; tail-based keep means
-//! statements that error always leave *something* behind (a minimal
-//! error-only record when the statement was not head-sampled).
+//! **Collector** — every trace starts with [`TraceCollector::start`] and
+//! ends with [`ActiveTrace::finish`], which seals the record, lands it in a
+//! fixed ring of slots, offers it to the slow-query log and freezes an
+//! incident when it carries an error. Writers claim a slot with one relaxed
+//! `fetch_add` on the head index and swap the record in under that slot's
+//! own mutex, so concurrent writers only ever contend when they hash to the
+//! same slot — there is no global lock and no allocation beyond the record
+//! itself (already built). Head sampling (`SET trace_sample = 1/N`, default
+//! 1-in-16) decides at statement start how deep a statement records;
+//! tail-based keep means statements that error always leave *something*
+//! behind (a root-only record when the statement was not recording).
 //!
 //! **Flight recorder** — on anomaly (statement error, breaker transition,
 //! reshard fence timeout, SLO breach, injected fault) the current ring is
@@ -25,7 +27,9 @@
 //! relaxed loads per statement.
 
 use super::registry::Counter;
-use super::span::TraceRecord;
+use super::slowlog::SlowQueryLog;
+use super::span::{SpanRecorder, SpanScope, TraceRecord, Verdicts, ROOT};
+use super::trace::Stage;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +61,19 @@ impl IncidentKind {
             IncidentKind::BreakerTransition => "breaker_transition",
             IncidentKind::ReshardFenceTimeout => "reshard_fence_timeout",
             IncidentKind::SloBreach => "slo_breach",
+        }
+    }
+
+    /// Classify a failure from its message: statement errors, errors of
+    /// branch spans that did not fail their statement (XA phase-2 laggards)
+    /// and failed reshard jobs all arrive as text.
+    fn classify(msg: &str) -> IncidentKind {
+        if msg.contains("injected fault") || msg.contains("fault on '") {
+            IncidentKind::InjectedFault
+        } else if msg.contains("fence") || msg.contains("snapshot barrier") {
+            IncidentKind::ReshardFenceTimeout
+        } else {
+            IncidentKind::StatementError
         }
     }
 }
@@ -122,13 +139,35 @@ impl TraceCollector {
         self.sample_period.store(period, Ordering::Relaxed);
     }
 
-    /// Mint a globally unique (per runtime) trace id.
-    pub fn mint_trace_id(&self) -> u64 {
-        self.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1
+    /// Start recording one statement or background job: mint its trace id
+    /// and open its root span, timed from `epoch`. `head` marks a
+    /// head-sampled trace: storage internals report into it and the ring
+    /// keeps it whatever it shows.
+    pub fn start(
+        self: &Arc<Self>,
+        origin: &str,
+        root: (&'static str, String),
+        sql: String,
+        epoch: Instant,
+        head: bool,
+    ) -> ActiveTrace {
+        let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
+        ActiveTrace {
+            collector: Arc::clone(self),
+            root: SpanScope {
+                recorder: SpanRecorder::new(trace_id, epoch, root),
+                parent: ROOT,
+                probe: head,
+            },
+            origin: origin.to_string(),
+            sql,
+            mark_us: 0,
+            verdicts: Verdicts::default(),
+        }
     }
 
     /// Land a finished trace in the ring.
-    pub fn keep(&self, record: Arc<TraceRecord>) {
+    fn keep(&self, record: Arc<TraceRecord>) {
         let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         *self.slots[slot].lock() = Some(record);
         self.kept_total.fetch_add(1, Ordering::Relaxed);
@@ -199,6 +238,76 @@ impl TraceCollector {
     /// Incidents recorded so far (including evicted ones).
     pub fn incidents_total(&self) -> u64 {
         self.incident_seq.load(Ordering::Relaxed)
+    }
+}
+
+/// A trace being recorded: where its spans go, where its last kernel stage
+/// ended, and the verdicts that will ride on the record.
+pub struct ActiveTrace {
+    collector: Arc<TraceCollector>,
+    /// The scope of work directly under the root span; its `probe` flag
+    /// marks a head-sampled trace.
+    root: SpanScope,
+    origin: String,
+    sql: String,
+    /// Where the last stage ended, µs from the epoch; the next one starts
+    /// here, so a stage boundary costs one clock read.
+    mark_us: u64,
+    pub verdicts: Verdicts,
+}
+
+impl ActiveTrace {
+    /// The scope work directly under the root records into.
+    pub fn scope(&self) -> SpanScope {
+        self.root.clone()
+    }
+
+    /// Close `stage` now: it ran from where the previous stage ended.
+    pub fn stage(&mut self, stage: Stage) {
+        self.mark_us = self.root.recorder.lap(ROOT, stage.as_str(), self.mark_us);
+    }
+
+    /// Open `stage` where the previous one ended; what runs inside records
+    /// into the returned scope. [`end_stage`](Self::end_stage) closes it — or
+    /// sealing does, for the merge stage of a streamed statement.
+    pub fn begin_stage(&self, stage: Stage) -> SpanScope {
+        let recorder = &self.root.recorder;
+        SpanScope {
+            parent: recorder.begin_from(ROOT, stage.as_str(), self.mark_us),
+            ..self.scope()
+        }
+    }
+
+    pub fn end_stage(&mut self, stage: &SpanScope, error: Option<String>) {
+        self.mark_us = stage.recorder.finish(stage.parent, None, error);
+    }
+
+    /// Seal the record and hand it to everything that reads it: the slow
+    /// log, when one is given and the statement crossed its threshold; the
+    /// ring, when the trace was head-sampled, the slow log took it, or the
+    /// statement or any of its spans failed; in that last case the flight
+    /// recorder too (a phase-2 branch failure does not fail its COMMIT —
+    /// recovery re-drives it — but is still an anomaly worth freezing).
+    /// `SET trace_sample = off` keeps the ring and the flight recorder empty.
+    pub fn finish(
+        self,
+        error: Option<String>,
+        slow_log: Option<&SlowQueryLog>,
+    ) -> Arc<TraceRecord> {
+        let recorder = &self.root.recorder;
+        let record = Arc::new(recorder.seal(self.origin, self.sql, error, self.verdicts));
+        let slow = slow_log.is_some_and(|log| log.record(&record));
+        let failed_span = || record.spans.iter().find_map(|s| s.error.as_ref());
+        let failure = record.error.as_ref().or_else(failed_span);
+        let collector = &self.collector;
+        if collector.enabled() && (self.root.probe || slow || failure.is_some()) {
+            collector.keep(Arc::clone(&record));
+            if let Some(msg) = failure {
+                let kind = IncidentKind::classify(msg);
+                collector.record_incident(kind, msg.clone(), Some(record.trace_id));
+            }
+        }
+        record
     }
 }
 
@@ -388,21 +497,20 @@ fn burn_x100(w: &WindowSum, latency_armed: bool, err_budget_x100: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::span::SpanRecorder;
     use super::*;
 
-    fn record(collector: &TraceCollector, sql: &str) -> u64 {
-        let id = collector.mint_trace_id();
-        let rec = SpanRecorder::new(id, "session");
-        let root = rec.begin(None, "statement", String::new());
-        rec.finish(root, None);
-        collector.keep(Arc::new(rec.seal(sql.into(), None)));
-        id
+    fn start(collector: &Arc<TraceCollector>, sql: &str, head: bool) -> ActiveTrace {
+        let root = ("statement", String::new());
+        collector.start("session", root, sql.into(), Instant::now(), head)
+    }
+
+    fn record(collector: &Arc<TraceCollector>, sql: &str) -> u64 {
+        start(collector, sql, true).finish(None, None).trace_id
     }
 
     #[test]
     fn ring_keeps_and_looks_up_by_id() {
-        let c = TraceCollector::new();
+        let c = Arc::new(TraceCollector::new());
         assert!(c.enabled());
         assert_eq!(c.sample_period(), DEFAULT_TRACE_SAMPLE_PERIOD);
         let a = record(&c, "SELECT 1");
@@ -417,7 +525,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_beyond_capacity() {
-        let c = TraceCollector::new();
+        let c = Arc::new(TraceCollector::new());
         let first = record(&c, "first");
         for i in 0..TRACE_RING_SLOTS {
             record(&c, &format!("q{i}"));
@@ -428,14 +536,12 @@ mod tests {
 
     #[test]
     fn incidents_freeze_the_ring_and_stay_bounded() {
-        let c = TraceCollector::new();
-        let id = record(&c, "UPDATE t SET v = 1");
-        let seq = c.record_incident(
-            IncidentKind::InjectedFault,
-            "commit_prepared fault".into(),
-            Some(id),
-        );
-        assert_eq!(seq, 1);
+        let c = Arc::new(TraceCollector::new());
+        // A failed statement freezes the ring by finishing.
+        let failed = start(&c, "UPDATE t SET v = 1", false);
+        let id = failed
+            .finish(Some("commit_prepared fault on 'ds_1'".into()), None)
+            .trace_id;
         // New traffic after the freeze does not leak into the incident.
         record(&c, "SELECT later");
         let incidents = c.incidents();
@@ -451,9 +557,48 @@ mod tests {
         assert_eq!(c.incidents_total(), 1 + (INCIDENT_CAPACITY as u64) + 5);
     }
 
+    /// One finish serves every reader: only a head-sampled, failed or slow
+    /// record enters the ring; the slow log gets the same record and the id
+    /// the ring holds it under; a failed span freezes an incident even when
+    /// its statement succeeded.
+    #[test]
+    fn finish_keeps_head_sampled_failed_and_slow_records() {
+        let c = Arc::new(TraceCollector::new());
+        let slow_log = SlowQueryLog::new();
+        let unsampled = start(&c, "SELECT fast", false).finish(None, Some(&slow_log));
+        assert!(c.trace(unsampled.trace_id).is_none());
+        assert!(slow_log.entries().is_empty());
+
+        slow_log.set_threshold_us(1);
+        let slow = start(&c, "SELECT slow", false).finish(None, Some(&slow_log));
+        assert!(c.trace(slow.trace_id).is_some());
+        assert!(Arc::ptr_eq(&slow_log.entries()[0].record, &slow));
+
+        let mut laggard = start(&c, "COMMIT", true);
+        laggard.stage(Stage::Route);
+        let branch = laggard.begin_stage(Stage::Execute);
+        laggard.end_stage(&branch, Some("injected fault: commit refused".into()));
+        let laggard = laggard.finish(None, None);
+        assert_eq!(laggard.error, None);
+        assert_eq!(
+            laggard.stage_us().map(|us| us > 0),
+            [false, true, false, true, false]
+        );
+        assert_eq!(c.incidents()[0].kind, IncidentKind::InjectedFault);
+        assert_eq!(c.incidents()[0].trace_id, Some(laggard.trace_id));
+
+        // `SET trace_sample = off`: nothing enters the ring or the flight
+        // recorder; the slow log still captures.
+        c.set_sample_period(0);
+        let off = start(&c, "SELECT off", false).finish(Some("boom".into()), Some(&slow_log));
+        assert!(c.trace(off.trace_id).is_none());
+        assert_eq!(slow_log.entries()[0].record.trace_id, off.trace_id);
+        assert_eq!(c.incidents().len(), 1);
+    }
+
     #[test]
     fn traces_json_is_an_array() {
-        let c = TraceCollector::new();
+        let c = Arc::new(TraceCollector::new());
         assert_eq!(c.traces_json(), "[]");
         record(&c, "SELECT 1");
         let json = c.traces_json();

@@ -1,5 +1,5 @@
-//! Kernel observability: the metrics registry, per-statement stage tracing,
-//! and the slow-query log.
+//! Kernel observability: the metrics registry, the span model every
+//! statement records into, and the slow-query log.
 //!
 //! Production ShardingSphere ships a separate Agent for metrics and tracing;
 //! here the kernel carries its own introspection surface so every layer —
@@ -16,15 +16,15 @@ pub mod span;
 pub mod trace;
 
 pub use collector::{
-    Incident, IncidentKind, SloMonitor, TraceCollector, DEFAULT_TRACE_SAMPLE_PERIOD,
+    ActiveTrace, Incident, IncidentKind, SloMonitor, TraceCollector, DEFAULT_TRACE_SAMPLE_PERIOD,
 };
 pub use registry::{
     bucket_index, bucket_upper_bound, like_match, Counter, Histogram, HistogramSnapshot,
     MetricsRegistry, Sample, LATENCY_BUCKET_BOUNDS_US, NUM_BUCKETS,
 };
 pub use slowlog::{SlowQueryEntry, SlowQueryLog, DEFAULT_SLOW_LOG_CAPACITY};
-pub use span::{json_escape, Span, SpanRecorder, SpanScope, TraceRecord};
-pub use trace::{Stage, StatementTrace, TraceContext, UnitSpan};
+pub use span::{json_escape, Span, SpanRecorder, SpanScope, TraceRecord, Verdicts};
+pub use trace::{Stage, StatementTrace, UnitSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,15 +1,18 @@
 //! Ring-buffer slow-query log, queryable with `SHOW SLOW_QUERIES`.
 //!
 //! Recording happens *after* a statement finishes and only when its wall
-//! time crossed the threshold, so the hot path pays one relaxed atomic load
-//! (the threshold check). The buffer is a bounded `VecDeque` under a mutex —
-//! contention only matters when many statements are simultaneously slow,
-//! at which point the mutex is not the bottleneck.
+//! time crossed the threshold. While the threshold is armed every statement
+//! records kernel spans, because which one will be slow is known only at
+//! the end; an entry is the statement's sealed record itself. The buffer is
+//! a bounded `VecDeque` under a mutex — contention only matters when many
+//! statements are simultaneously slow, at which point the mutex is not the
+//! bottleneck.
 
-use super::trace::{Stage, StatementTrace};
+use super::span::TraceRecord;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Default ring capacity (overridable with `SET slow_query_log_size`).
 pub const DEFAULT_SLOW_LOG_CAPACITY: usize = 128;
@@ -20,17 +23,10 @@ pub struct SlowQueryEntry {
     /// Monotonic capture sequence number (1-based); survives eviction so
     /// readers can tell how many slow queries happened overall.
     pub seq: u64,
-    pub sql: String,
-    pub total_us: u64,
-    pub stages: Vec<(Stage, u64)>,
-    pub units: usize,
-    pub rows: u64,
-    /// Kernel verdicts copied from the trace so `SHOW SLOW_QUERIES` can
-    /// explain *why* a statement was slow (full scatter? row-at-a-time
-    /// scan? table mid-reshard? MVCC off and blocking on locks?).
-    pub route_strategy: Option<String>,
-    pub scan_mode: Option<String>,
-    pub reshard_state: Option<String>,
+    /// Stage times, units and the kernel's verdicts — *why* the statement
+    /// was slow (full scatter? row-at-a-time scan? table mid-reshard?) —
+    /// are read off the record, as is the id the trace ring keeps it under.
+    pub record: Arc<TraceRecord>,
 }
 
 /// Bounded ring buffer of the most recent slow statements.
@@ -79,43 +75,25 @@ impl SlowQueryLog {
         }
     }
 
-    /// Whether a statement of this duration should be captured. The fast
-    /// path for fast statements: one relaxed load and two compares.
-    #[inline]
-    pub fn should_capture(&self, total_us: u64) -> bool {
-        let t = self.threshold_us.load(Ordering::Relaxed);
-        t > 0 && total_us >= t
-    }
-
-    /// Capture a finished trace (caller already checked [`should_capture`],
-    /// but this re-checks so direct callers cannot bypass the threshold).
-    ///
-    /// [`should_capture`]: SlowQueryLog::should_capture
-    pub fn record(&self, trace: &StatementTrace) {
-        if !self.should_capture(trace.total_us) {
-            return;
-        }
+    /// Capture a sealed record if its statement crossed the threshold — for
+    /// a fast statement, one relaxed load and two compares. Says whether it
+    /// was captured.
+    pub fn record(&self, record: &Arc<TraceRecord>) -> bool {
+        let threshold = self.threshold_us.load(Ordering::Relaxed);
         let capacity = self.capacity();
-        if capacity == 0 {
-            return;
+        if threshold == 0 || record.total_us < threshold || capacity == 0 {
+            return false;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = SlowQueryEntry {
-            seq,
-            sql: trace.sql.clone(),
-            total_us: trace.total_us,
-            stages: trace.stages.clone(),
-            units: trace.units.len(),
-            rows: trace.rows,
-            route_strategy: trace.route_strategy.clone(),
-            scan_mode: trace.scan_mode.clone(),
-            reshard_state: trace.reshard_state.clone(),
+            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            record: Arc::clone(record),
         };
         let mut entries = self.entries.lock();
         while entries.len() >= capacity {
             entries.pop_front();
         }
         entries.push_back(entry);
+        true
     }
 
     /// Entries newest-first (what `SHOW SLOW_QUERIES` displays).
@@ -136,39 +114,39 @@ impl SlowQueryLog {
 
 #[cfg(test)]
 mod tests {
+    use super::super::span::Verdicts;
     use super::*;
 
-    fn trace(sql: &str, total_us: u64) -> StatementTrace {
-        StatementTrace {
+    fn trace(sql: &str, total_us: u64) -> Arc<TraceRecord> {
+        Arc::new(TraceRecord {
+            trace_id: 1,
+            origin: "session".into(),
             sql: sql.into(),
             total_us,
-            stages: vec![
-                (Stage::Parse, 1),
-                (Stage::Execute, total_us.saturating_sub(1)),
-            ],
-            units: Vec::new(),
-            merger: None,
-            route_strategy: Some("scatter".into()),
-            scan_mode: None,
-            reshard_state: None,
-            rows: 0,
-        }
+            spans: Vec::new(),
+            error: None,
+            verdicts: Verdicts {
+                route_strategy: Some("scatter"),
+                ..Verdicts::default()
+            },
+        })
     }
 
     #[test]
-    fn entries_carry_verdict_tags() {
+    fn entries_carry_the_record() {
         let log = SlowQueryLog::new();
         log.set_threshold_us(1);
-        log.record(&trace("SELECT 1", 10));
+        assert!(log.record(&trace("SELECT 1", 10)));
         let entry = &log.entries()[0];
-        assert_eq!(entry.route_strategy.as_deref(), Some("scatter"));
-        assert_eq!(entry.scan_mode, None);
+        assert_eq!(entry.record.verdicts.route_strategy, Some("scatter"));
+        assert_eq!(entry.record.verdicts.scan_mode, None);
+        assert_eq!(entry.record.trace_id, 1);
     }
 
     #[test]
     fn threshold_zero_disables_capture() {
         let log = SlowQueryLog::new();
-        log.record(&trace("SELECT 1", 1_000_000));
+        assert!(!log.record(&trace("SELECT 1", 1_000_000)));
         assert!(log.entries().is_empty());
     }
 
@@ -183,8 +161,8 @@ mod tests {
         log.record(&trace("slow_3", 300)); // evicts slow_1
         let entries = log.entries();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].sql, "slow_3"); // newest first
-        assert_eq!(entries[1].sql, "slow_2");
+        assert_eq!(entries[0].record.sql, "slow_3"); // newest first
+        assert_eq!(entries[1].record.sql, "slow_2");
         assert_eq!(log.captured_total(), 3);
     }
 
@@ -198,7 +176,7 @@ mod tests {
         log.set_capacity(2);
         let entries = log.entries();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].sql, "q4");
-        assert_eq!(entries[1].sql, "q3");
+        assert_eq!(entries[0].record.sql, "q4");
+        assert_eq!(entries[1].record.sql, "q3");
     }
 }

@@ -1,13 +1,11 @@
-//! Per-statement stage tracing.
+//! The stage view of a statement's record.
 //!
-//! A [`TraceContext`] rides on the session while one statement runs through
-//! the kernel pipeline; each stage boundary calls [`TraceContext::lap`] and
-//! the executor attaches one [`UnitSpan`] per execution unit. The finished
-//! [`StatementTrace`] backs `EXPLAIN ANALYZE` (rendered as a tree) and the
-//! slow-query log. Tracing cost when disabled is a single branch — the
-//! context is simply `None` on the session.
+//! A [`StatementTrace`] is what `EXPLAIN ANALYZE` renders and
+//! `Session::last_trace()` returns: the five pipeline stages, the units and
+//! the kernel's verdicts, read off a sealed
+//! [`TraceRecord`](super::span::TraceRecord). It records nothing itself.
 
-use std::time::Instant;
+use super::span::TraceRecord;
 
 /// The five kernel pipeline stages (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +36,9 @@ impl Stage {
         }
     }
 
-    /// Stable index into per-stage instrument arrays.
+    /// Stable index into per-stage instrument arrays: the pipeline order.
     pub fn index(&self) -> usize {
-        match self {
-            Stage::Parse => 0,
-            Stage::Route => 1,
-            Stage::Rewrite => 2,
-            Stage::Execute => 3,
-            Stage::Merge => 4,
-        }
+        *self as usize
     }
 }
 
@@ -86,13 +78,6 @@ pub struct StatementTrace {
 }
 
 impl StatementTrace {
-    pub fn stage_us(&self, stage: Stage) -> Option<u64> {
-        self.stages
-            .iter()
-            .find(|(s, _)| *s == stage)
-            .map(|(_, us)| *us)
-    }
-
     /// Render the trace as the `EXPLAIN ANALYZE` tree, one line per row.
     pub fn render(&self) -> Vec<String> {
         let mut lines = Vec::new();
@@ -167,114 +152,37 @@ impl StatementTrace {
     }
 }
 
-/// Live stage timer for the statement currently executing on a session.
-pub struct TraceContext {
-    start: Instant,
-    mark: Instant,
-    stages: Vec<(Stage, u64)>,
-    units: Vec<UnitSpan>,
-    merger: Option<String>,
-    route_strategy: Option<String>,
-    scan_mode: Option<String>,
-    reshard_state: Option<String>,
-    rows: u64,
-}
-
-impl Default for TraceContext {
-    fn default() -> Self {
-        TraceContext::new()
-    }
-}
-
-impl TraceContext {
-    pub fn new() -> Self {
-        let now = Instant::now();
-        TraceContext {
-            start: now,
-            mark: now,
-            stages: Vec::with_capacity(Stage::ALL.len()),
-            units: Vec::new(),
-            merger: None,
-            route_strategy: None,
-            scan_mode: None,
-            reshard_state: None,
-            rows: 0,
-        }
-    }
-
-    /// Close the current span as `stage` and start timing the next one.
-    /// Returns the span's duration. Durations are clamped to ≥ 1µs so a
-    /// stage that ran is always distinguishable from one that did not.
-    pub fn lap(&mut self, stage: Stage) -> u64 {
-        let now = Instant::now();
-        let us = (now.duration_since(self.mark).as_micros() as u64).max(1);
-        self.mark = now;
-        self.add_span(stage, us);
-        us
-    }
-
-    /// Record a span measured externally (e.g. parse time captured before
-    /// the context existed). Revisited stages accumulate.
-    pub fn add_span(&mut self, stage: Stage, us: u64) {
-        if let Some((_, acc)) = self.stages.iter_mut().find(|(s, _)| *s == stage) {
-            *acc += us;
-        } else {
-            self.stages.push((stage, us));
-        }
-    }
-
-    /// Spans recorded so far, in pipeline order.
-    pub fn stages(&self) -> &[(Stage, u64)] {
-        &self.stages
-    }
-
-    /// Wall time since the context was created (≥ 1µs).
-    pub fn total_us(&self) -> u64 {
-        (self.start.elapsed().as_micros() as u64).max(1)
-    }
-
-    /// Reset the span clock without recording (skip setup work between
-    /// stages that should not be attributed to either).
-    pub fn remark(&mut self) {
-        self.mark = Instant::now();
-    }
-
-    pub fn set_units(&mut self, units: Vec<UnitSpan>) {
-        self.units = units;
-    }
-
-    pub fn set_merger(&mut self, merger: Option<String>) {
-        self.merger = merger;
-    }
-
-    pub fn set_route_strategy(&mut self, strategy: Option<String>) {
-        self.route_strategy = strategy;
-    }
-
-    pub fn set_scan_mode(&mut self, mode: Option<String>) {
-        self.scan_mode = mode;
-    }
-
-    pub fn set_reshard_state(&mut self, state: Option<String>) {
-        self.reshard_state = state;
-    }
-
-    pub fn set_rows(&mut self, rows: u64) {
-        self.rows = rows;
-    }
-
-    pub fn finish(self, sql: String) -> StatementTrace {
-        let total_us = (self.start.elapsed().as_micros() as u64).max(1);
+/// The view is read off the record: stage times are its stage spans (a
+/// stage the read-retry loop revisited sums), units are its unit spans.
+impl From<&TraceRecord> for StatementTrace {
+    fn from(record: &TraceRecord) -> Self {
+        let stage_us = record.stage_us();
+        let v = &record.verdicts;
         StatementTrace {
-            sql,
-            total_us,
-            stages: self.stages,
-            units: self.units,
-            merger: self.merger,
-            route_strategy: self.route_strategy,
-            scan_mode: self.scan_mode,
-            reshard_state: self.reshard_state,
-            rows: self.rows,
+            sql: record.sql.clone(),
+            total_us: record.total_us,
+            stages: Stage::ALL
+                .into_iter()
+                .filter(|s| stage_us[s.index()] > 0)
+                .map(|s| (s, stage_us[s.index()]))
+                .collect(),
+            units: record
+                .units()
+                .map(|u| {
+                    let (datasource, tables) = u.detail.split_once('.').unwrap_or((&u.detail, "-"));
+                    UnitSpan {
+                        datasource: datasource.to_string(),
+                        tables: tables.to_string(),
+                        elapsed_us: u.elapsed_us,
+                        rows: u.rows.unwrap_or(0),
+                    }
+                })
+                .collect(),
+            merger: v.merger.map(|k| format!("{k:?}")),
+            route_strategy: v.route_strategy.map(str::to_string),
+            scan_mode: v.scan_mode.map(str::to_string),
+            reshard_state: v.reshard_state.map(str::to_string),
+            rows: v.rows,
         }
     }
 }
@@ -282,19 +190,6 @@ impl TraceContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn laps_accumulate_and_stay_nonzero() {
-        let mut ctx = TraceContext::new();
-        assert!(ctx.lap(Stage::Parse) >= 1);
-        assert!(ctx.lap(Stage::Route) >= 1);
-        ctx.lap(Stage::Route); // retry revisits the stage
-        let trace = ctx.finish("SELECT 1".into());
-        assert_eq!(trace.stages.len(), 2);
-        assert!(trace.stage_us(Stage::Parse).unwrap() >= 1);
-        assert!(trace.stage_us(Stage::Route).unwrap() >= 2);
-        assert!(trace.total_us >= 1);
-    }
 
     #[test]
     fn render_shapes_a_tree() {

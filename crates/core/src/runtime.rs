@@ -23,8 +23,8 @@ use crate::governor::{
 use crate::merge::{merge_explain, merge_stream, MergedStream, MergerKind};
 use crate::metadata::LogicalSchemas;
 use crate::obs::{
-    IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog, SpanRecorder,
-    SpanScope, Stage, StatementTrace, TraceCollector, TraceContext,
+    ActiveTrace, IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog, SpanScope,
+    Stage, StatementTrace, TraceCollector,
 };
 use crate::rewrite::{rewrite_for_unit, rewrite_insert_per_unit, rewrite_statement, DerivedInfo};
 use crate::route::{
@@ -39,7 +39,7 @@ use shard_sql::Value;
 use shard_storage::{batch_admissible, ExecuteResult, ResultSet, StorageEngine, TxnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Shared kernel state.
@@ -165,6 +165,7 @@ impl ShardingRuntime {
         // A late-joining source inherits the runtime's commit window.
         engine.set_group_commit_window(self.group_commit_window_us.load(Ordering::Relaxed));
         let ds = Arc::new(DataSource::new(name, engine, pool));
+        ds.set_flight_recorder(Arc::clone(&self.collector));
         {
             // Copy-on-write: topology changes are rare, reads are per
             // statement.
@@ -382,19 +383,15 @@ impl ShardingRuntime {
                 // fact; failovers are rare, so always keep them.
                 if collector.enabled() {
                     for p in promotions {
-                        let rec = SpanRecorder::new(
-                            collector.mint_trace_id(),
-                            format!("failover:{}", p.group),
+                        let promotion = format!("{} -> {}", p.old_primary, p.new_primary);
+                        let trace = collector.start(
+                            &format!("failover:{}", p.group),
+                            ("failover_promote", promotion),
+                            format!("<failover of '{}'>", event.datasource),
+                            Instant::now(),
+                            true,
                         );
-                        let span = rec.begin(
-                            None,
-                            "failover_promote",
-                            format!("{} -> {}", p.old_primary, p.new_primary),
-                        );
-                        rec.finish(span, None);
-                        collector.keep(Arc::new(
-                            rec.seal(format!("<failover of '{}'>", event.datasource), None),
-                        ));
+                        trace.finish(None, None);
                     }
                 }
             }
@@ -429,13 +426,9 @@ impl ShardingRuntime {
             last_merger: None,
             last_route_strategy: None,
             trace_enabled: false,
-            active_trace: None,
+            active: None,
             last_trace: None,
-            pending_parse_us: None,
-            trace_sql: None,
-            stage_sample_tick: 0,
-            span_tick: 0,
-            active_spans: None,
+            tick: 0,
             trace_origin: None,
         }
     }
@@ -650,9 +643,12 @@ impl RuntimeBuilder {
 
     pub fn build(self) -> Arc<ShardingRuntime> {
         let names: Vec<String> = self.datasources.iter().map(|(n, _, _)| n.clone()).collect();
+        let collector = Arc::new(TraceCollector::new());
         let mut map = HashMap::new();
         for (name, engine, pool) in self.datasources {
-            map.insert(name.clone(), Arc::new(DataSource::new(name, engine, pool)));
+            let ds = DataSource::new(name.clone(), engine, pool);
+            ds.set_flight_recorder(Arc::clone(&collector));
+            map.insert(name, Arc::new(ds));
         }
         let registry = Arc::new(ConfigRegistry::new());
         for n in &names {
@@ -664,13 +660,11 @@ impl RuntimeBuilder {
         let metrics = KernelMetrics::new(&metrics_registry);
         let plan_cache =
             SqlPlanCache::with_registry(crate::cache::DEFAULT_CAPACITY, &metrics_registry);
-        let collector = Arc::new(TraceCollector::new());
         let slo = Arc::new(SloMonitor::new(metrics_registry.counter(
             "slo_breaches_total",
             "SLO burn-rate breach episodes (multi-window alert firings)",
         )));
         let executor = ExecutorEngine::new(self.max_connections_per_query.unwrap_or(8) as usize);
-        executor.set_trace_collector(Arc::clone(&collector));
         let runtime = Arc::new(ShardingRuntime {
             rule: RwLock::new(ShardingRule::new(names)),
             datasources: RwLock::new(Arc::new(map)),
@@ -753,6 +747,11 @@ struct PlannedExecution {
 pub struct QueryStream {
     columns: Vec<String>,
     inner: QueryStreamInner,
+    /// Rows handed out so far.
+    rows: u64,
+    /// A live stream's statement stays open — its record unsealed, its
+    /// counters not yet fed — until the stream ends or is dropped.
+    open: Option<(Arc<ShardingRuntime>, OpenStatement)>,
 }
 
 enum QueryStreamInner {
@@ -765,6 +764,8 @@ impl QueryStream {
         QueryStream {
             columns: merged.columns().to_vec(),
             inner: QueryStreamInner::Streamed(Box::new(merged)),
+            rows: 0,
+            open: None,
         }
     }
 
@@ -773,6 +774,8 @@ impl QueryStream {
         QueryStream {
             columns: rs.columns,
             inner: QueryStreamInner::Materialized(rs.rows.into_iter()),
+            rows: 0,
+            open: None,
         }
     }
 
@@ -787,9 +790,29 @@ impl QueryStream {
 
     /// Pull the next merged row; `None` ends the stream.
     pub fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        match &mut self.inner {
+        let next = match &mut self.inner {
             QueryStreamInner::Streamed(m) => m.next_row(),
-            QueryStreamInner::Materialized(it) => Ok(it.next()),
+            QueryStreamInner::Materialized(it) => return Ok(it.next()),
+        };
+        // A merged stream that ended or failed has dropped its shard
+        // cursors, so every unit span is closed by now.
+        match &next {
+            Ok(Some(_)) => self.rows += 1,
+            Ok(None) => self.close(None),
+            Err(e) => self.close(Some(e)),
+        }
+        next
+    }
+
+    /// Close the statement a live stream kept open: the merge counter gets
+    /// the rows that were pulled, everything else is the statement's own
+    /// bookkeeping.
+    fn close(&mut self, err: Option<&KernelError>) {
+        if let Some((runtime, open)) = self.open.take() {
+            if runtime.metrics.on() {
+                runtime.metrics.merge_rows.add(self.rows);
+            }
+            open.close(&runtime, self.rows, err);
         }
     }
 
@@ -799,7 +822,18 @@ impl QueryStream {
         while let Some(row) = self.next_row()? {
             rows.push(row);
         }
-        Ok(ResultSet::new(self.columns, rows))
+        Ok(ResultSet::new(std::mem::take(&mut self.columns), rows))
+    }
+}
+
+impl Drop for QueryStream {
+    fn drop(&mut self) {
+        if self.open.is_some() {
+            // Abandoned mid-stream: stop the shard cursors first, so their
+            // unit spans close before the record is sealed.
+            self.inner = QueryStreamInner::Materialized(Vec::new().into_iter());
+            self.close(None);
+        }
     }
 }
 
@@ -812,6 +846,9 @@ impl Iterator for QueryStream {
 }
 
 /// What a statement produced on the streaming entry point.
+// `Rows` is the common variant (every streamed SELECT); boxing it to level
+// the sizes would cost each of them an allocation.
+#[allow(clippy::large_enum_variant)]
 pub enum StreamOutcome {
     Rows(QueryStream),
     Update { affected: u64 },
@@ -824,6 +861,126 @@ impl StreamOutcome {
             ExecuteResult::Update { affected } => StreamOutcome::Update { affected },
         }
     }
+}
+
+/// What [`Session::observed`] asks of whatever its run step returns: close
+/// the statement now, with the rows it produced — unless it is a live row
+/// stream, which takes the open statement along and closes it when it ends
+/// or is dropped.
+trait Outcome {
+    fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>);
+}
+
+impl Outcome for ExecuteResult {
+    fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>) {
+        open.close(runtime, self.affected(), None);
+    }
+}
+
+/// XA `COMMIT`.
+impl Outcome for () {
+    fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>) {
+        open.close(runtime, 0, None);
+    }
+}
+
+impl Outcome for StreamOutcome {
+    fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>) {
+        match self {
+            StreamOutcome::Update { affected } => open.close(runtime, *affected, None),
+            StreamOutcome::Rows(stream) => match &stream.inner {
+                QueryStreamInner::Materialized(rows) => {
+                    open.close(runtime, rows.len() as u64, None)
+                }
+                QueryStreamInner::Streamed(_) => stream.open = Some((Arc::clone(runtime), open)),
+            },
+        }
+    }
+}
+
+/// A statement the wrapper has run whose bookkeeping is due: at once for a
+/// finished statement, at the end of its stream for a streamed one.
+struct OpenStatement {
+    is_read: bool,
+    started: Instant,
+    /// The statement's record, when it records.
+    trace: Option<ActiveTrace>,
+    /// The session's trace origin, for the record a failure tail-keeps.
+    origin: Option<Arc<str>>,
+    /// `SET trace = on`: where `Session::last_trace()` looks for the view.
+    publish: Option<Arc<OnceLock<StatementTrace>>>,
+}
+
+impl OpenStatement {
+    /// What every data statement (and XA COMMIT) leaves behind, read off one
+    /// sealed record when the statement recorded: the exact counters and the
+    /// end-to-end histogram, the stage histograms, the slow-query log, the
+    /// trace ring, an incident if it failed — a statement that failed
+    /// without recording is tail-kept as a root-only record, so failures are
+    /// always reconstructible — the `last_trace()` view, and an SLO
+    /// observation.
+    fn close(self, runtime: &ShardingRuntime, rows: u64, err: Option<&KernelError>) {
+        let error = err.map(|e| e.to_string());
+        let record = match self.trace {
+            Some(mut trace) => {
+                trace.verdicts.rows = rows;
+                Some(trace.finish(error, Some(&runtime.slow_log)))
+            }
+            None => error.filter(|_| runtime.collector.enabled()).map(|e| {
+                let origin = self.origin.as_deref();
+                let trace = start_trace(runtime, origin, "<statement>", self.started, false);
+                trace.finish(Some(e), None)
+            }),
+        };
+        let total_us = match &record {
+            Some(record) => record.total_us,
+            None => (self.started.elapsed().as_micros() as u64).max(1),
+        };
+        let metrics = &runtime.metrics;
+        if metrics.on() {
+            metrics.statements.inc();
+            if err.is_some() {
+                metrics.statement_errors.inc();
+            }
+            metrics.statement_us.record_us(total_us);
+            let stage_us = record.as_ref().map_or([0; 5], |r| r.stage_us());
+            for (histogram, us) in metrics.stage_us.iter().zip(stage_us) {
+                if us > 0 {
+                    histogram.record_us(us);
+                }
+            }
+        }
+        if let (Some(slot), Some(record)) = (self.publish, &record) {
+            let _ = slot.set(StatementTrace::from(&**record));
+        }
+        if runtime.slo.armed() {
+            if let Some(detail) = runtime.slo.observe(self.is_read, total_us, err.is_some()) {
+                runtime
+                    .collector
+                    .record_incident(IncidentKind::SloBreach, detail, None);
+            }
+        }
+    }
+}
+
+/// Start the record of a statement of a session with this trace origin:
+/// origin `proxy:conn-N` and root `proxy_frame` when the proxy adaptor
+/// labelled the session, `session` and `statement` otherwise.
+fn start_trace(
+    runtime: &ShardingRuntime,
+    origin: Option<&str>,
+    sql: &str,
+    epoch: Instant,
+    head: bool,
+) -> ActiveTrace {
+    let (origin, root) = match origin {
+        Some(origin) => (origin, "proxy_frame"),
+        None => ("session", "statement"),
+    };
+    let root = (root, String::new());
+    runtime
+        .collector
+        .start(origin, root, sql.to_string(), epoch, head)
 }
 
 /// One application connection: executes SQL, owns transaction state and
@@ -840,38 +997,26 @@ pub struct Session {
     last_merger: Option<MergerKind>,
     /// Routing-intelligence verdict of the last planned data statement.
     last_route_strategy: Option<RouteStrategy>,
-    /// `SET trace = on`: keep the full trace of every data statement.
+    /// `SET trace = on`: record every data statement and keep its view for
+    /// [`Session::last_trace`].
     trace_enabled: bool,
-    /// Stage timer for the statement currently in the pipeline.
-    active_trace: Option<TraceContext>,
-    /// Finished trace of the last traced data statement.
-    last_trace: Option<StatementTrace>,
-    /// Parse time measured by `execute_sql`, claimed by the data-statement
-    /// wrapper (parsing happens before dispatch, outside the wrapper).
-    pending_parse_us: Option<u64>,
-    /// Original SQL text for the trace being captured, if any.
-    trace_sql: Option<String>,
-    /// Rolling tick for sampled stage tracing in metrics-only mode; 0 means
-    /// the next data statement runs with the full stage timer.
-    stage_sample_tick: u8,
-    /// Rolling tick for head-sampled span collection (`SET trace_sample`);
-    /// 0 means the next data statement records a full cross-layer trace.
-    span_tick: u32,
-    /// Span recorder + root span for the statement currently executing,
-    /// when this statement was head-sampled.
-    active_spans: Option<SpanScope>,
+    /// The record being written for the statement now in the pipeline, when
+    /// that statement records.
+    active: Option<ActiveTrace>,
+    /// View of the last statement recorded under `SET trace = on`; a
+    /// streamed statement fills it in when its stream ends.
+    last_trace: Option<Arc<OnceLock<StatementTrace>>>,
+    /// Statements the sampler has seen (`SET trace_sample = 1/N`): the one
+    /// that finds `tick % N == 0` is head-sampled, so a session's first
+    /// always is, and a changed rate applies at once.
+    tick: u32,
     /// Where traces minted on this session say they came from
     /// (`proxy:conn-N` when set by the proxy adaptor; `session` otherwise).
-    trace_origin: Option<String>,
+    trace_origin: Option<Arc<str>>,
 }
 
 /// Maximum transparent retries of a read-only statement on transient errors.
 const READ_RETRY_LIMIT: u32 = 3;
-
-/// In metrics-only mode one data statement in this many runs the per-stage
-/// timer (see [`Session::stage_sample_due`]); statement counters and the
-/// end-to-end latency histogram stay exact on every statement.
-const STAGE_SAMPLE_PERIOD: u8 = 16;
 
 /// Base backoff doubled per attempt (plus deterministic jitter).
 const RETRY_BACKOFF_BASE_MS: u64 = 5;
@@ -924,9 +1069,10 @@ impl Session {
         self.last_route_strategy
     }
 
-    /// Trace of the most recent data statement (`SET trace = on`).
+    /// Trace of the most recent data statement (`SET trace = on`); of a
+    /// streamed one, once its stream has ended.
     pub fn last_trace(&self) -> Option<&StatementTrace> {
-        self.last_trace.as_ref()
+        self.last_trace.as_ref()?.get()
     }
 
     pub fn trace_enabled(&self) -> bool {
@@ -937,140 +1083,59 @@ impl Session {
         self.trace_enabled = enabled;
     }
 
-    /// Should the next data statement run with a stage timer? True whenever
-    /// any consumer exists: per-stage metrics, `SET trace = on`, or an armed
-    /// slow-query threshold.
-    fn should_trace(&self) -> bool {
-        self.runtime.metrics.on()
-            || self.trace_enabled
-            || self.runtime.slow_log.threshold_us() > 0
-            || self.runtime.collector.enabled()
-            || self.runtime.slo.armed()
-    }
-
-    /// Should the full [`StatementTrace`] (with the SQL text) be built?
-    fn capture_trace(&self) -> bool {
-        self.trace_enabled || self.runtime.slow_log.threshold_us() > 0
-    }
-
-    /// Metrics-only stage tracing is sampled: a clock read per pipeline
-    /// stage is real money on a microsecond point query, so only one data
-    /// statement in [`STAGE_SAMPLE_PERIOD`] pays for the per-stage laps.
-    /// The first statement of every session always samples, so stage
-    /// histograms populate immediately.
-    fn stage_sample_due(&mut self) -> bool {
-        let due = self.stage_sample_tick == 0;
-        self.stage_sample_tick = (self.stage_sample_tick + 1) % STAGE_SAMPLE_PERIOD;
-        due
-    }
-
-    /// Close the current span on the active trace, if any.
-    #[inline]
-    fn lap_trace(&mut self, stage: Stage) {
-        if let Some(t) = self.active_trace.as_mut() {
-            t.lap(stage);
-        }
-    }
-
-    /// Head sampling for cross-layer span collection: one data statement in
-    /// `trace_sample` runs with a live [`SpanRecorder`]. The first statement
-    /// of every session samples, so `SHOW TRACE` has something immediately.
-    fn span_sample_due(&mut self) -> bool {
+    /// The one sampling decision, for the statement the sampler sees next:
+    /// `Some` when it records — `Some(true)` as the head sample
+    /// (`tick % N == 0` under `SET trace_sample = 1/N`), which records
+    /// storage internals too and is kept in the ring; `Some(false)` for the
+    /// kernel spans every statement records under `SET trace = on` or an
+    /// armed slow-query threshold. A clock read per stage and a span per
+    /// unit are real money on a microsecond point query, so by default only
+    /// the head sample pays them — which also paces the stage histograms;
+    /// the rest take two clock reads for the exact counters.
+    fn records(&self) -> Option<bool> {
         let period = self.runtime.collector.sample_period();
-        if period == 0 {
-            return false;
+        let head = period != 0 && self.tick.is_multiple_of(period);
+        (head || self.trace_enabled || self.runtime.slow_log.threshold_us() > 0).then_some(head)
+    }
+
+    /// Start the record of a statement [`records`](Self::records) says records.
+    fn start_record(&self, sql: &str, head: bool) -> ActiveTrace {
+        let origin = self.trace_origin.as_deref();
+        start_trace(&self.runtime, origin, sql, Instant::now(), head)
+    }
+
+    /// Close `stage` on the active record, if the statement records.
+    #[inline]
+    fn stage(&mut self, stage: Stage) {
+        if let Some(t) = self.active.as_mut() {
+            t.stage(stage);
         }
-        // Modulo (not `== 0`) so tightening the rate mid-session takes
-        // effect immediately even when the tick sits past the new period.
-        let due = self.span_tick.is_multiple_of(period);
-        self.span_tick = (self.span_tick + 1) % period;
-        due
+    }
+
+    /// Run the execute stage: `run` gets the scope its units record under.
+    fn execute_stage<T>(
+        &mut self,
+        run: impl FnOnce(&ShardingRuntime, Option<&SpanScope>) -> Result<T>,
+    ) -> Result<T> {
+        let stage = self.active.as_ref().map(|t| t.begin_stage(Stage::Execute));
+        let out = run(&self.runtime, stage.as_ref());
+        if let (Some(t), Some(stage)) = (self.active.as_mut(), &stage) {
+            t.end_stage(stage, out.as_ref().err().map(|e| e.to_string()));
+        }
+        out
+    }
+
+    fn set_merger(&mut self, kind: MergerKind) {
+        self.last_merger = Some(kind);
+        if let Some(t) = self.active.as_mut() {
+            t.verdicts.merger = Some(kind);
+        }
     }
 
     /// Label traces minted on this session (`proxy:conn-N`); adaptors call
     /// this once per connection. Unset sessions mint `session` traces.
     pub fn set_trace_origin(&mut self, origin: impl Into<String>) {
-        self.trace_origin = Some(origin.into());
-    }
-
-    /// Classify a statement failure for the flight recorder.
-    fn incident_kind(err: &KernelError) -> IncidentKind {
-        match err {
-            KernelError::Storage(shard_storage::StorageError::Injected(_)) => {
-                IncidentKind::InjectedFault
-            }
-            _ => Self::incident_kind_msg(&err.to_string()),
-        }
-    }
-
-    /// Classify a failure already reduced to its message (branch span
-    /// errors that did not abort the statement, e.g. XA phase-2 laggards).
-    fn incident_kind_msg(msg: &str) -> IncidentKind {
-        if msg.contains("injected fault") || msg.contains("fault on '") {
-            IncidentKind::InjectedFault
-        } else if msg.contains("fence") {
-            IncidentKind::ReshardFenceTimeout
-        } else {
-            IncidentKind::StatementError
-        }
-    }
-
-    /// Tail-based keep: a statement that errored without a live span
-    /// recorder still leaves a minimal trace plus a flight-recorder
-    /// incident, so failures are always reconstructible.
-    fn tail_keep_error(&self, total_us: u64, err: &KernelError) {
-        let collector = &self.runtime.collector;
-        if !collector.enabled() {
-            return;
-        }
-        let origin = self.trace_origin.as_deref().unwrap_or("session");
-        let rec = SpanRecorder::new(collector.mint_trace_id(), origin);
-        rec.add_complete(
-            None,
-            "statement",
-            String::new(),
-            total_us,
-            Some(err.to_string()),
-        );
-        let sql = self
-            .trace_sql
-            .clone()
-            .unwrap_or_else(|| "<statement>".to_string());
-        let record = Arc::new(rec.seal(sql, Some(err.to_string())));
-        let trace_id = record.trace_id;
-        collector.keep(record);
-        collector.record_incident(Self::incident_kind(err), err.to_string(), Some(trace_id));
-    }
-
-    /// What every data statement leaves behind when no stage timer or span
-    /// recorder rides along: the exact counters, the end-to-end histogram, a
-    /// tail-kept trace if it failed, and an SLO observation.
-    fn record_statement(&self, is_read: bool, total_us: u64, err: Option<&KernelError>) {
-        let metrics = self.runtime.metrics();
-        if metrics.on() {
-            metrics.statements.inc();
-            if err.is_some() {
-                metrics.statement_errors.inc();
-            }
-            metrics.statement_us.record_us(total_us);
-        }
-        if let Some(e) = err {
-            self.tail_keep_error(total_us, e);
-        }
-        self.observe_slo(is_read, total_us, err.is_some());
-    }
-
-    /// Feed the SLO monitor and freeze the flight recorder on a fresh
-    /// breach.
-    fn observe_slo(&self, is_read: bool, total_us: u64, is_err: bool) {
-        if !self.runtime.slo.armed() {
-            return;
-        }
-        if let Some(detail) = self.runtime.slo.observe(is_read, total_us, is_err) {
-            self.runtime
-                .collector
-                .record_incident(IncidentKind::SloBreach, detail, None);
-        }
+        self.trace_origin = Some(Arc::from(origin.into()));
     }
 
     pub fn runtime(&self) -> &Arc<ShardingRuntime> {
@@ -1080,31 +1145,24 @@ impl Session {
     /// Parse and execute one SQL statement. Parsing goes through the
     /// runtime's level-1 cache: repeat SQL text skips the parser entirely.
     pub fn execute_sql(&mut self, sql: &str, params: &[Value]) -> Result<ExecuteResult> {
-        if !self.should_trace() {
-            let stmt = self.runtime.plan_cache.parse(sql)?;
-            return self.execute(&stmt, params);
-        }
-        // Time the parse only when a stage timer will claim it (tick peek:
-        // the wrapper advances the tick, so an on-period tick here means the
-        // next data statement samples); otherwise parsing costs zero clocks.
-        let span_period = self.runtime.collector.sample_period();
-        let span_peek = span_period != 0 && self.span_tick.is_multiple_of(span_period);
-        let timed = self.capture_trace() || self.stage_sample_tick == 0 || span_peek;
-        let stmt = if timed {
-            let started = Instant::now();
-            let stmt = self.runtime.plan_cache.parse(sql)?;
-            self.pending_parse_us = Some((started.elapsed().as_micros() as u64).max(1));
-            stmt
-        } else {
-            self.runtime.plan_cache.parse(sql)?
-        };
-        if self.capture_trace() || span_peek {
-            self.trace_sql = Some(sql.to_string());
-        }
+        let stmt = self.parse(sql)?;
         let result = self.execute(&stmt, params);
-        self.pending_parse_us = None;
-        self.trace_sql = None;
+        self.active = None;
         result
+    }
+
+    /// Parse at the SQL door. A statement that will record starts its
+    /// record here, so that parsing is its first stage; the statement
+    /// wrapper adopts the record, and a statement the wrapper never sees
+    /// (SET, SHOW, BEGIN, …) leaves it unused for the door to drop.
+    fn parse(&mut self, sql: &str) -> Result<Arc<Statement>> {
+        self.active = self.records().map(|head| self.start_record(sql, head));
+        let parsed = self.runtime.plan_cache.parse(sql);
+        match &parsed {
+            Ok(_) => self.stage(Stage::Parse),
+            Err(_) => self.active = None,
+        }
+        Ok(parsed?)
     }
 
     /// Execute a parsed statement.
@@ -1147,8 +1205,10 @@ impl Session {
     /// Parse and execute one SQL statement, returning rows incrementally
     /// when the statement qualifies for the streaming pipeline.
     pub fn execute_sql_stream(&mut self, sql: &str, params: &[Value]) -> Result<StreamOutcome> {
-        let stmt = self.runtime.plan_cache.parse(sql)?;
-        self.execute_stream(&stmt, params)
+        let stmt = self.parse(sql)?;
+        let outcome = self.execute_stream(&stmt, params);
+        self.active = None;
+        outcome
     }
 
     /// Parse and run a query, returning its incremental row cursor. Errors
@@ -1175,51 +1235,51 @@ impl Session {
         if !streamable_shape {
             return Ok(StreamOutcome::from_result(self.execute(stmt, params)?));
         }
-        if !self.should_trace() {
-            return self.open_stream(stmt, params);
-        }
-        // Same bookkeeping as the materialized light path. The time is to
-        // cursor open; draining the rows is the consumer's.
-        let start = Instant::now();
-        let result = self.open_stream(stmt, params);
-        let total_us = (start.elapsed().as_micros() as u64).max(1);
-        self.record_statement(true, total_us, result.as_ref().err());
-        result
+        self.observed(true, "<prepared statement>", |s, deadline| {
+            s.open_stream(stmt, params, deadline)
+        })
     }
 
     /// Plan a streamable SELECT and open its merged cursor, falling back to
     /// the materialized path when the executor does not admit the fan-out.
-    fn open_stream(&mut self, stmt: &Statement, params: &[Value]) -> Result<StreamOutcome> {
-        let deadline = self.statement_timeout.map(|t| Instant::now() + t);
-        match self.plan_data_statement(stmt, params)? {
-            DataPlan::Immediate(result) => Ok(StreamOutcome::from_result(result)),
-            DataPlan::Execute(plan) => {
-                if !self
-                    .runtime
-                    .executor
-                    .can_stream(&plan.inputs, plan.txn_bindings.as_ref())
-                {
-                    return Ok(StreamOutcome::from_result(
-                        self.run_materialized(*plan, deadline)?,
-                    ));
-                }
-                let datasources = self.runtime.datasource_snapshot();
-                let mut streamed = self.runtime.executor.execute_query_stream(
-                    &datasources,
-                    plan.inputs,
-                    plan.params,
-                )?;
-                if let Some(d) = deadline {
-                    for stream in &mut streamed.streams {
-                        stream.set_deadline(d, streamed.cancel.clone());
-                    }
-                }
-                self.last_report = Some(streamed.report);
-                let merged = merge_stream(streamed.streams, &plan.info, streamed.cancel)?;
-                self.last_merger = Some(merged.kind());
-                Ok(StreamOutcome::Rows(QueryStream::streamed(merged)))
+    /// The execute stage is opening the shard cursors; the merge stage runs
+    /// as the consumer pulls rows and closes with the stream.
+    fn open_stream(
+        &mut self,
+        stmt: &Statement,
+        params: &[Value],
+        deadline: Option<Instant>,
+    ) -> Result<StreamOutcome> {
+        let plan = match self.plan_data_statement(stmt, params)? {
+            DataPlan::Immediate(result) => return Ok(StreamOutcome::from_result(result)),
+            DataPlan::Execute(plan) => plan,
+        };
+        let executor = &self.runtime.executor;
+        if !executor.can_stream(&plan.inputs, plan.txn_bindings.as_ref()) {
+            let result = self.run_materialized(*plan, deadline)?;
+            return Ok(StreamOutcome::from_result(result));
+        }
+        let datasources = self.runtime.datasource_snapshot();
+        let (inputs, params) = (plan.inputs, plan.params);
+        let mut streamed = self.execute_stage(|runtime, spans| {
+            let metrics = &runtime.metrics;
+            let pulled = metrics.on().then_some(&metrics.merge_input_rows);
+            runtime
+                .executor
+                .execute_query_stream(&datasources, inputs, params, spans, pulled)
+        })?;
+        if let Some(d) = deadline {
+            for stream in &mut streamed.streams {
+                stream.set_deadline(d, streamed.cancel.clone());
             }
         }
+        self.last_report = Some(streamed.report);
+        let merged = merge_stream(streamed.streams, &plan.info, streamed.cancel)?;
+        self.set_merger(merged.kind());
+        if let Some(t) = &self.active {
+            t.begin_stage(Stage::Merge);
+        }
+        Ok(StreamOutcome::Rows(QueryStream::streamed(merged)))
     }
 
     /// Run one statement with tracing forced on and hand back its finished
@@ -1229,12 +1289,13 @@ impl Session {
         sql: &str,
         params: &[Value],
     ) -> Result<(ExecuteResult, StatementTrace)> {
-        let saved = self.trace_enabled;
-        self.trace_enabled = true;
+        let saved = std::mem::replace(&mut self.trace_enabled, true);
+        self.last_trace = None;
         let result = self.execute_sql(sql, params);
         self.trace_enabled = saved;
         let result = result?;
-        let trace = self.last_trace.take().ok_or_else(|| {
+        let trace = self.last_trace.take().and_then(|slot| slot.get().cloned());
+        let trace = trace.ok_or_else(|| {
             KernelError::Execute(
                 "statement produced no trace (only data statements can be analyzed)".into(),
             )
@@ -1274,67 +1335,25 @@ impl Session {
                 commit_all(&txn.branches);
                 Ok(())
             }
-            TransactionType::Xa => {
-                // Head-sampled COMMITs trace each 2PC phase and branch;
-                // branch spans carry storage probe children (WAL flushes).
-                let span_due = self.span_sample_due();
-                let m = &self.runtime.metrics;
+            // An XA COMMIT is observed like a write statement; one that
+            // records traces each 2PC phase and branch, and on a
+            // head-sampled one the branch spans carry storage probe
+            // children (WAL flushes).
+            TransactionType::Xa => self.observed(false, "COMMIT", |s, _| {
+                let m = &s.runtime.metrics;
                 let observer = XaPhaseObserver {
                     prepare_us: &m.xa_prepare_us,
                     commit_us: &m.xa_commit_us,
                 };
-                let scope = if span_due {
-                    let collector = &self.runtime.collector;
-                    let origin = self
-                        .trace_origin
-                        .clone()
-                        .unwrap_or_else(|| "session".into());
-                    let root_name: &'static str = if self.trace_origin.is_some() {
-                        "proxy_frame"
-                    } else {
-                        "statement"
-                    };
-                    let rec = SpanRecorder::new(collector.mint_trace_id(), origin);
-                    let root = rec.begin(None, root_name, format!("xa commit {}", txn.xid));
-                    Some(SpanScope::new(rec, root))
-                } else {
-                    None
-                };
-                let result = two_phase_commit_observed(
+                let spans = s.active.as_ref().map(ActiveTrace::scope);
+                two_phase_commit_observed(
                     &txn.xid,
-                    &self.runtime.xa_log,
+                    &s.runtime.xa_log,
                     &txn.branches,
                     m.on().then_some(&observer),
-                    scope.as_ref(),
-                );
-                let err = result.as_ref().err().map(|e| e.to_string());
-                if let Some(scope) = scope {
-                    scope.recorder.finish(scope.parent, err.clone());
-                    let record = Arc::new(scope.recorder.seal("COMMIT".to_string(), err));
-                    let trace_id = record.trace_id;
-                    // A phase-2 branch failure does not abort the global
-                    // transaction (recovery re-drives it) but is still an
-                    // anomaly worth freezing.
-                    let branch_err = record.spans.iter().find_map(|s| s.error.clone());
-                    self.runtime.collector.keep(record);
-                    if let Err(e) = &result {
-                        self.runtime.collector.record_incident(
-                            Self::incident_kind(e),
-                            e.to_string(),
-                            Some(trace_id),
-                        );
-                    } else if let Some(msg) = branch_err {
-                        self.runtime.collector.record_incident(
-                            Self::incident_kind_msg(&msg),
-                            msg,
-                            Some(trace_id),
-                        );
-                    }
-                } else if let Err(e) = &result {
-                    self.tail_keep_error(1, e);
-                }
-                result
-            }
+                    spans.as_ref(),
+                )
+            }),
             TransactionType::Base => {
                 tc_rpc(); // phase 2: check status with the TC
                 self.runtime.tc.commit(&txn.xid)
@@ -1374,174 +1393,88 @@ impl Session {
         stmt: &Statement,
         params: &[Value],
     ) -> Result<ExecuteResult> {
-        if !self.should_trace() {
-            return self.execute_data_statement_inner(stmt, params);
-        }
         let is_read = stmt.category() == StatementCategory::Dql;
-        let span_due = self.span_sample_due();
-        // Metrics-only light path (no trace consumer, off-sample tick):
-        // two clock reads bracket the statement for the exact counters and
-        // end-to-end histogram; the per-stage laps wait for the next sample.
-        if !self.capture_trace() && !span_due && !self.stage_sample_due() {
-            let start = Instant::now();
-            self.pending_parse_us = None;
-            let result = self.execute_data_statement_inner(stmt, params);
-            let total_us = (start.elapsed().as_micros() as u64).max(1);
-            self.record_statement(is_read, total_us, result.as_ref().err());
-            return result;
-        }
-        // Observed path: a stage timer rides on the session while the
-        // statement moves through the pipeline; at the end it feeds the
-        // per-stage histograms and, when wanted, the full statement trace.
-        let mut ctx = TraceContext::new();
-        let parse_us = self.pending_parse_us.take();
-        if let Some(us) = parse_us {
-            ctx.add_span(Stage::Parse, us);
-        }
-        self.active_trace = Some(ctx);
-        if span_due {
-            // Head-sampled: a live span recorder rides along too, collecting
-            // parent-linked spans from the executor, XA branches and storage
-            // probes; the sealed tree lands in the collector ring.
-            let collector = &self.runtime.collector;
-            let origin = self
-                .trace_origin
-                .clone()
-                .unwrap_or_else(|| "session".into());
-            let root_name: &'static str = if self.trace_origin.is_some() {
-                "proxy_frame"
-            } else {
-                "statement"
-            };
-            let rec = SpanRecorder::new(collector.mint_trace_id(), origin);
-            let root = rec.begin(None, root_name, format!("{:?}", stmt.category()));
-            self.active_spans = Some(SpanScope::new(rec, root));
-        }
-        let result = self.execute_data_statement_inner(stmt, params);
-        let runtime = Arc::clone(&self.runtime);
-        let Some(mut ctx) = self.active_trace.take() else {
-            self.active_spans = None;
-            return result;
-        };
-        if let Ok(r) = &result {
-            ctx.set_rows(r.affected());
-        }
-        let total_us = ctx.total_us();
-        let metrics = runtime.metrics();
-        let record_metrics = metrics.on();
-        if record_metrics {
-            metrics.statements.inc();
-            if result.is_err() {
-                metrics.statement_errors.inc();
+        self.observed(is_read, "<prepared statement>", |s, deadline| {
+            match s.plan_data_statement(stmt, params)? {
+                DataPlan::Immediate(result) => Ok(result),
+                DataPlan::Execute(plan) => s.run_materialized(*plan, deadline),
             }
-            for (stage, us) in ctx.stages() {
-                metrics.stage_us[stage.index()].record_us(*us);
-            }
-        }
-        if let Some(scope) = self.active_spans.take() {
-            // Synthesize kernel stage spans under the root from the lap
-            // timers (execute already has a live span from the executor),
-            // close the root, seal, and land the tree in the ring.
-            let rec = &scope.recorder;
-            let mut offset = 0u64;
-            for (stage, us) in ctx.stages() {
-                if *stage != Stage::Execute {
-                    rec.add_at(
-                        Some(scope.parent),
-                        stage.as_str(),
-                        String::new(),
-                        offset,
-                        *us,
-                    );
-                }
-                offset += us;
-            }
-            let err = result.as_ref().err().map(|e| e.to_string());
-            rec.finish(scope.parent, err.clone());
-            let sql = self
-                .trace_sql
-                .clone()
-                .unwrap_or_else(|| "<prepared statement>".to_string());
-            let record = Arc::new(rec.seal(sql, err));
-            let trace_id = record.trace_id;
-            runtime.collector.keep(record);
-            if let Err(e) = &result {
-                runtime.collector.record_incident(
-                    Self::incident_kind(e),
-                    e.to_string(),
-                    Some(trace_id),
-                );
-            }
-        } else if let Err(e) = &result {
-            self.tail_keep_error(total_us, e);
-        }
-        if self.capture_trace() {
-            // The merger label allocates; only materialize it on the
-            // trace-capture path where it is actually rendered.
-            ctx.set_merger(self.last_merger.map(|k| format!("{k:?}")));
-            let sql = self
-                .trace_sql
-                .take()
-                .unwrap_or_else(|| "<prepared statement>".to_string());
-            let trace = ctx.finish(sql);
-            if record_metrics {
-                metrics.statement_us.record_us(trace.total_us);
-            }
-            runtime.slow_log.record(&trace);
-            if self.trace_enabled {
-                self.last_trace = Some(trace);
-            }
-        } else if record_metrics {
-            metrics.statement_us.record_us(total_us);
-        }
-        self.observe_slo(is_read, total_us, result.is_err());
-        result
+        })
     }
 
-    fn execute_data_statement_inner(
+    /// The one wrapper around data statements — materialized and streamed —
+    /// and XA COMMIT: the read-retry loop inside, observability outside.
+    /// The statement records at the depth the sampler decides, adopting the
+    /// record the SQL door opened before parsing or — entered with a parsed
+    /// statement — opening one called `unparsed`; its bookkeeping is done
+    /// once, by [`OpenStatement::close`], now or when its stream ends.
+    fn observed<T: Outcome>(
         &mut self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<ExecuteResult> {
-        let deadline = self.statement_timeout.map(|t| Instant::now() + t);
+        is_read: bool,
+        unparsed: &str,
+        attempt: impl FnMut(&mut Self, Option<Instant>) -> Result<T>,
+    ) -> Result<T> {
         // Only read-only statements outside transactions retry: a write (or
         // any in-transaction statement) may have partially applied, so it is
         // never silently re-executed.
-        let retryable = stmt.category() == StatementCategory::Dql && self.txn.is_none();
-        let mut attempt = 0u32;
+        let retryable = is_read && self.txn.is_none();
+        let records = self.records();
+        self.tick = self.tick.wrapping_add(1);
+        if self.active.is_none() {
+            self.active = records.map(|head| self.start_record(unparsed, head));
+        }
+        let publish = self.trace_enabled.then(Arc::default);
+        if publish.is_some() {
+            self.last_trace.clone_from(&publish);
+        }
+        let started = Instant::now();
+        let mut result = self.with_retries(retryable, attempt);
+        let open = OpenStatement {
+            is_read,
+            started,
+            trace: self.active.take(),
+            origin: self.trace_origin.clone(),
+            publish,
+        };
+        match &mut result {
+            Ok(outcome) => outcome.settle(open, &self.runtime),
+            Err(e) => open.close(&self.runtime, 0, Some(e)),
+        }
+        result
+    }
+
+    /// Run `attempt`, absorbing up to [`READ_RETRY_LIMIT`] transient
+    /// failures of a `retryable` statement with backoff, inside the
+    /// statement's deadline.
+    fn with_retries<T>(
+        &mut self,
+        retryable: bool,
+        mut attempt: impl FnMut(&mut Self, Option<Instant>) -> Result<T>,
+    ) -> Result<T> {
+        let deadline = self.statement_timeout.map(|t| Instant::now() + t);
+        let mut attempts = 0u32;
         loop {
-            // Re-plan on every attempt: routing re-runs, so rw-split picks a
-            // healthy replica once breakers/health marked the failed one.
-            let outcome = match self.plan_data_statement(stmt, params) {
-                Ok(DataPlan::Immediate(result)) => return Ok(result),
-                Ok(DataPlan::Execute(plan)) => self.run_materialized(*plan, deadline),
-                Err(e) => Err(e),
+            // Every attempt plans again: routing re-runs, so rw-split picks
+            // a healthy replica once breakers/health marked the failed one.
+            let e = match attempt(self, deadline) {
+                Ok(outcome) => return Ok(outcome),
+                Err(e) => e,
             };
-            match outcome {
-                Ok(result) => return Ok(result),
-                Err(e) => {
-                    if !retryable || e.class() != ErrorClass::Transient {
-                        return Err(e);
-                    }
-                    if attempt >= READ_RETRY_LIMIT {
-                        return Err(e);
-                    }
-                    let backoff = retry_backoff(attempt);
-                    if let Some(d) = deadline {
-                        if Instant::now() + backoff >= d {
-                            return Err(KernelError::Timeout(format!(
-                                "deadline elapsed after {} attempt(s); last error: {e}",
-                                attempt + 1
-                            )));
-                        }
-                    }
-                    if self.runtime.metrics.on() {
-                        self.runtime.metrics.read_retries.inc();
-                    }
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
+            if !retryable || e.class() != ErrorClass::Transient || attempts >= READ_RETRY_LIMIT {
+                return Err(e);
             }
+            let backoff = retry_backoff(attempts);
+            if deadline.is_some_and(|d| Instant::now() + backoff >= d) {
+                return Err(KernelError::Timeout(format!(
+                    "deadline elapsed after {} attempt(s); last error: {e}",
+                    attempts + 1
+                )));
+            }
+            if self.runtime.metrics.on() {
+                self.runtime.metrics.read_retries.inc();
+            }
+            std::thread::sleep(backoff);
+            attempts += 1;
         }
     }
 
@@ -1723,7 +1656,7 @@ impl Session {
         // part of deciding *where* the statement goes). Fan-out is sampled
         // for routed DML/queries only — DDL broadcasts would drown the
         // distribution the optimizer work is judged by.
-        self.lap_trace(Stage::Route);
+        self.stage(Stage::Route);
         if self.runtime.metrics.on()
             && matches!(category, StatementCategory::Dql | StatementCategory::Dml)
         {
@@ -1747,28 +1680,20 @@ impl Session {
             RouteStrategy::Scatter
         };
         self.last_route_strategy = Some(strategy);
-        if let Some(t) = self.active_trace.as_mut() {
-            t.set_route_strategy(Some(strategy.as_str().to_string()));
-        }
-        // EXPLAIN-visible migration state: tag statements that touch a
-        // mid-reshard table with the job's current phase.
-        if self.active_trace.is_some() && self.runtime.reshard.is_active() {
-            let state = self
-                .runtime
-                .reshard
-                .live_job_for(&tables)
-                .map(|job| job.phase().as_str().to_string());
-            if state.is_some() {
-                if let Some(t) = self.active_trace.as_mut() {
-                    t.set_reshard_state(state);
-                }
+        if let Some(t) = self.active.as_mut() {
+            t.verdicts.route_strategy = Some(strategy.as_str());
+            // EXPLAIN-visible migration state: tag statements that touch a
+            // mid-reshard table with the job's current phase.
+            if self.runtime.reshard.is_active() {
+                let job = self.runtime.reshard.live_job_for(&tables);
+                t.verdicts.reshard_state = job.map(|job| job.phase().as_str());
             }
         }
 
         if route.units.is_empty() {
             // Contradictory conditions (or a GSI lookup proving no shard
             // holds the value): empty result without touching shards.
-            self.last_merger = Some(MergerKind::PassThrough);
+            self.set_merger(MergerKind::PassThrough);
             return Ok(DataPlan::Immediate(if is_query {
                 ExecuteResult::Query(ResultSet::empty())
             } else {
@@ -1811,12 +1736,12 @@ impl Session {
         // per-shard statement (what storage actually sees) with the same
         // admission predicate the engines use, so the tag cannot drift from
         // the path taken.
-        if let Some(t) = self.active_trace.as_mut() {
-            t.set_scan_mode(inputs.first().and_then(|i| match &i.stmt {
-                Statement::Select(s) if batch_admissible(s) => Some("batch".to_string()),
-                Statement::Select(_) => Some("row".to_string()),
+        if let Some(t) = self.active.as_mut() {
+            t.verdicts.scan_mode = inputs.first().and_then(|i| match &i.stmt {
+                Statement::Select(s) if batch_admissible(s) => Some("batch"),
+                Statement::Select(_) => Some("row"),
                 _ => None,
-            }));
+            });
         }
 
         // 6.5 Feature: online resharding. A write admitted while the table
@@ -1838,7 +1763,7 @@ impl Session {
 
         // 7. Transactions: bind branches / capture BASE compensation.
         let txn_bindings = self.prepare_transaction_branches(&route, &inputs, params)?;
-        self.lap_trace(Stage::Rewrite);
+        self.stage(Stage::Rewrite);
 
         Ok(DataPlan::Execute(Box::new(PlannedExecution {
             inputs,
@@ -1874,31 +1799,19 @@ impl Session {
         // 8. Execute on the runtime's long-lived engine against an Arc
         // snapshot of the topology (no per-statement map clone).
         let datasources = self.runtime.datasource_snapshot();
-        // Per-unit spans cost label strings per shard; only pay for them
-        // when a trace will be rendered (EXPLAIN ANALYZE, slow-query log).
-        let want_units = self.capture_trace();
-        // Head-sampled statements open a live "execute" span the executor
-        // hangs per-unit (and, via the storage probe, per-engine) spans off.
-        let exec_scope = self.active_spans.as_ref().map(|scope| {
-            let id = scope
-                .recorder
-                .begin(Some(scope.parent), "execute", String::new());
-            scope.child(id)
+        let (inputs, params) = (plan.inputs, plan.params);
+        let txns = plan.txn_bindings.as_ref();
+        let executed = self.execute_stage(|runtime, spans| {
+            runtime.executor.execute_with_deadline(
+                &datasources,
+                inputs,
+                params,
+                txns,
+                deadline,
+                false,
+                spans,
+            )
         });
-        let executed = self.runtime.executor.execute_with_deadline(
-            &datasources,
-            plan.inputs,
-            plan.params,
-            plan.txn_bindings.as_ref(),
-            deadline,
-            want_units,
-            exec_scope.as_ref(),
-        );
-        if let Some(scope) = &exec_scope {
-            scope
-                .recorder
-                .finish(scope.parent, executed.as_ref().err().map(|e| e.to_string()));
-        }
         let (results, report) = match executed {
             Ok(r) => r,
             Err(e) => {
@@ -1906,12 +1819,6 @@ impl Session {
                 return Err(e);
             }
         };
-        self.lap_trace(Stage::Execute);
-        if want_units {
-            if let Some(t) = self.active_trace.as_mut() {
-                t.set_units(report.units.clone());
-            }
-        }
         self.last_report = Some(report);
 
         // 9. Merge.
@@ -1925,19 +1832,19 @@ impl Session {
                     .add(shard_results.iter().map(|r| r.rows.len() as u64).sum());
             }
             let (mut merged, kind) = merge_explain(shard_results, &plan.info)?;
-            self.last_merger = Some(kind);
+            self.set_merger(kind);
             // 10. Feature: decrypt result columns.
             self.runtime
                 .encrypt
                 .read()
                 .decrypt_result(&mut merged, &plan.tables);
-            self.lap_trace(Stage::Merge);
+            self.stage(Stage::Merge);
             if self.runtime.metrics.on() {
                 self.runtime.metrics.merge_rows.add(merged.len() as u64);
             }
             Ok(ExecuteResult::Query(merged))
         } else {
-            self.last_merger = Some(MergerKind::Iteration);
+            self.set_merger(MergerKind::Iteration);
             let affected = results.iter().map(ExecuteResult::affected).sum();
             // Removals land only once the base write has succeeded.
             if !plan.gsi_post.is_empty() {
@@ -1960,7 +1867,7 @@ impl Session {
                     runtime.metrics.reshard_mirrored_writes.add(applied);
                 }
             }
-            self.lap_trace(Stage::Merge);
+            self.stage(Stage::Merge);
             Ok(ExecuteResult::Update { affected })
         }
     }

@@ -121,7 +121,7 @@ static VARIABLES: &[Variable] = &[
             get: |s| s.trace_enabled(),
             set: |s, on| s.set_trace_enabled(on),
         },
-        doc: "Keep the full stage trace of every statement of this session (`Session::last_trace`)",
+        doc: "Record every statement of this session and keep the last one's stage view (`Session::last_trace`)",
     },
     Variable {
         names: &["metrics"],
@@ -141,7 +141,7 @@ static VARIABLES: &[Variable] = &[
                     .set_threshold_us(n.saturating_mul(1000))
             },
         },
-        doc: "Statements at least this slow enter `SHOW SLOW_QUERIES`; 0 disarms the log",
+        doc: "Statements at least this slow enter `SHOW SLOW_QUERIES`; while armed, every statement records its kernel spans; 0 disarms the log",
     },
     Variable {
         names: &["slow_query_log_size"],
@@ -188,7 +188,7 @@ static VARIABLES: &[Variable] = &[
                 Ok(period.is_some())
             },
         },
-        doc: "Keep a cross-layer span tree for one statement in N (`SHOW TRACE`); off = none",
+        doc: "Head-sample one statement in N: its cross-layer span tree enters `SHOW TRACE` and its stage times the `stage_*_us` histograms; off = none",
     },
     Variable {
         names: &["slo_read_p99_ms"],

@@ -11,7 +11,6 @@ use crate::error::{KernelError, Result};
 use crate::executor::pool::WorkerPool;
 use crate::obs::{Histogram, SpanScope};
 use parking_lot::Mutex;
-use shard_storage::probe::{self, Probe, SpanSink};
 use shard_storage::{StorageEngine, TxnId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,10 +101,10 @@ pub fn two_phase_commit(xid: &str, log: &XaLog, branches: &Branches) -> Result<(
     two_phase_commit_observed(xid, log, branches, None, None)
 }
 
-/// Wrap one branch operation in a span (when a trace rides along) with the
-/// storage probe installed, so WAL flushes and lock waits inside the branch
-/// parent to its `xa_prepare` / `xa_commit` span. The span opens when the
-/// operation starts, on whichever thread runs it.
+/// Wrap one branch operation in a span (when the COMMIT records) — with the
+/// storage probe installed on a head-sampled one, so WAL flushes and lock
+/// waits inside the branch parent to its `xa_prepare` / `xa_commit` span.
+/// The span opens when the operation starts, on whichever thread runs it.
 fn branch_job(
     spans: Option<&SpanScope>,
     name: &'static str,
@@ -117,15 +116,11 @@ fn branch_job(
         let Some((scope, branch)) = traced else {
             return f();
         };
-        let id = scope.recorder.begin(Some(scope.parent), name, branch);
-        let _probe = probe::install(Probe::new(
-            Arc::clone(&scope.recorder) as Arc<dyn SpanSink>,
-            id,
-        ));
+        let (id, _probe) = scope.enter(name, branch);
         let r = f();
         scope
             .recorder
-            .finish(id, r.as_ref().err().map(|e| e.to_string()));
+            .finish(id, None, r.as_ref().err().map(|e| e.to_string()));
         r
     }
 }

@@ -2,42 +2,17 @@
 //! storage faults — XA prepare-phase failures, mid-stream shard errors,
 //! hung shards against statement deadlines, and transparent read retries.
 
+#[path = "common/users.rs"]
+mod users;
+
 use shard_core::{
     ErrorClass, KernelError, Session, ShardingRuntime, StreamOutcome, TransactionType,
 };
 use shard_sql::Value;
-use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger, StorageEngine};
+use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn sharded_runtime() -> Arc<ShardingRuntime> {
-    let runtime = ShardingRuntime::builder()
-        .datasource("ds_0", StorageEngine::new("ds_0"))
-        .datasource("ds_1", StorageEngine::new("ds_1"))
-        .build();
-    let mut s = runtime.session();
-    for sql in [
-        "CREATE SHARDING TABLE RULE t_user (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=uid, TYPE=mod, PROPERTIES(\"sharding-count\"=4))",
-        "CREATE TABLE t_user (uid BIGINT PRIMARY KEY, name VARCHAR(32), age INT)",
-    ] {
-        s.execute_sql(sql, &[]).unwrap();
-    }
-    runtime
-}
-
-fn load_users(s: &mut Session, n: i64) {
-    for uid in 0..n {
-        s.execute_sql(
-            "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)",
-            &[
-                Value::Int(uid),
-                Value::Str(format!("user{uid}")),
-                Value::Int(20 + (uid % 10)),
-            ],
-        )
-        .unwrap();
-    }
-}
+use users::{load_users, sharded_runtime};
 
 fn count_users(s: &mut Session) -> i64 {
     let rs = s
@@ -220,6 +195,36 @@ fn transient_read_retries_but_writes_never_do() {
         ),
     );
     assert_eq!(count_users(&mut s), 8, "read retry should absorb the blip");
+
+    // The streaming door (the proxy's) absorbs a failure at cursor open
+    // under the same rule — whether the one unit's cursor opens inline or a
+    // scatter's open on pool workers; once rows flow a failure surfaces
+    // mid-stream instead (`mid_stream_fault_cancels_siblings_with_one_error`).
+    let retries = || {
+        runtime
+            .metrics_registry()
+            .samples(Some("read_retries_total"))[0]
+            .value
+    };
+    let retried = retries();
+    for (sql, rows) in [
+        ("SELECT name FROM t_user WHERE uid = 4", 1),
+        ("SELECT uid FROM t_user ORDER BY uid", 8),
+    ] {
+        inject(
+            &runtime,
+            "ds_0",
+            FaultPlan::new(
+                FaultOp::ScanOpen,
+                FaultKind::Error("transient blip".into()),
+                FaultTrigger::Once,
+            ),
+        );
+        let stream = s.query_stream(sql, &[]).unwrap();
+        assert!(stream.is_streaming(), "{sql}");
+        assert_eq!(stream.into_result_set().unwrap().len(), rows, "{sql}");
+    }
+    assert_eq!(retries() - retried, 2);
 
     // The same style of fault on the write path must surface immediately.
     inject(

@@ -2,17 +2,19 @@
 //! data, ties in sort keys, LIMIT larger than the result, and aggregate
 //! corner cases — each checked against an unsharded reference.
 
-use shard_core::ShardingRuntime;
+mod common;
 
+use common::Oracle;
+use shard_core::{Session, ShardingRuntime};
 use shard_storage::StorageEngine;
-use std::sync::Arc;
 
-fn harness() -> (Arc<ShardingRuntime>, Arc<StorageEngine>) {
+/// A session on `t`, sharded four ways over two sources, and the unsharded
+/// reference holding the same table.
+fn harness() -> (Session, Oracle) {
     let runtime = ShardingRuntime::builder()
         .datasource("ds_0", StorageEngine::new("ds_0"))
         .datasource("ds_1", StorageEngine::new("ds_1"))
         .build();
-    let reference = StorageEngine::new("reference");
     let mut s = runtime.session();
     s.execute_sql(
         "CREATE SHARDING TABLE RULE t (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=id, \
@@ -20,28 +22,15 @@ fn harness() -> (Arc<ShardingRuntime>, Arc<StorageEngine>) {
         &[],
     )
     .unwrap();
+    let oracle = Oracle::new();
     let ddl = "CREATE TABLE t (id BIGINT PRIMARY KEY, grp VARCHAR(8), v INT)";
-    s.execute_sql(ddl, &[]).unwrap();
-    reference.execute_sql(ddl, &[], None).unwrap();
-    (runtime, reference)
-}
-
-fn both(runtime: &Arc<ShardingRuntime>, reference: &Arc<StorageEngine>, sql: &str) {
-    let mut s = runtime.session();
-    s.execute_sql(sql, &[]).unwrap();
-    reference.execute_sql(sql, &[], None).unwrap();
-}
-
-fn check(runtime: &Arc<ShardingRuntime>, reference: &Arc<StorageEngine>, sql: &str) {
-    let mut s = runtime.session();
-    let got = s.execute_sql(sql, &[]).unwrap().query();
-    let want = reference.execute_sql(sql, &[], None).unwrap().query();
-    assert_eq!(got.rows, want.rows, "query: {sql}");
+    oracle.write_both(&mut s, ddl, &[]);
+    (s, oracle)
 }
 
 #[test]
 fn empty_table_all_merge_paths() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for sql in [
         "SELECT * FROM t ORDER BY id",
         "SELECT COUNT(*) FROM t",
@@ -50,19 +39,19 @@ fn empty_table_all_merge_paths() {
         "SELECT DISTINCT grp FROM t",
         "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 3",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
 #[test]
 fn single_populated_shard_among_empty_ones() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     // Only ids ≡ 1 (mod 4): one shard holds everything.
     for id in [1i64, 5, 9, 13] {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             &format!("INSERT INTO t (id, grp, v) VALUES ({id}, 'a', {id})"),
+            &[],
         );
     }
     for sql in [
@@ -70,13 +59,13 @@ fn single_populated_shard_among_empty_ones() {
         "SELECT grp, SUM(v) FROM t GROUP BY grp",
         "SELECT AVG(v) FROM t",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
 #[test]
 fn null_heavy_aggregates() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for (id, grp, v) in [
         (0, "'a'", "NULL"),
         (1, "'a'", "10"),
@@ -84,10 +73,10 @@ fn null_heavy_aggregates() {
         (3, "'b'", "NULL"),
         (4, "NULL", "7"),
     ] {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             &format!("INSERT INTO t (id, grp, v) VALUES ({id}, {grp}, {v})"),
+            &[],
         );
     }
     for sql in [
@@ -101,22 +90,22 @@ fn null_heavy_aggregates() {
         // NULLs in sort keys order consistently.
         "SELECT id, v FROM t ORDER BY v, id",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
 #[test]
 fn sort_ties_and_pagination_boundaries() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for id in 0..12i64 {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             &format!(
                 "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {})",
                 id % 2,
                 id % 3 // many ties in v
             ),
+            &[],
         );
     }
     for sql in [
@@ -131,21 +120,21 @@ fn sort_ties_and_pagination_boundaries() {
         "SELECT id FROM t ORDER BY id LIMIT 12, 5",
         "SELECT id FROM t ORDER BY id OFFSET 12",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
 #[test]
 fn having_and_order_by_aggregate_combinations() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for id in 0..20i64 {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             &format!(
                 "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {id})",
                 id % 5
             ),
+            &[],
         );
     }
     for sql in [
@@ -155,18 +144,18 @@ fn having_and_order_by_aggregate_combinations() {
         "SELECT grp, SUM(v) FROM t GROUP BY grp ORDER BY SUM(v) DESC, grp LIMIT 2",
         "SELECT grp, AVG(v) FROM t GROUP BY grp ORDER BY AVG(v), grp",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
 #[test]
 fn wide_in_list_routes_and_merges() {
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for id in 0..30i64 {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             &format!("INSERT INTO t (id, grp, v) VALUES ({id}, 'x', {id})"),
+            &[],
         );
     }
     // 20-element IN list spanning all shards, with duplicates.
@@ -175,23 +164,23 @@ fn wide_in_list_routes_and_merges() {
         "SELECT id FROM t WHERE id IN ({}) ORDER BY id",
         ids.join(", ")
     );
-    check(&runtime, &reference, &sql);
+    oracle.assert_same(&mut s, &sql, &[]);
 }
 
 #[test]
 fn single_shard_pagination_not_applied_twice() {
     // A point-routed query with OFFSET: the shard paginates (single-node
     // optimization); the merger must pass it through untouched.
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for id in 0..10i64 {
-        both(
-            &runtime,
-            &reference,
+        oracle.write_both(
+            &mut s,
             // grp column = shard residue so grp='r1' lives on ONE shard
             &format!(
                 "INSERT INTO t (id, grp, v) VALUES ({}, 'r1', {id})",
                 id * 4 + 1 // all ids ≡ 1 (mod 4): one shard
             ),
+            &[],
         );
     }
     // IN-lists of ids that are all ≡ 1 (mod 4) route to a SINGLE shard, so
@@ -205,7 +194,7 @@ fn single_shard_pagination_not_applied_twice() {
         // and the multi-unit path for contrast
         "SELECT id FROM t ORDER BY id LIMIT 3 OFFSET 4",
     ] {
-        check(&runtime, &reference, sql);
+        oracle.assert_same(&mut s, sql, &[]);
     }
 }
 
@@ -213,24 +202,36 @@ fn single_shard_pagination_not_applied_twice() {
 /// with DISTINCT / HAVING / `LIMIT o, n` / a derived ORDER BY column mixed
 /// in, returns the same columns and rows and reports the same strategy
 /// through the materialized door (`execute_sql`, JDBC's) and the streaming
-/// door (`query_stream`, the proxy's).
+/// door (`query_stream`, the proxy's) — and leaves the same trace: the same
+/// stages, as many units, the same verdicts.
 #[test]
 fn both_front_doors_merge_alike() {
     use shard_core::merge::MergerKind;
+    use shard_core::obs::Stage;
 
-    let (runtime, reference) = harness();
+    let (mut s, oracle) = harness();
     for id in 0..40i64 {
         let sql = format!(
             "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {})",
             id % 6,
             (id * 7) % 11
         );
-        both(&runtime, &reference, &sql);
+        oracle.write_both(&mut s, &sql, &[]);
     }
-    let mut s = runtime.session();
-    let mut run = |sql: &str, expect: MergerKind| {
+    s.set_trace_enabled(true);
+    let run = |s: &mut Session, sql: &str, expect: MergerKind| {
+        // What a door's trace says, without the times.
+        let traced = |s: &Session| {
+            let t = s.last_trace().expect("SET trace = on");
+            assert_eq!(t.sql, sql);
+            let stages: Vec<Stage> = t.stages.iter().map(|(stage, _)| *stage).collect();
+            let verdicts = (t.route_strategy.clone(), t.merger.clone(), t.rows);
+            (stages, t.units.len(), verdicts)
+        };
         let materialized = s.execute_sql(sql, &[]).unwrap().query();
         assert_eq!(s.last_merger_kind(), Some(expect), "materialized {sql}");
+        let materialized_trace = traced(s);
+        assert_eq!(materialized_trace.0, Stage::ALL, "{sql}");
         let stream = s.query_stream(sql, &[]).unwrap();
         assert!(
             stream.is_streaming(),
@@ -238,10 +239,10 @@ fn both_front_doors_merge_alike() {
         );
         let streamed = stream.into_result_set().unwrap();
         assert_eq!(s.last_merger_kind(), Some(expect), "streamed {sql}");
+        assert_eq!(materialized_trace, traced(s), "{sql}");
         assert_eq!(materialized.columns, streamed.columns, "{sql}");
         assert_eq!(materialized.rows, streamed.rows, "{sql}");
         assert!(!materialized.rows.is_empty(), "{sql} returned nothing");
-        materialized
     };
     for (sql, kind) in [
         (
@@ -270,16 +271,15 @@ fn both_front_doors_merge_alike() {
             MergerKind::SingleGroup,
         ),
     ] {
-        let rs = run(sql, kind);
+        run(&mut s, sql, kind);
         // Deterministically ordered statements also equal the reference.
         if sql.contains("ORDER BY") || kind == MergerKind::SingleGroup {
-            let want = reference.execute_sql(sql, &[], None).unwrap().query();
-            assert_eq!(rs.columns, want.columns, "{sql}");
-            assert_eq!(rs.rows, want.rows, "{sql}");
+            oracle.assert_same(&mut s, sql, &[]);
         }
     }
-    runtime.set_agg_pushdown(false);
+    s.runtime().set_agg_pushdown(false);
     run(
+        &mut s,
         "SELECT grp, COUNT(*), AVG(v) FROM t GROUP BY grp HAVING COUNT(*) > 6 \
          ORDER BY grp DESC LIMIT 1, 2",
         MergerKind::RawAggregate,

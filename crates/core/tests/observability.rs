@@ -3,40 +3,15 @@
 //! entirely through RAL, and the single-source-of-truth guarantee between
 //! `SHOW METRICS` and the older status surfaces.
 
+#[path = "common/users.rs"]
+mod users;
+
 use shard_core::obs::MetricsRegistry;
-use shard_core::{Session, ShardingRuntime};
+use shard_core::Session;
 use shard_sql::Value;
-use shard_storage::{ExecuteResult, ResultSet, StorageEngine};
+use shard_storage::{ExecuteResult, ResultSet};
 use std::sync::Arc;
-
-fn sharded_runtime() -> Arc<ShardingRuntime> {
-    let runtime = ShardingRuntime::builder()
-        .datasource("ds_0", StorageEngine::new("ds_0"))
-        .datasource("ds_1", StorageEngine::new("ds_1"))
-        .build();
-    let mut s = runtime.session();
-    for sql in [
-        "CREATE SHARDING TABLE RULE t_user (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=uid, TYPE=mod, PROPERTIES(\"sharding-count\"=4))",
-        "CREATE TABLE t_user (uid BIGINT PRIMARY KEY, name VARCHAR(32), age INT)",
-    ] {
-        s.execute_sql(sql, &[]).unwrap();
-    }
-    runtime
-}
-
-fn load_users(s: &mut Session, n: i64) {
-    for uid in 0..n {
-        s.execute_sql(
-            "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)",
-            &[
-                Value::Int(uid),
-                Value::Str(format!("user{uid}")),
-                Value::Int(20 + (uid % 10)),
-            ],
-        )
-        .unwrap();
-    }
-}
+use users::{load_users, sharded_runtime};
 
 fn query(s: &mut Session, sql: &str) -> ResultSet {
     match s.execute_sql(sql, &[]).unwrap() {
@@ -195,7 +170,8 @@ fn slow_query_log_via_ral() {
             "rows",
             "route_strategy",
             "scan_mode",
-            "reshard_state"
+            "reshard_state",
+            "trace_id"
         ]
     );
     // Capacity 2: the first slow query was evicted, newest first.

@@ -193,27 +193,36 @@ fn abandoned_stream_stops_shard_scans() {
     }
     drop(stream); // client walks away after 3 of 2000 rows
 
-    // Producers observe the cancellation token / dead channel and stop.
-    // Allow generous slack for rows already buffered in the channels.
+    // A producer holds its connection until it has seen the cancellation
+    // token or its dead channel and let go of its cursor: all permits back
+    // means every producer is done, and what they pulled is final.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let pulled: u64 = engines
-            .iter()
-            .enumerate()
-            .map(|(i, e)| e.rows_pulled() - before[i])
-            .sum();
-        // 4 shards × (64-slot channel + in-flight row) is the ceiling if
-        // every producer filled its channel before the drop; 500×4 = 2000
-        // is what a non-cancelling implementation would pull.
-        if pulled <= 4 * 80 {
-            break;
+    for i in 0..SHARDS {
+        let pool = runtime
+            .datasource(&format!("ds_{i}"))
+            .unwrap()
+            .pool()
+            .clone();
+        while pool.available() < pool.capacity() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ds_{i}: producer still scanning after the stream was dropped"
+            );
+            std::thread::yield_now();
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shards pulled {pulled} rows after the stream was dropped"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
+    let pulled: u64 = engines
+        .iter()
+        .zip(&before)
+        .map(|(e, before)| e.rows_pulled() - before)
+        .sum();
+    // 4 shards × (64-slot channel + in-flight row) is the ceiling if every
+    // producer filled its channel before the drop; 500×4 = 2000 is what a
+    // non-cancelling implementation would pull.
+    assert!(
+        pulled <= 4 * 80,
+        "shards pulled {pulled} rows for a stream dropped after 3"
+    );
 }
 
 /// The streaming entry point still answers non-streamable statements

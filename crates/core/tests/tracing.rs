@@ -3,39 +3,14 @@
 //! head sampling plus tail-based keep, the flight recorder's incident
 //! store, the SLO burn-rate monitor, and background-job traces (reshard).
 
+#[path = "common/users.rs"]
+mod users;
+
 use shard_core::{IncidentKind, Session, ShardingRuntime, TransactionType};
 use shard_sql::Value;
-use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger, StorageEngine};
+use shard_storage::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
 use std::sync::Arc;
-
-fn sharded_runtime() -> Arc<ShardingRuntime> {
-    let runtime = ShardingRuntime::builder()
-        .datasource("ds_0", StorageEngine::new("ds_0"))
-        .datasource("ds_1", StorageEngine::new("ds_1"))
-        .build();
-    let mut s = runtime.session();
-    for sql in [
-        "CREATE SHARDING TABLE RULE t_user (RESOURCES(ds_0, ds_1), SHARDING_COLUMN=uid, TYPE=mod, PROPERTIES(\"sharding-count\"=4))",
-        "CREATE TABLE t_user (uid BIGINT PRIMARY KEY, name VARCHAR(32), age INT)",
-    ] {
-        s.execute_sql(sql, &[]).unwrap();
-    }
-    runtime
-}
-
-fn load_users(s: &mut Session, n: i64) {
-    for uid in 0..n {
-        s.execute_sql(
-            "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)",
-            &[
-                Value::Int(uid),
-                Value::Str(format!("user{uid}")),
-                Value::Int(20 + (uid % 10)),
-            ],
-        )
-        .unwrap();
-    }
-}
+use users::{load_users, sharded_runtime};
 
 fn inject(runtime: &Arc<ShardingRuntime>, ds: &str, plan: FaultPlan) {
     runtime
@@ -92,6 +67,34 @@ fn sampled_statement_renders_cross_layer_tree() {
     let snap = scan.span("mvcc_snapshot").expect("mvcc_snapshot span");
     let snap_parent = scan.spans[snap.parent.unwrap() as usize].clone();
     assert_eq!(snap_parent.name, "unit");
+
+    // The streaming door (the proxy's) records the same tree, single-unit
+    // direct cursor and scatter producers alike: each unit's span closes
+    // with the rows the merger pulled from it and owns the storage spans of
+    // its cursor open.
+    for (sql, units, rows) in [
+        ("SELECT name FROM t_user WHERE uid = 3", 1, 1),
+        ("SELECT uid FROM t_user ORDER BY uid", 4, 8),
+    ] {
+        let streamed = s.query_stream(sql, &[]).unwrap();
+        assert!(streamed.is_streaming(), "{sql}");
+        assert_eq!(streamed.into_result_set().unwrap().len(), rows as usize);
+        let trace = collector.traces().into_iter().find(|t| t.sql == sql);
+        let trace = trace.unwrap_or_else(|| panic!("{sql} was sampled"));
+        assert_eq!(trace.verdicts.rows, rows, "{sql}");
+        assert_eq!(trace.units().count(), units, "{:?}", trace.spans);
+        assert_eq!(trace.units().map(|u| u.rows.unwrap()).sum::<u64>(), rows);
+        for unit in trace.units() {
+            let opened = |sp: &&shard_core::obs::Span| {
+                sp.name == "cursor_open" && sp.parent == Some(unit.id)
+            };
+            assert!(
+                trace.spans.iter().any(|sp| opened(&sp)),
+                "{:?}",
+                trace.spans
+            );
+        }
+    }
 
     // The write path: an explicit XA commit flushes each branch's WAL
     // durably, and the flush reports under that branch's commit span.
@@ -408,4 +411,96 @@ fn ral_surface_round_trips() {
         .expect("slow-query entry for the COUNT statement");
     assert!(matches!(row[route_idx], Value::Str(_)), "{row:?}");
     assert_eq!(row[scan_idx], Value::Str("batch".into()), "{row:?}");
+}
+
+/// Six surfaces, one record: for one scatter statement, `EXPLAIN ANALYZE`,
+/// its `SHOW SLOW_QUERIES` row, `SHOW TRACE <id>` (the id taken from that
+/// row), `/traces` and the `stage_*_us` histograms report the same stage
+/// times, because all of them read the statement's one sealed record. The
+/// record's stage spans come in pipeline order and every unit span names its
+/// tables and its rows.
+#[test]
+fn six_surfaces_read_one_record() {
+    const STAGES: [&str; 5] = ["parse", "route", "rewrite", "execute", "merge"];
+    let runtime = sharded_runtime();
+    let mut s = runtime.session();
+    load_users(&mut s, 12);
+    let lines = |s: &mut Session, sql: &str| -> Vec<String> {
+        let rows = s.execute_sql(sql, &[]).unwrap().query().rows;
+        rows.iter().map(|r| r[0].to_string()).collect()
+    };
+    // `<stage> … <n>us` on the first line that names the stage.
+    let stage_us = |lines: &[String], stage: &str| -> u64 {
+        let line = lines
+            .iter()
+            .find(|l| l.split_whitespace().any(|w| w == stage))
+            .unwrap_or_else(|| panic!("no {stage} line in {lines:?}"));
+        let us = line
+            .split_whitespace()
+            .find_map(|w| w.strip_suffix("us")?.parse().ok());
+        us.unwrap_or_else(|| panic!("no time on {line}"))
+    };
+    let sums = || {
+        STAGES.map(|stage| {
+            let name = format!("stage_{stage}_us_sum");
+            runtime.metrics_registry().samples(Some(&name))[0].value
+        })
+    };
+
+    let before = sums();
+    runtime.slow_query_log().set_threshold_us(1);
+    let sql = "SELECT uid, name FROM t_user ORDER BY uid";
+    let explain = lines(&mut s, &format!("EXPLAIN ANALYZE {sql}"));
+    runtime.slow_query_log().set_threshold_us(0);
+    let explained = STAGES.map(|stage| stage_us(&explain, stage));
+    assert!(explained.iter().all(|us| *us >= 1), "{explain:?}");
+
+    // The stage histograms were fed those numbers.
+    let after = sums();
+    assert_eq!(explained, [0, 1, 2, 3, 4].map(|i| after[i] - before[i]));
+
+    // The slow log holds the same record, under the id the ring keeps it by.
+    let slow = s.execute_sql("SHOW SLOW_QUERIES", &[]).unwrap().query();
+    let column = |name: &str| slow.columns.iter().position(|c| c == name).unwrap();
+    let row = &slow.rows[0];
+    assert_eq!(row[column("sql")], Value::Str(sql.into()));
+    assert_eq!(row[column("units")], Value::Int(4));
+    assert_eq!(row[column("rows")], Value::Int(12));
+    let logged = STAGES
+        .iter()
+        .zip(explained)
+        .map(|(stage, us)| format!("{stage}={us}us"))
+        .collect::<Vec<_>>();
+    assert_eq!(row[column("stages")], Value::Str(logged.join(" ")));
+    let Value::Int(id) = row[column("trace_id")] else {
+        panic!("the ring kept no record for {row:?}");
+    };
+
+    // `SHOW TRACE <id>`: the stages in pipeline order with the same times,
+    // and under `execute` one span per unit with its tables and rows.
+    let tree = lines(&mut s, &format!("SHOW TRACE {id}"));
+    let under_root: Vec<&String> = tree
+        .iter()
+        .filter(|l| l.starts_with("    ") && !l.starts_with("     "))
+        .collect();
+    let order: Vec<&str> = under_root
+        .iter()
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(order, STAGES, "{tree:?}");
+    assert_eq!(explained, STAGES.map(|stage| stage_us(&tree, stage)));
+    let units: Vec<&String> = tree.iter().filter(|l| l.contains(" unit ")).collect();
+    assert_eq!(units.len(), 4, "{tree:?}");
+    for shard in 0..4 {
+        let table = format!(".t_user_{shard}] rows=3");
+        assert!(
+            units.iter().any(|l| l.contains(&table)),
+            "{table}: {tree:?}"
+        );
+    }
+
+    // `/traces` serves the record too; it carried no error, so no incident.
+    let json = runtime.trace_collector().traces_json();
+    assert!(json.contains(&format!("{{\"trace_id\":{id},")), "{json}");
+    assert!(runtime.trace_collector().incidents().is_empty());
 }

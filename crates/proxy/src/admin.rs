@@ -196,13 +196,12 @@ mod tests {
 
     #[test]
     fn traces_endpoint_serves_collector_json() {
-        use shard_core::obs::SpanRecorder;
         let registry = Arc::new(MetricsRegistry::new());
         let collector = Arc::new(TraceCollector::new());
-        let rec = SpanRecorder::new(collector.mint_trace_id(), "proxy:conn-1");
-        let root = rec.begin(None, "proxy_frame", String::new());
-        rec.finish(root, None);
-        collector.keep(Arc::new(rec.seal("SELECT 1".into(), None)));
+        let root = ("proxy_frame", String::new());
+        let now = std::time::Instant::now();
+        let trace = collector.start("proxy:conn-1", root, "SELECT 1".into(), now, true);
+        trace.finish(None, None);
         let server = MetricsServer::start_with_traces(
             Arc::clone(&registry),
             Some(Arc::clone(&collector)),

@@ -462,27 +462,57 @@ mod tests {
         assert!(wire.read_frame().unwrap().is_none());
     }
 
-    /// Autocommit SELECTs take the kernel's streaming path; they must still
-    /// be counted and timed by the kernel's own instruments and seen by the
-    /// SLO monitor.
+    /// Autocommit SELECTs take the kernel's streaming path; they are
+    /// observed like any other statement: counted and timed by the kernel's
+    /// own instruments, seen by the SLO monitor, and — recording, here every
+    /// one of them — each leaves one record that the slow log, the trace ring
+    /// and the stage histograms all read.
     #[test]
     fn streamed_selects_reach_kernel_telemetry() {
         let runtime = runtime();
         let server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
         let mut c = ProxyClient::connect(server.addr()).unwrap();
+        for id in 0..8i64 {
+            c.update(
+                "INSERT INTO t (id, v) VALUES (?, ?)",
+                &[Value::Int(id), Value::Int(id)],
+            )
+            .unwrap();
+        }
+        c.execute("SET trace_sample = 1", &[]).unwrap();
+        runtime.slow_query_log().set_threshold_us(1);
         let read = |name: &str| {
             let samples = runtime.metrics_registry().samples(Some(name));
             assert_eq!(samples.len(), 1, "{name}");
             samples[0].value
         };
+        let proxy_traces = || {
+            let traces = runtime.trace_collector().traces();
+            let from_proxy = |t: &&Arc<shard_core::TraceRecord>| {
+                t.origin == "proxy:conn-1" && t.spans[0].name == "proxy_frame"
+            };
+            traces.iter().filter(from_proxy).count()
+        };
         let statements = read("kernel_statements_total");
         let timed = read("kernel_statement_us_count");
-        for id in 0..100i64 {
-            c.query("SELECT v FROM t WHERE id = ?", &[Value::Int(id)])
+        let executed = read("stage_execute_us_count");
+        let merged = (read("merge_input_rows_total"), read("merge_rows_total"));
+        let traced = proxy_traces();
+        // 50 point reads of one row and 50 two-shard scans of all eight.
+        for id in 0..50i64 {
+            c.query("SELECT v FROM t WHERE id = ?", &[Value::Int(id % 8)])
                 .unwrap();
+            c.query("SELECT id FROM t ORDER BY id", &[]).unwrap();
         }
         assert_eq!(read("kernel_statements_total"), statements + 100);
         assert_eq!(read("kernel_statement_us_count"), timed + 100);
+        assert_eq!(read("stage_execute_us_count"), executed + 100);
+        let rows = 50 + 50 * 8;
+        assert_eq!(read("merge_input_rows_total"), merged.0 + rows);
+        assert_eq!(read("merge_rows_total"), merged.1 + rows);
+        assert_eq!(runtime.slow_query_log().entries().len(), 100);
+        assert_eq!(proxy_traces(), traced + 100);
+        runtime.slow_query_log().set_threshold_us(0);
         // Failures are counted and spend the SLO error budget like any
         // other statement's.
         c.execute("SET slo_error_pct = 1", &[]).unwrap();

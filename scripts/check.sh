@@ -37,8 +37,10 @@ timeout 600 bash crates/perf/run.sh --smoke
 
 # Observability gate: metrics and 1/16-sampled tracing are on by default,
 # so their cost is a tax on every statement. The gate compares point-SELECT
-# p50 for the default configuration vs `SET metrics = off` and vs
-# `SET trace_sample = off` (best-of-3) and fails above 5% + 300ns slack.
+# p50 (best-of-3, interleaved) for the default configuration vs
+# `SET metrics = off` and vs `SET trace_sample = off`, failing above
+# 5% + 300ns slack, and for an armed slow-query threshold that nothing
+# crosses (every statement records) vs the default, failing above 20% + 300ns.
 echo "==> obs: observability-overhead smoke gate"
 timeout 600 cargo run --release -p shard-bench --bin obs_gate
 
