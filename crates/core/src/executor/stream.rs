@@ -336,7 +336,7 @@ impl ExecutorEngine {
             let ds = &datasources[&name];
             let permits = permits.remove(&name).unwrap_or_default();
             let mut stream = stream(RowStreamInner::Done, open_span(label), permits);
-            match open_unit_cursor(ds, &stmt, &params, stream.span.as_ref()) {
+            match open_unit_cursor(ds, stmt, params, stream.span.as_ref()) {
                 Ok(cursor) => {
                     stream.columns = cursor.columns().to_vec();
                     stream.inner = RowStreamInner::Direct(Box::new(cursor));
@@ -379,7 +379,7 @@ impl ExecutorEngine {
                     let _ = tx.send(RowMsg::End);
                     return;
                 }
-                let mut cursor = match open_unit_cursor(&ds, &stmt, &params, span.as_ref()) {
+                let mut cursor = match open_unit_cursor(&ds, stmt, params, span.as_ref()) {
                     Ok(c) => c,
                     Err(e) => {
                         cancel.cancel();
@@ -490,8 +490,8 @@ impl ExecutorEngine {
 /// `mvcc_snapshot`) under the unit's span.
 fn open_unit_cursor(
     ds: &DataSource,
-    stmt: &SelectStatement,
-    params: &[Value],
+    stmt: SelectStatement,
+    params: Arc<[Value]>,
     span: Option<&SpanScope>,
 ) -> Result<QueryCursor> {
     let _probe = span.filter(|s| s.probe).map(|s| s.install_probe(s.parent));

@@ -669,7 +669,7 @@ fn reshard_inner(
     for node in &old_rule.data_nodes {
         let opened = runtime.datasource(&node.datasource).and_then(|ds| {
             ds.engine()
-                .open_cursor(&wildcard_select(&node.table), &[], None)
+                .open_cursor(wildcard_select(&node.table), Arc::new([]), None)
                 .map_err(KernelError::Storage)
         });
         match opened {
@@ -1000,7 +1000,7 @@ fn layout_fingerprint(runtime: &Arc<ShardingRuntime>, nodes: &[DataNode]) -> Res
         let mut cursor = runtime
             .datasource(&node.datasource)?
             .engine()
-            .open_cursor(&wildcard_select(&node.table), &[], None)
+            .open_cursor(wildcard_select(&node.table), Arc::new([]), None)
             .map_err(KernelError::Storage)?;
         loop {
             let rows = cursor

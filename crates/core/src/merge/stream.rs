@@ -199,7 +199,10 @@ impl MergedStream {
                 return take_error(self.error.as_ref()).map_or(Ok(None), Err);
             };
             if let Some(seen) = &mut self.distinct {
-                if !seen.insert(row.clone()) {
+                // DISTINCT is over the statement's own columns; a derived
+                // ORDER BY column still riding in the row is not part of it.
+                let own = &row[..self.keep.min(row.len())];
+                if !seen.insert(own.to_vec()) {
                     continue;
                 }
             }

@@ -1629,7 +1629,15 @@ impl Session {
         // shards that hold the rows.
         let mut index_routed = false;
         if route.units.len() > 1 && !self.runtime.gsi.is_empty() {
-            if let Some(units) = self.gsi_narrow_route(stmt, params) {
+            if let Some(mut units) = self.gsi_narrow_route(stmt, params) {
+                if units.is_empty() && is_query {
+                    // The index proves no shard holds the value: one node of
+                    // the scatter still answers, so the client gets a
+                    // correctly shaped result — the header, an aggregate's
+                    // one row — as the router arranges for contradictory
+                    // conditions.
+                    units.extend(route.units.first().cloned());
+                }
                 route.kind = if units.len() <= 1 {
                     RouteKind::Single
                 } else {
@@ -1691,8 +1699,9 @@ impl Session {
         }
 
         if route.units.is_empty() {
-            // Contradictory conditions (or a GSI lookup proving no shard
-            // holds the value): empty result without touching shards.
+            // Nothing to send anywhere — a write whose GSI lookup proves no
+            // shard holds the value (a query keeps one unit for its shape,
+            // step 3.5; so does the router on contradictory conditions).
             self.set_merger(MergerKind::PassThrough);
             return Ok(DataPlan::Immediate(if is_query {
                 ExecuteResult::Query(ResultSet::empty())

@@ -196,16 +196,32 @@ fn transient_read_retries_but_writes_never_do() {
     );
     assert_eq!(count_users(&mut s), 8, "read retry should absorb the blip");
 
-    // The streaming door (the proxy's) absorbs a failure at cursor open
-    // under the same rule — whether the one unit's cursor opens inline or a
-    // scatter's open on pool workers; once rows flow a failure surfaces
-    // mid-stream instead (`mid_stream_fault_cancels_siblings_with_one_error`).
     let retries = || {
         runtime
             .metrics_registry()
             .samples(Some("read_retries_total"))[0]
             .value
     };
+    // A collected statement pulls its rows through the same fault point a
+    // stream does; there the failed pull fails the statement, so the retry
+    // loop absorbs it as well.
+    let retried = retries();
+    inject(
+        &runtime,
+        "ds_0",
+        FaultPlan::new(
+            FaultOp::RowPull,
+            FaultKind::Error("transient blip".into()),
+            FaultTrigger::Once,
+        ),
+    );
+    assert_eq!(count_users(&mut s), 8, "read retry should absorb the blip");
+    assert_eq!(retries() - retried, 1);
+
+    // The streaming door (the proxy's) absorbs a failure at cursor open
+    // under the same rule — whether the one unit's cursor opens inline or a
+    // scatter's open on pool workers; once rows flow a failure surfaces
+    // mid-stream instead (`mid_stream_fault_cancels_siblings_with_one_error`).
     let retried = retries();
     for (sql, rows) in [
         ("SELECT name FROM t_user WHERE uid = 4", 1),

@@ -186,11 +186,12 @@ fn gsi_tracks_updates_deletes_and_drop() {
         "SELECT uid FROM t_order WHERE email = 'moved@example.com'",
     );
     assert_eq!(rs.rows, vec![vec![Value::Int(3)]]);
-    // The old value's entry is gone: the index proves absence with zero
-    // shard reads (fanout 0, empty result).
+    // The old value's entry is gone: the index proves absence, and one node
+    // answers with the correctly shaped empty result (fanout 1, not 4).
     let sql_old = format!("SELECT uid FROM t_order WHERE email = '{}'", email(3));
-    assert_eq!(fanout_of(&runtime, &mut s, &sql_old), 0);
-    assert!(query(&mut s, &sql_old).rows.is_empty());
+    assert_eq!(fanout_of(&runtime, &mut s, &sql_old), 1);
+    let rs = query(&mut s, &sql_old);
+    assert_eq!((rs.columns, rs.rows), (vec!["uid".to_string()], vec![]));
 
     s.execute_sql("DELETE FROM t_order WHERE uid = 5", &[])
         .unwrap();
@@ -277,13 +278,17 @@ fn gsi_routed_results_match_the_unsharded_oracle() {
         assert!(fanout_of(&runtime, &mut s, &sql) < 4, "{sql} scattered");
     }
     // The old value of the moved row, a deleted row, a value never seen: the
-    // index proves no shard holds them. (Rows only: a statement answered
-    // without touching a shard comes back without column names, which one
-    // unsharded engine would still give — ROADMAP item 1(b).)
+    // index proves no shard holds them, and one node still answers for
+    // shape — the header of an empty result, the one row of an aggregate
+    // over nothing — as one unsharded engine does.
     for gone in [email(2), email(5), "nobody@example.com".to_string()] {
-        let sql = format!("SELECT uid FROM t_order WHERE email = '{gone}'");
-        assert!(query(&mut s, &sql).rows.is_empty(), "{sql}");
-        assert_eq!(s.last_route_strategy(), Some(RouteStrategy::IndexRoute));
+        for projection in ["uid, email", "COUNT(*), SUM(amount)"] {
+            let sql = format!("SELECT {projection} FROM t_order WHERE email = '{gone}'");
+            let rs = oracle.assert_same(&mut s, &sql, &[]);
+            assert_eq!(rs.columns.len(), 2, "{sql}");
+            assert_eq!(s.last_route_strategy(), Some(RouteStrategy::IndexRoute));
+            assert_eq!(fanout_of(&runtime, &mut s, &sql), 1, "{sql}");
+        }
     }
 }
 

@@ -198,6 +198,30 @@ fn single_shard_pagination_not_applied_twice() {
     }
 }
 
+/// `SELECT DISTINCT a … ORDER BY b`: the shards return `b` as a derived
+/// column for the merge to order by, and DISTINCT must not count it.
+#[test]
+fn distinct_ignores_the_derived_order_by_column() {
+    let (mut s, oracle) = harness();
+    for id in 0..12i64 {
+        // Three groups; `v` is unique, so the order of first appearance is
+        // the same in both systems.
+        let sql = format!(
+            "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {})",
+            id % 3,
+            (id * 5) % 12
+        );
+        oracle.write_both(&mut s, &sql, &[]);
+    }
+    for sql in [
+        "SELECT DISTINCT grp FROM t ORDER BY v",
+        "SELECT DISTINCT grp FROM t ORDER BY v DESC LIMIT 1, 2",
+    ] {
+        let rs = oracle.assert_same(&mut s, sql, &[]);
+        assert!(rs.len() <= 3, "{sql}: {:?}", rs.rows);
+    }
+}
+
 /// One merger behind both front doors: a statement of each merge strategy,
 /// with DISTINCT / HAVING / `LIMIT o, n` / a derived ORDER BY column mixed
 /// in, returns the same columns and rows and reports the same strategy
@@ -277,6 +301,26 @@ fn both_front_doors_merge_alike() {
             oracle.assert_same(&mut s, sql, &[]);
         }
     }
+    // `ORDER BY <pk> LIMIT o, n` stops every shard's scan after o + n rows
+    // through the materialized door too: storage walks the index in order
+    // instead of sorting the shard. Two shards of ten rows on each source.
+    let sql = "SELECT id, grp FROM t ORDER BY id LIMIT 2, 3";
+    let pulled = |s: &Session| {
+        let engine = |ds| s.runtime().datasource(ds).unwrap().engine().rows_pulled();
+        [engine("ds_0"), engine("ds_1")]
+    };
+    let before = pulled(&s);
+    s.execute_sql(sql, &[]).unwrap();
+    for (after, before) in pulled(&s).iter().zip(before) {
+        let pulled = after - before;
+        assert!(
+            (1..=10).contains(&pulled),
+            "a source pulled {pulled} rows for LIMIT 2, 3 over two shards"
+        );
+    }
+    run(&mut s, sql, MergerKind::OrderByStream);
+    oracle.assert_same(&mut s, sql, &[]);
+
     s.runtime().set_agg_pushdown(false);
     run(
         &mut s,

@@ -1,11 +1,11 @@
-//! Vectorized batch-scan path: columnar value batches from the table to the
+//! Vectorized batch-scan leaf: columnar value batches from the table to the
 //! aggregate accumulators.
 //!
-//! The row cursors in [`crate::cursor`] pay per row: one table read-lock,
-//! one B-tree probe, one full-row clone, one fault-point check and a scope
-//! resolution for every expression — fine for point OLTP, ruinous for the
+//! The row scan in [`crate::cursor`] pays per row: one table read-lock,
+//! one B-tree probe, one full-row clone and a scope resolution for every
+//! expression — fine for a LIMIT that stops early, ruinous for the
 //! full-table scans that partial-aggregate pushdown sends into storage. The
-//! batch path amortizes all of it:
+//! batch leaf amortizes all of it:
 //!
 //! - **Columnar batches** — [`BatchSource`] fetches up to [`BATCH_SIZE`]
 //!   rows per step under a single read guard and transposes them into
@@ -19,35 +19,35 @@
 //!   `first_row`s (one per group, not per source row) and the projected
 //!   output of plain scans.
 //! - **Tight aggregate loops** — [`BatchGroupedState`] updates the same
-//!   [`Accumulator`]s as the row path (so results stay byte-identical) but
-//!   feeds them straight from column vectors, with a column-at-a-time fast
-//!   path for ungrouped aggregates that skips NULLs by bitmap.
+//!   [`Accumulator`]s as the general executor (so results stay
+//!   byte-identical) but feeds them straight from column vectors, with a
+//!   column-at-a-time fast path for ungrouped aggregates that skips NULLs by
+//!   bitmap.
 //!
-//! Admission is a single shared predicate, [`batch_admissible`]: the storage
-//! open path uses it to pick the cursor and the sharding kernel uses it to
+//! Admission is a single shared predicate, [`batch_admissible`]: the SELECT
+//! dispatcher uses it to pick the leaf and the sharding kernel uses it to
 //! tag `EXPLAIN ANALYZE` with `scan_mode=batch|row`, so the tag cannot
-//! drift from what storage actually does. Shapes that need the row cursor's
+//! drift from what storage actually does. Shapes that need the row scan's
 //! guarantees (LIMIT-bearing plain scans keep tight early-termination pull
 //! counts, ORDER BY keeps the index-satisfaction decision on one path,
-//! FOR UPDATE needs locking side effects) fall back, mirroring how
-//! `can_stream` gates the streaming executor.
+//! FOR UPDATE needs locking side effects) are not admitted.
 
+use crate::cursor::SelectHooks;
 use crate::error::Result;
 use crate::eval::{eval, eval_predicate, EvalContext, Scope};
 use crate::exec_select::{
-    access_path, collect_agg_calls, needs_grouping, project_row, projection_columns, Accumulator,
-    Catalog, Group, GroupedState,
+    collect_agg_calls, needs_grouping, project_row, projection_columns, Accumulator, Group,
+    GroupedState,
 };
-use crate::fault::{FaultInjector, FaultOp};
+use crate::fault::FaultOp;
 use crate::index::RowId;
-use crate::latency::LatencyModel;
 use crate::mvcc::ReadView;
 use crate::result::ResultSet;
 use crate::table::Table;
 use parking_lot::RwLock;
 use shard_sql::ast::*;
 use shard_sql::Value;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Rows per columnar batch. Large enough to amortize the per-batch lock,
@@ -115,83 +115,66 @@ pub struct ColumnBatch {
     pub cols: Vec<ColumnVector>,
 }
 
-/// Shared handles for the engine's `scan_batches_total` /
-/// `scan_batch_rows_total` counters, incremented once per batch fetch.
-#[derive(Clone)]
-pub struct BatchCounters {
-    pub batches: Arc<AtomicU64>,
-    pub rows: Arc<AtomicU64>,
-}
-
-impl Default for BatchCounters {
-    fn default() -> Self {
-        BatchCounters {
-            batches: Arc::new(AtomicU64::new(0)),
-            rows: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Accounting hooks a batch source reports into. The streaming cursors set
-/// all of them (matching the row cursors' per-pull discipline, amortized
-/// per batch); the materialized path sets only the counters — like
-/// `execute_select`, it has no per-source-row fault point, pull count or
-/// transfer charge.
-pub(crate) struct BatchHooks {
-    pub pulled: Option<Arc<AtomicU64>>,
-    pub latency: Option<LatencyModel>,
-    pub faults: Option<Arc<FaultInjector>>,
-    pub counters: BatchCounters,
-}
-
 /// Pulls columnar batches of the referenced columns from one table over a
 /// row-id snapshot. Lock scope is one batch: the read guard is never held
 /// across pulls, so a slow consumer cannot block writers (the same rule the
-/// row cursors follow per row, paid 1/[`BATCH_SIZE`] as often).
+/// row scan follows per row, paid 1/[`BATCH_SIZE`] as often).
 pub(crate) struct BatchSource {
     table: Arc<RwLock<Table>>,
     ids: Vec<RowId>,
     pos: usize,
     /// Schema positions of the referenced columns, ascending.
     proj: Vec<usize>,
-    /// Visibility of every fetched row — the statement snapshot taken at
-    /// open, so batch scans read the same version set as the row cursors.
+    /// The referenced columns only — what every expression over a batch
+    /// resolves against.
+    scope: Scope,
+    /// Visibility of every fetched row — the statement's read view, so
+    /// batch scans read the same version set as the row scan.
     view: ReadView,
-    hooks: BatchHooks,
 }
 
 impl BatchSource {
-    pub(crate) fn new(
+    /// Resolve the reduced scope and the output header for an admissible
+    /// statement over `ids`, the dispatcher's snapshot.
+    pub(crate) fn open(
         table: Arc<RwLock<Table>>,
+        stmt: &SelectStatement,
+        binding: &str,
         ids: Vec<RowId>,
-        proj: Vec<usize>,
+        schema_cols: &[String],
         view: ReadView,
-        hooks: BatchHooks,
-    ) -> Self {
-        BatchSource {
+    ) -> Result<(BatchSource, Vec<String>)> {
+        let full_scope = Scope::from_table(binding, schema_cols);
+        let columns = projection_columns(&stmt.projection, &full_scope)?;
+        let proj = referenced_columns(stmt, schema_cols);
+        let reduced: Vec<String> = proj.iter().map(|&i| schema_cols[i].clone()).collect();
+        let source = BatchSource {
             table,
             ids,
             pos: 0,
             proj,
+            scope: Scope::from_table(binding, &reduced),
             view,
-            hooks,
-        }
+        };
+        Ok((source, columns))
+    }
+
+    pub(crate) fn scope(&self) -> &Scope {
+        &self.scope
     }
 
     /// Fetch the next non-empty batch, or `None` when the snapshot is
     /// drained. Ids whose rows were deleted since open are skipped, as in
-    /// the row cursors.
-    pub(crate) fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+    /// the row scan.
+    fn next_batch(&mut self, hooks: &SelectHooks) -> Result<Option<ColumnBatch>> {
         loop {
             if self.pos >= self.ids.len() {
                 return Ok(None);
             }
-            // Mid-stream fault point, once per batch: a `row_pull` fault
-            // kills the scan between batches, so chaos tests observe the
-            // same abandon/cancel behaviour as on the row path.
-            if let Some(f) = &self.hooks.faults {
-                f.check(FaultOp::RowPull)?;
-            }
+            // Mid-scan fault point, once per batch: a `row_pull` fault kills
+            // the scan between batches, so chaos tests observe the same
+            // abandon/cancel behaviour as on the row scan.
+            hooks.faults.check(FaultOp::RowPull)?;
             let end = (self.pos + BATCH_SIZE).min(self.ids.len());
             let chunk = &self.ids[self.pos..end];
             self.pos = end;
@@ -214,27 +197,62 @@ impl BatchSource {
             if fetched == 0 {
                 continue;
             }
-            if let Some(p) = &self.hooks.pulled {
-                p.fetch_add(fetched as u64, Ordering::Relaxed);
-            }
-            if let Some(l) = &self.hooks.latency {
-                // Same per-row transfer total as the row path, charged once
-                // per batch (one bulk transfer, not N round trips).
-                l.charge_rows(fetched);
-            }
-            self.hooks.counters.batches.fetch_add(1, Ordering::Relaxed);
-            self.hooks
-                .counters
-                .rows
-                .fetch_add(fetched as u64, Ordering::Relaxed);
+            let n = fetched as u64;
+            hooks.rows_pulled.fetch_add(n, Ordering::Relaxed);
+            hooks.scan_batches.fetch_add(1, Ordering::Relaxed);
+            hooks.scan_batch_rows.fetch_add(n, Ordering::Relaxed);
             return Ok(Some(ColumnBatch { len: fetched, cols }));
         }
     }
+
+    /// Plain scans: the next batch's rows that pass WHERE, projected.
+    /// Admission guarantees no ORDER BY / LIMIT / HAVING, so nothing needs
+    /// buffering beyond the batch.
+    pub(crate) fn next_rows(
+        &mut self,
+        stmt: &SelectStatement,
+        params: &[Value],
+        hooks: &SelectHooks,
+    ) -> Result<Option<Vec<Vec<Value>>>> {
+        let Some(batch) = self.next_batch(hooks)? else {
+            return Ok(None);
+        };
+        let sel = filter_batch(&batch, stmt.where_clause.as_ref(), &self.scope, params)?;
+        let mut rows = Vec::with_capacity(sel.count(batch.len));
+        let mut buf: Vec<Value> = Vec::with_capacity(batch.cols.len());
+        for i in sel.iter(batch.len) {
+            fill_row(&batch, i, &mut buf);
+            rows.push(project_row(
+                &stmt.projection,
+                &self.scope,
+                &buf,
+                params,
+                None,
+            )?);
+        }
+        Ok(Some(rows))
+    }
+
+    /// Grouped scans: every remaining batch through `state`, then the
+    /// finished group rows (HAVING / ORDER BY / projection applied).
+    pub(crate) fn aggregate(
+        &mut self,
+        mut state: BatchGroupedState,
+        stmt: &SelectStatement,
+        params: &[Value],
+        hooks: &SelectHooks,
+    ) -> Result<Vec<Vec<Value>>> {
+        while let Some(batch) = self.next_batch(hooks)? {
+            let sel = filter_batch(&batch, stmt.where_clause.as_ref(), &self.scope, params)?;
+            state.push_batch(&batch, &sel, &self.scope, params)?;
+        }
+        Ok(state.finish(stmt, &self.scope, params)?.rows)
+    }
 }
 
-/// Can the batch path serve this statement shape? Shared between the
-/// storage open path and the kernel's `scan_mode` trace tag — one verdict,
-/// two consumers, no drift.
+/// Can the batch leaf serve this statement shape? Shared between the SELECT
+/// dispatcher and the kernel's `scan_mode` trace tag — one verdict, two
+/// consumers, no drift.
 pub fn batch_admissible(stmt: &SelectStatement) -> bool {
     if stmt.from.is_none() || !stmt.joins.is_empty() || stmt.distinct || stmt.for_update {
         return false;
@@ -244,10 +262,10 @@ pub fn batch_admissible(stmt: &SelectStatement) -> bool {
         // apply to the few finished group rows, never to source pulls.
         return true;
     }
-    // Plain scans: LIMIT keeps the row cursor's tight early-termination
-    // pull counts, ORDER BY keeps the index-satisfaction decision (and its
-    // materialized fallback) on one path, HAVING without aggregates keeps
-    // the materialized path's quirky handling.
+    // Plain scans: LIMIT keeps the row scan's tight early-termination pull
+    // counts, ORDER BY keeps the index-satisfaction decision (and its
+    // fallback to a sort) on one path, HAVING without aggregates keeps the
+    // general executor's quirky handling.
     stmt.having.is_none() && stmt.limit.is_none() && stmt.order_by.is_empty()
 }
 
@@ -320,7 +338,7 @@ fn extractor_for(e: &Expr, scope: &Scope) -> Extractor {
 
 /// WHERE verdict for one batch: either every row passes (no predicate) or
 /// the indices of the passing rows.
-pub(crate) enum Selection {
+enum Selection {
     All,
     Rows(Vec<u32>),
 }
@@ -358,7 +376,7 @@ fn fill_row(batch: &ColumnBatch, i: usize, buf: &mut Vec<Value>) {
 
 /// Evaluate the WHERE clause over one batch. Rows are materialized into a
 /// reusable buffer only when a predicate exists.
-pub(crate) fn filter_batch(
+fn filter_batch(
     batch: &ColumnBatch,
     where_clause: Option<&Expr>,
     scope: &Scope,
@@ -705,7 +723,7 @@ impl BatchGroupedState {
         gidx
     }
 
-    pub(crate) fn push_batch(
+    fn push_batch(
         &mut self,
         batch: &ColumnBatch,
         sel: &Selection,
@@ -882,7 +900,7 @@ impl BatchGroupedState {
     /// Reassemble per-group `Accumulator`s from the structure-of-arrays
     /// state, then delegate HAVING / ORDER BY / projection to the row
     /// path's finish over the reduced scope.
-    pub(crate) fn finish(
+    fn finish(
         mut self,
         stmt: &SelectStatement,
         scope: &Scope,
@@ -899,287 +917,6 @@ impl BatchGroupedState {
             .collect();
         GroupedState::from_parts(self.agg_calls, groups).finish(stmt, scope, params)
     }
-}
-
-/// Everything the batch cursors and the materialized batch path share:
-/// the id snapshot, the reduced scope, and the output header.
-pub(crate) struct BatchOpen {
-    pub source: BatchSource,
-    pub scope: Scope,
-    pub columns: Vec<String>,
-}
-
-/// Snapshot ids and resolve the reduced scope for an admissible statement.
-/// `ids` must already be computed (access path or full scan) under the
-/// caller's read guard so id order matches the row path exactly.
-pub(crate) fn open_source(
-    table: Arc<RwLock<Table>>,
-    stmt: &SelectStatement,
-    binding: &str,
-    ids: Vec<RowId>,
-    schema_cols: &[String],
-    hooks: BatchHooks,
-    view: ReadView,
-) -> Result<BatchOpen> {
-    let full_scope = Scope::from_table(binding, schema_cols);
-    let columns = projection_columns(&stmt.projection, &full_scope)?;
-    let proj = referenced_columns(stmt, schema_cols);
-    let reduced: Vec<String> = proj.iter().map(|&i| schema_cols[i].clone()).collect();
-    let scope = Scope::from_table(binding, &reduced);
-    Ok(BatchOpen {
-        source: BatchSource::new(table, ids, proj, view, hooks),
-        scope,
-        columns,
-    })
-}
-
-/// Streaming batch cursor for plain (ungrouped) admissible scans: each
-/// underlying pull fetches one columnar batch, filters and projects it, and
-/// the rows drain out one at a time through the [`crate::cursor::QueryCursor`]
-/// interface. Admission guarantees no ORDER BY / LIMIT / HAVING, so nothing
-/// needs buffering beyond the current batch.
-pub(crate) struct BatchScanCursor {
-    source: BatchSource,
-    scope: Scope,
-    projection: Vec<SelectItem>,
-    where_clause: Option<Expr>,
-    params: Vec<Value>,
-    out: std::collections::VecDeque<Vec<Value>>,
-    done: bool,
-}
-
-impl BatchScanCursor {
-    pub(crate) fn new(
-        source: BatchSource,
-        scope: Scope,
-        stmt: &SelectStatement,
-        params: Vec<Value>,
-    ) -> Self {
-        BatchScanCursor {
-            source,
-            scope,
-            projection: stmt.projection.clone(),
-            where_clause: stmt.where_clause.clone(),
-            params,
-            out: std::collections::VecDeque::new(),
-            done: false,
-        }
-    }
-
-    pub(crate) fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        loop {
-            if let Some(r) = self.out.pop_front() {
-                return Ok(Some(r));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            let Some(batch) = self.source.next_batch()? else {
-                self.done = true;
-                return Ok(None);
-            };
-            let sel = filter_batch(
-                &batch,
-                self.where_clause.as_ref(),
-                &self.scope,
-                &self.params,
-            )?;
-            let mut buf: Vec<Value> = Vec::with_capacity(batch.cols.len());
-            for i in sel.iter(batch.len) {
-                fill_row(&batch, i, &mut buf);
-                self.out.push_back(project_row(
-                    &self.projection,
-                    &self.scope,
-                    &buf,
-                    &self.params,
-                    None,
-                )?);
-            }
-        }
-    }
-}
-
-/// Streaming batch cursor for grouped/aggregate statements: the first pull
-/// drains all source batches through [`BatchGroupedState`], finishes the
-/// groups, applies OFFSET/LIMIT to the finished group rows (as the row-path
-/// grouped cursor does), then streams them out.
-pub(crate) struct BatchGroupedCursor {
-    source: BatchSource,
-    stmt: SelectStatement,
-    scope: Scope,
-    params: Vec<Value>,
-    state: Option<BatchGroupedState>,
-    offset: u64,
-    limit: Option<u64>,
-    out: Option<std::vec::IntoIter<Vec<Value>>>,
-}
-
-impl BatchGroupedCursor {
-    pub(crate) fn new(
-        source: BatchSource,
-        scope: Scope,
-        stmt: &SelectStatement,
-        params: Vec<Value>,
-        offset: u64,
-        limit: Option<u64>,
-    ) -> Self {
-        let state = BatchGroupedState::new(stmt, &scope);
-        BatchGroupedCursor {
-            source,
-            stmt: stmt.clone(),
-            scope,
-            params,
-            state: Some(state),
-            offset,
-            limit,
-            out: None,
-        }
-    }
-
-    pub(crate) fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        if self.out.is_none() {
-            // A prior pull errored mid-drain (the state is gone): stay done.
-            let Some(mut state) = self.state.take() else {
-                return Ok(None);
-            };
-            while let Some(batch) = self.source.next_batch()? {
-                let sel = filter_batch(
-                    &batch,
-                    self.stmt.where_clause.as_ref(),
-                    &self.scope,
-                    &self.params,
-                )?;
-                state.push_batch(&batch, &sel, &self.scope, &self.params)?;
-            }
-            let rs = state.finish(&self.stmt, &self.scope, &self.params)?;
-            let mut rows = rs.rows;
-            if self.offset > 0 {
-                let skip = (self.offset as usize).min(rows.len());
-                rows.drain(..skip);
-            }
-            if let Some(lim) = self.limit {
-                rows.truncate(lim as usize);
-            }
-            self.out = Some(rows.into_iter());
-        }
-        Ok(self.out.as_mut().expect("set above").next())
-    }
-}
-
-/// Materialized batch execution: serves the engine's buffered SELECT path
-/// (the one `execute` and the cursor fallback use) for admissible shapes,
-/// so analytics statements vectorize whether or not the kernel streams
-/// them. Returns `None` for shapes the classic `execute_select` must keep.
-pub(crate) fn execute_select_batch(
-    catalog: &dyn Catalog,
-    stmt: &SelectStatement,
-    params: &[Value],
-    counters: BatchCounters,
-    view: &ReadView,
-) -> Result<Option<ResultSet>> {
-    if !batch_admissible(stmt) {
-        return Ok(None);
-    }
-    let Some(from) = &stmt.from else {
-        return Ok(None);
-    };
-    let table = catalog.table(from.name.as_str())?;
-    let guard = table.read();
-    let schema_cols = guard.schema.column_names();
-    let ids: Vec<RowId> = match access_path(
-        &guard,
-        from.binding_name(),
-        stmt.where_clause.as_ref(),
-        params,
-    ) {
-        Some(ids) => ids,
-        None => guard.all_ids().collect(),
-    };
-    drop(guard);
-
-    let hooks = BatchHooks {
-        pulled: None,
-        latency: None,
-        faults: None,
-        counters,
-    };
-    let mut open = open_source(
-        table,
-        stmt,
-        from.binding_name(),
-        ids,
-        &schema_cols,
-        hooks,
-        view.clone(),
-    )?;
-
-    if needs_grouping(stmt) {
-        let mut state = BatchGroupedState::new(stmt, &open.scope);
-        while let Some(batch) = open.source.next_batch()? {
-            let sel = filter_batch(&batch, stmt.where_clause.as_ref(), &open.scope, params)?;
-            state.push_batch(&batch, &sel, &open.scope, params)?;
-        }
-        let mut rs = state.finish(stmt, &open.scope, params)?;
-        apply_limit(&mut rs, stmt, params)?;
-        Ok(Some(rs))
-    } else {
-        // Plain admissible scans have no ORDER BY / LIMIT / HAVING: fetch,
-        // filter, project — done.
-        let mut out_rows = Vec::new();
-        let mut buf: Vec<Value> = Vec::new();
-        while let Some(batch) = open.source.next_batch()? {
-            let sel = filter_batch(&batch, stmt.where_clause.as_ref(), &open.scope, params)?;
-            for i in sel.iter(batch.len) {
-                fill_row(&batch, i, &mut buf);
-                out_rows.push(project_row(
-                    &stmt.projection,
-                    &open.scope,
-                    &buf,
-                    params,
-                    None,
-                )?);
-            }
-        }
-        Ok(Some(ResultSet::new(open.columns, out_rows)))
-    }
-}
-
-/// LIMIT/OFFSET over the finished grouped rows, exactly as the classic
-/// `execute_select` applies them (step 6).
-fn apply_limit(rs: &mut ResultSet, stmt: &SelectStatement, params: &[Value]) -> Result<()> {
-    let Some(lim) = &stmt.limit else {
-        return Ok(());
-    };
-    let offset = lim
-        .offset
-        .as_ref()
-        .map(|v| {
-            v.resolve(params)
-                .ok_or(crate::error::StorageError::Execution(
-                    "unresolvable OFFSET".into(),
-                ))
-        })
-        .transpose()?
-        .unwrap_or(0) as usize;
-    let limit = lim
-        .limit
-        .as_ref()
-        .map(|v| {
-            v.resolve(params)
-                .ok_or(crate::error::StorageError::Execution(
-                    "unresolvable LIMIT".into(),
-                ))
-        })
-        .transpose()?;
-    if offset >= rs.rows.len() {
-        rs.rows.clear();
-    } else {
-        rs.rows.drain(..offset);
-    }
-    if let Some(l) = limit {
-        rs.rows.truncate(l as usize);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1218,7 +955,7 @@ mod tests {
             "SELECT status, COUNT(*) FROM t GROUP BY status ORDER BY status LIMIT 2"
         )));
         assert!(batch_admissible(&select("SELECT amount FROM t")));
-        // Plain LIMIT needs the row cursor's early-termination pulls.
+        // Plain LIMIT needs the row scan's early-termination pulls.
         assert!(!batch_admissible(&select("SELECT amount FROM t LIMIT 5")));
         // Plain ORDER BY keeps the index-satisfaction decision on one path.
         assert!(!batch_admissible(&select(

@@ -1,38 +1,46 @@
-//! Pull-based SELECT cursors: rows leave the engine one at a time instead of
-//! being collected into a [`ResultSet`] first.
+//! The one SELECT pipeline. [`SelectRun::open`] is storage's only SELECT
+//! dispatcher: it resolves the read view, takes the row-id snapshot, resolves
+//! LIMIT/OFFSET and picks the operator. What it returns holds no copy of the
+//! statement — every pull borrows it — so the two ways in consume the same
+//! state: `StorageEngine::execute` drains it with the caller's statement
+//! ([`SelectRun::collect`]), `StorageEngine::open_cursor` wraps it in a
+//! [`QueryCursor`] that owns the statement and hands rows out one at a time.
 //!
-//! A [`QueryCursor`] is what the sharding kernel's streaming executor pulls
-//! from. Two shapes exist behind it:
+//! Operators, in the order the dispatcher tries them:
 //!
-//! - **Scan** — a true incremental cursor over one base table. Row ids are
-//!   snapshotted at open (in index-key order when an index satisfies the
-//!   ORDER BY, otherwise in access-path order); each pull fetches, filters,
-//!   and projects exactly one row. The table lock is taken per pull and
-//!   never held across pulls, so a slow consumer cannot block writers.
-//! - **Grouped** — an incremental aggregate cursor: source rows are drained
-//!   through [`GroupedState`] accumulators on the first pull (per-row fault
-//!   points and lock-per-fetch like Scan), then the finished per-group rows
-//!   stream out. This is what partial-aggregate pushdown rides on — each
-//!   shard returns one row per group instead of its raw rows.
-//! - **Materialized** — a fallback wrapping the classic `execute_select`
-//!   output for statement shapes the incremental path cannot stream (joins,
-//!   DISTINCT, un-indexed ORDER BY).
+//! - **General** — [`execute_select`](crate::exec_select::execute_select)
+//!   runs at open and its rows wait in the run: joins, DISTINCT, an ORDER BY
+//!   no index keeps, HAVING without aggregates, no FROM, and locking reads
+//!   (`FOR UPDATE` inside a transaction, which must see and lock the rows as
+//!   they stand). It shares no scan code with the leaves below, which is
+//!   what lets the tests use it as their reference.
+//! - **Batch** (plain or grouped) — [`batch_admissible`] shapes: columnar
+//!   fetches over the snapshot; grouped statements drain on the first pull
+//!   and hand out the finished group rows.
+//! - **Row scan** — what is left (a LIMIT, an ORDER BY an index keeps, or
+//!   `FOR UPDATE` outside a transaction): one fetch, filter and projection
+//!   per pull, in access-path or index order, stopping when the LIMIT is
+//!   full. The table lock is taken per fetch and never held across pulls, so
+//!   a slow consumer cannot block writers.
 //!
-//! The per-engine `rows_pulled` counter only counts rows fetched by the Scan
-//! shape, so tests asserting early LIMIT termination cannot pass by accident
-//! through the materialized fallback.
+//! Hooks, the same for both consumers: a `RowPull` fault point per row or
+//! batch pulled, `rows_pulled` per source row a leaf fetches (the general
+//! executor counts nothing, so a test asserting early LIMIT termination
+//! cannot pass through it by accident), and `per_row` latency per row that
+//! leaves the engine.
 
-use crate::batch::{
-    batch_admissible, open_source, BatchCounters, BatchGroupedCursor, BatchHooks, BatchScanCursor,
-};
-use crate::error::{Result, StorageError};
+use crate::batch::{batch_admissible, BatchGroupedState, BatchSource};
+use crate::engine::StorageEngine;
+use crate::error::Result;
 use crate::eval::{eval_predicate, EvalContext, Scope};
 use crate::exec_select::{
-    access_path, column_of, needs_grouping, project_row, projection_columns, Catalog, GroupedState,
+    access_path, index_order, needs_grouping, project_row, projection_columns, resolve_limit,
+    truncate_to_window,
 };
 use crate::fault::{FaultInjector, FaultOp};
 use crate::index::RowId;
 use crate::latency::LatencyModel;
+use crate::lock::TxnId;
 use crate::mvcc::ReadView;
 use crate::result::ResultSet;
 use crate::table::Table;
@@ -42,64 +50,292 @@ use shard_sql::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An open cursor over one SELECT's result rows.
-pub struct QueryCursor {
+/// The engine's side of every SELECT — what a run reports into and can be
+/// interrupted by — behind one `Arc`, so a cursor that outlives the call
+/// that opened it keeps reporting.
+pub(crate) struct SelectHooks {
+    pub latency: LatencyModel,
+    pub faults: FaultInjector,
+    /// Source rows fetched by the scan leaves.
+    pub rows_pulled: AtomicU64,
+    /// Columnar batches fetched / rows delivered in them.
+    pub scan_batches: AtomicU64,
+    pub scan_batch_rows: AtomicU64,
+}
+
+/// One SELECT in progress: the operator the dispatcher picked plus the rows
+/// it has finished and not yet handed out.
+pub(crate) struct SelectRun {
     columns: Vec<String>,
-    inner: CursorInner,
+    hooks: Arc<SelectHooks>,
+    /// The general executor's whole result, one batch's projected rows, or
+    /// the finished groups.
+    ready: std::vec::IntoIter<Vec<Value>>,
+    source: Source,
 }
 
-enum CursorInner {
-    Materialized(std::vec::IntoIter<Vec<Value>>),
-    Scan(Box<ScanCursor>),
-    Grouped(Box<GroupedScanCursor>),
-    BatchScan(Box<BatchScanCursor>),
-    BatchGrouped(Box<BatchGroupedCursor>),
+enum Source {
+    /// Everything is in `ready` already.
+    General,
+    Rows(RowScan),
+    Batch(BatchSource),
+    /// `state` is taken by the pull that drains `source`; if that pull
+    /// fails, later ones find nothing.
+    Grouped {
+        source: BatchSource,
+        state: Option<Box<BatchGroupedState>>,
+        offset: u64,
+        limit: Option<u64>,
+    },
 }
 
-impl QueryCursor {
-    /// Wrap an already-computed result set (the non-streamable fallback).
-    pub fn materialized(rs: ResultSet) -> Self {
-        QueryCursor {
-            columns: rs.columns,
-            inner: CursorInner::Materialized(rs.rows.into_iter()),
+impl SelectRun {
+    pub(crate) fn open(
+        engine: &StorageEngine,
+        stmt: &SelectStatement,
+        params: &[Value],
+        txn: Option<TxnId>,
+    ) -> Result<SelectRun> {
+        // A locking read wants the rows it is about to lock as they stand,
+        // not a snapshot — and only a transaction can hold locks, so
+        // FOR UPDATE outside one is a plain snapshot read.
+        let locking = stmt.for_update && txn.is_some();
+        let view = if locking {
+            ReadView::Latest
+        } else {
+            engine.read_view(txn)
+        };
+        let general = |view: ReadView| -> Result<SelectRun> {
+            let rs = engine.select_general(stmt, params, txn, &view)?;
+            let hooks = engine.select_hooks();
+            hooks.latency.charge_rows(rs.len());
+            Ok(SelectRun {
+                columns: rs.columns,
+                hooks,
+                ready: rs.rows.into_iter(),
+                source: Source::General,
+            })
+        };
+
+        let grouped = needs_grouping(stmt);
+        let batch = batch_admissible(stmt);
+        let Some(from) = &stmt.from else {
+            return general(view);
+        };
+        if locking
+            || !stmt.joins.is_empty()
+            || stmt.distinct
+            || (grouped && !batch)
+            || (!grouped && stmt.having.is_some())
+        {
+            return general(view);
+        }
+
+        // The id snapshot. Grouped statements sort their finished groups, so
+        // their source order is the general executor's (first-seen group
+        // order stays identical); a plain ORDER BY needs an index that
+        // already keeps it.
+        let binding = from.binding_name();
+        let table = engine.table(from.name.as_str())?;
+        let guard = table.read();
+        let ids: Vec<RowId> = if grouped || stmt.order_by.is_empty() {
+            access_path(&guard, binding, stmt.where_clause.as_ref(), params)
+                .unwrap_or_else(|| guard.all_ids().collect())
+        } else {
+            match index_order(&guard, binding, &stmt.order_by) {
+                Some(ids) => ids,
+                None => {
+                    drop(guard);
+                    return general(view);
+                }
+            }
+        };
+        let schema_cols = guard.schema.column_names();
+        drop(guard);
+
+        let (offset, limit) = resolve_limit(stmt, params)?;
+        let (columns, source) = if batch {
+            let (source, columns) =
+                BatchSource::open(table, stmt, binding, ids, &schema_cols, view)?;
+            let source = if grouped {
+                Source::Grouped {
+                    state: Some(Box::new(BatchGroupedState::new(stmt, source.scope()))),
+                    source,
+                    offset,
+                    limit,
+                }
+            } else {
+                Source::Batch(source)
+            };
+            (columns, source)
+        } else {
+            let scope = Scope::from_table(binding, &schema_cols);
+            let columns = projection_columns(&stmt.projection, &scope)?;
+            let scan = RowScan {
+                table,
+                ids: ids.into_iter(),
+                scope,
+                view,
+                to_skip: offset,
+                remaining: limit,
+            };
+            (columns, Source::Rows(scan))
+        };
+        Ok(SelectRun {
+            columns,
+            hooks: engine.select_hooks(),
+            ready: Vec::new().into_iter(),
+            source,
+        })
+    }
+
+    /// Pull the next row, or `None` when the run is exhausted. `stmt` and
+    /// `params` must be the ones the run was opened with.
+    pub(crate) fn next(
+        &mut self,
+        stmt: &SelectStatement,
+        params: &[Value],
+    ) -> Result<Option<Vec<Value>>> {
+        loop {
+            if let Some(row) = self.ready.next() {
+                return Ok(Some(row));
+            }
+            let hooks = &*self.hooks;
+            let rows = match &mut self.source {
+                Source::General => return Ok(None),
+                Source::Rows(scan) => {
+                    let row = scan.next(stmt, params, hooks)?;
+                    hooks.latency.charge_rows(usize::from(row.is_some()));
+                    return Ok(row);
+                }
+                Source::Batch(source) => match source.next_rows(stmt, params, hooks)? {
+                    Some(rows) => rows,
+                    None => return Ok(None),
+                },
+                Source::Grouped {
+                    source,
+                    state,
+                    offset,
+                    limit,
+                } => {
+                    let Some(state) = state.take() else {
+                        return Ok(None);
+                    };
+                    let mut rows = source.aggregate(*state, stmt, params, hooks)?;
+                    truncate_to_window(&mut rows, *offset, *limit);
+                    rows
+                }
+            };
+            hooks.latency.charge_rows(rows.len());
+            self.ready = rows.into_iter();
         }
     }
 
+    /// Drain the run into a result set.
+    pub(crate) fn collect(mut self, stmt: &SelectStatement, params: &[Value]) -> Result<ResultSet> {
+        // Whatever is ready moves over whole, not row by row: the general
+        // executor's result becomes the result's vector as it is.
+        let mut rows: Vec<Vec<Value>> = std::mem::take(&mut self.ready).collect();
+        while let Some(row) = self.next(stmt, params)? {
+            rows.push(row);
+            rows.extend(self.ready.by_ref());
+        }
+        Ok(ResultSet::new(self.columns, rows))
+    }
+}
+
+/// Incremental scan over one table: row ids snapshotted at open, everything
+/// else (fetch, WHERE, OFFSET skip, projection, LIMIT countdown) per pull.
+struct RowScan {
+    table: Arc<RwLock<Table>>,
+    ids: std::vec::IntoIter<RowId>,
+    scope: Scope,
+    /// Visibility of each fetched row: the statement's read view, so rows
+    /// deleted or updated mid-scan keep their as-of-open image.
+    view: ReadView,
+    /// Rows still to skip for OFFSET (counted post-WHERE).
+    to_skip: u64,
+    /// Rows still to emit for LIMIT (`None` = unlimited).
+    remaining: Option<u64>,
+}
+
+impl RowScan {
+    fn next(
+        &mut self,
+        stmt: &SelectStatement,
+        params: &[Value],
+        hooks: &SelectHooks,
+    ) -> Result<Option<Vec<Value>>> {
+        if self.remaining == Some(0) {
+            return Ok(None);
+        }
+        // Mid-scan fault point, once per pull: for a cursor it fires after
+        // the header handshake, which is what the kernel's sibling-cancel
+        // tests exercise.
+        hooks.faults.check(FaultOp::RowPull)?;
+        loop {
+            let Some(id) = self.ids.next() else {
+                return Ok(None);
+            };
+            // Lock scope is one fetch: the guard must never live across
+            // pulls (a cursor's consumer paces us and may hold a row for
+            // long).
+            let row = { self.table.read().get_visible(id, &self.view).cloned() };
+            let Some(row) = row else { continue };
+            hooks.rows_pulled.fetch_add(1, Ordering::Relaxed);
+            if let Some(pred) = &stmt.where_clause {
+                let ctx = EvalContext::new(&self.scope, &row, params);
+                if !eval_predicate(pred, &ctx)? {
+                    continue;
+                }
+            }
+            if self.to_skip > 0 {
+                self.to_skip -= 1;
+                continue;
+            }
+            let out = project_row(&stmt.projection, &self.scope, &row, params, None)?;
+            if let Some(rem) = &mut self.remaining {
+                *rem -= 1;
+            }
+            return Ok(Some(out));
+        }
+    }
+}
+
+/// An open cursor over one SELECT's result rows: a [`SelectRun`] together
+/// with the statement and parameters its pulls borrow. This is what the
+/// sharding kernel's streaming executor pulls from.
+pub struct QueryCursor {
+    run: SelectRun,
+    stmt: SelectStatement,
+    params: Arc<[Value]>,
+}
+
+impl QueryCursor {
+    pub(crate) fn new(run: SelectRun, stmt: SelectStatement, params: Arc<[Value]>) -> Self {
+        QueryCursor { run, stmt, params }
+    }
+
     pub fn columns(&self) -> &[String] {
-        &self.columns
+        &self.run.columns
     }
 
-    /// True when rows are produced incrementally from the table (not from a
-    /// pre-materialized result set).
+    /// True when a scan leaf produces the rows as they are pulled (the
+    /// general executor computes its whole result at open).
     pub fn is_streaming(&self) -> bool {
-        matches!(
-            self.inner,
-            CursorInner::Scan(_)
-                | CursorInner::Grouped(_)
-                | CursorInner::BatchScan(_)
-                | CursorInner::BatchGrouped(_)
-        )
+        !matches!(self.run.source, Source::General)
     }
 
-    /// True when rows come from the vectorized batch-scan path, so consumers
+    /// True when rows come from the vectorized batch leaf, so consumers
     /// (the streaming executor's producers) can drain in chunks instead of
     /// row-at-a-time.
     pub fn is_batch(&self) -> bool {
-        matches!(
-            self.inner,
-            CursorInner::BatchScan(_) | CursorInner::BatchGrouped(_)
-        )
+        matches!(self.run.source, Source::Batch(_) | Source::Grouped { .. })
     }
 
     /// Pull the next row, or `None` when the cursor is exhausted.
     pub fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        match &mut self.inner {
-            CursorInner::Materialized(it) => Ok(it.next()),
-            CursorInner::Scan(scan) => scan.next_row(),
-            CursorInner::Grouped(grouped) => grouped.next_row(),
-            CursorInner::BatchScan(c) => c.next_row(),
-            CursorInner::BatchGrouped(c) => c.next_row(),
-        }
+        self.run.next(&self.stmt, &self.params)
     }
 
     /// Pull up to `max` rows. An error mid-drain discards nothing: rows
@@ -125,382 +361,14 @@ impl Iterator for QueryCursor {
     }
 }
 
-/// Incremental scan over one table: row ids snapshotted at open, everything
-/// else (fetch, WHERE, OFFSET skip, projection, LIMIT countdown) per pull.
-struct ScanCursor {
-    table: Arc<RwLock<Table>>,
-    ids: std::vec::IntoIter<RowId>,
-    scope: Scope,
-    projection: Vec<SelectItem>,
-    where_clause: Option<Expr>,
-    params: Vec<Value>,
-    /// Rows still to skip for OFFSET (counted post-WHERE).
-    to_skip: u64,
-    /// Rows still to emit for LIMIT (`None` = unlimited).
-    remaining: Option<u64>,
-    /// Visibility of each fetched row: the statement snapshot taken at open,
-    /// so rows deleted or updated mid-scan keep their as-of-open image.
-    view: ReadView,
-    pulled: Arc<AtomicU64>,
-    latency: LatencyModel,
-    faults: Arc<FaultInjector>,
-}
-
-impl ScanCursor {
-    fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        if self.remaining == Some(0) {
-            return Ok(None);
-        }
-        // Mid-stream fault point: fires after the header handshake, which is
-        // what the kernel's sibling-cancel tests exercise.
-        self.faults.check(FaultOp::RowPull)?;
-        loop {
-            let Some(id) = self.ids.next() else {
-                return Ok(None);
-            };
-            // Lock scope is one fetch: the guard must never live across
-            // pulls (the consumer paces us and may hold a row for long).
-            let row = { self.table.read().get_visible(id, &self.view).cloned() };
-            let Some(row) = row else { continue };
-            self.pulled.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_rows(1);
-            if let Some(pred) = &self.where_clause {
-                let ctx = EvalContext::new(&self.scope, &row, &self.params);
-                if !eval_predicate(pred, &ctx)? {
-                    continue;
-                }
-            }
-            if self.to_skip > 0 {
-                self.to_skip -= 1;
-                continue;
-            }
-            let out = project_row(&self.projection, &self.scope, &row, &self.params, None)?;
-            if let Some(rem) = &mut self.remaining {
-                *rem -= 1;
-            }
-            return Ok(Some(out));
-        }
-    }
-}
-
-/// Incremental grouped/aggregate cursor. The first pull drains the source
-/// rows through [`GroupedState`] (per-row fault point, lock-per-fetch, pull
-/// accounting — same discipline as [`ScanCursor`]), finishes the groups
-/// (HAVING / ORDER BY / projection / LIMIT), then streams the group rows.
-struct GroupedScanCursor {
-    table: Arc<RwLock<Table>>,
-    ids: std::vec::IntoIter<RowId>,
-    scope: Scope,
-    stmt: SelectStatement,
-    params: Vec<Value>,
-    view: ReadView,
-    state: Option<GroupedState>,
-    offset: u64,
-    limit: Option<u64>,
-    out: Option<std::vec::IntoIter<Vec<Value>>>,
-    pulled: Arc<AtomicU64>,
-    latency: LatencyModel,
-    faults: Arc<FaultInjector>,
-}
-
-impl GroupedScanCursor {
-    fn next_row(&mut self) -> Result<Option<Vec<Value>>> {
-        if self.out.is_none() {
-            // A prior pull errored mid-drain (the state is gone): stay done.
-            let Some(mut state) = self.state.take() else {
-                return Ok(None);
-            };
-            for id in self.ids.by_ref() {
-                // Mid-stream fault point, once per source-row pull — chaos
-                // tests inject here to kill a shard mid-aggregation.
-                self.faults.check(FaultOp::RowPull)?;
-                // Lock scope is one fetch, as in ScanCursor.
-                let row = { self.table.read().get_visible(id, &self.view).cloned() };
-                let Some(row) = row else { continue };
-                self.pulled.fetch_add(1, Ordering::Relaxed);
-                self.latency.charge_rows(1);
-                if let Some(pred) = &self.stmt.where_clause {
-                    let ctx = EvalContext::new(&self.scope, &row, &self.params);
-                    if !eval_predicate(pred, &ctx)? {
-                        continue;
-                    }
-                }
-                state.push(&self.stmt, &self.scope, &row, &self.params)?;
-            }
-            let rs = state.finish(&self.stmt, &self.scope, &self.params)?;
-            let mut rows = rs.rows;
-            if self.offset > 0 {
-                let skip = (self.offset as usize).min(rows.len());
-                rows.drain(..skip);
-            }
-            if let Some(lim) = self.limit {
-                rows.truncate(lim as usize);
-            }
-            self.out = Some(rows.into_iter());
-        }
-        Ok(self.out.as_mut().unwrap().next())
-    }
-}
-
-fn resolve_limit_value(
-    v: Option<&LimitValue>,
-    params: &[Value],
-    what: &str,
-) -> Result<Option<u64>> {
-    v.map(|v| {
-        v.resolve(params)
-            .ok_or_else(|| StorageError::Execution(format!("unresolvable {what}")))
-    })
-    .transpose()
-}
-
-/// Try to open a true streaming cursor for `stmt`. Returns `Ok(None)` when
-/// the statement shape needs the materialized path (joins, DISTINCT, or an
-/// ORDER BY no index can satisfy). Grouped/aggregate statements stream via
-/// [`GroupedScanCursor`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_open_streaming(
-    catalog: &dyn Catalog,
-    stmt: &SelectStatement,
-    params: &[Value],
-    pulled: Arc<AtomicU64>,
-    latency: LatencyModel,
-    faults: Arc<FaultInjector>,
-    batch: BatchCounters,
-    view: ReadView,
-) -> Result<Option<QueryCursor>> {
-    let Some(from) = &stmt.from else {
-        return Ok(None);
-    };
-    if !stmt.joins.is_empty() || stmt.distinct {
-        return Ok(None);
-    }
-    if needs_grouping(stmt) {
-        return open_grouped(catalog, stmt, params, pulled, latency, faults, batch, view);
-    }
-    if stmt.having.is_some() {
-        // HAVING without aggregates or GROUP BY: the materialized path has
-        // its own quirky handling; keep both paths identical by falling back.
-        return Ok(None);
-    }
-
-    // Plain admissible scans (no LIMIT / ORDER BY) take the vectorized path:
-    // same id snapshot, columnar fetches.
-    if batch_admissible(stmt) {
-        let table = catalog.table(from.name.as_str())?;
-        let guard = table.read();
-        let schema_cols = guard.schema.column_names();
-        let ids: Vec<RowId> = match access_path(
-            &guard,
-            from.binding_name(),
-            stmt.where_clause.as_ref(),
-            params,
-        ) {
-            Some(ids) => ids,
-            None => guard.all_ids().collect(),
-        };
-        drop(guard);
-        let hooks = BatchHooks {
-            pulled: Some(pulled),
-            latency: Some(latency),
-            faults: Some(faults),
-            counters: batch,
-        };
-        let open = open_source(
-            table,
-            stmt,
-            from.binding_name(),
-            ids,
-            &schema_cols,
-            hooks,
-            view,
-        )?;
-        return Ok(Some(QueryCursor {
-            columns: open.columns,
-            inner: CursorInner::BatchScan(Box::new(BatchScanCursor::new(
-                open.source,
-                open.scope,
-                stmt,
-                params.to_vec(),
-            ))),
-        }));
-    }
-
-    let (offset, limit) = match &stmt.limit {
-        Some(lim) => (
-            resolve_limit_value(lim.offset.as_ref(), params, "OFFSET")?.unwrap_or(0),
-            resolve_limit_value(lim.limit.as_ref(), params, "LIMIT")?,
-        ),
-        None => (0, None),
-    };
-
-    let table = catalog.table(from.name.as_str())?;
-    let guard = table.read();
-    let scope = Scope::from_table(from.binding_name(), &guard.schema.column_names());
-    let columns = projection_columns(&stmt.projection, &scope)?;
-
-    let ids: Vec<RowId> = if stmt.order_by.is_empty() {
-        match access_path(
-            &guard,
-            from.binding_name(),
-            stmt.where_clause.as_ref(),
-            params,
-        ) {
-            Some(ids) => ids,
-            None => guard.all_ids().collect(),
-        }
-    } else {
-        // An index can satisfy the ORDER BY when every key is a bare column
-        // of this table, all keys share one direction, and some index's
-        // column list starts with exactly those columns.
-        let desc = stmt.order_by[0].desc;
-        if !stmt.order_by.iter().all(|o| o.desc == desc) {
-            return Ok(None);
-        }
-        let mut cols = Vec::with_capacity(stmt.order_by.len());
-        for item in &stmt.order_by {
-            match column_of(&item.expr, from.binding_name(), &guard) {
-                Some(c) => cols.push(c),
-                None => return Ok(None),
-            }
-        }
-        let positions: Option<Vec<usize>> =
-            cols.iter().map(|c| guard.schema.column_index(c)).collect();
-        let Some(positions) = positions else {
-            return Ok(None);
-        };
-        let Some(idx) = guard.index_on(&cols[0]) else {
-            return Ok(None);
-        };
-        if idx.columns.len() < positions.len() || idx.columns[..positions.len()] != positions[..] {
-            return Ok(None);
-        }
-        if desc {
-            idx.scan_rev().collect()
-        } else {
-            idx.scan().collect()
-        }
-    };
-    drop(guard);
-
-    Ok(Some(QueryCursor {
-        columns,
-        inner: CursorInner::Scan(Box::new(ScanCursor {
-            table,
-            ids: ids.into_iter(),
-            scope,
-            projection: stmt.projection.clone(),
-            where_clause: stmt.where_clause.clone(),
-            params: params.to_vec(),
-            to_skip: offset,
-            remaining: limit,
-            view,
-            pulled,
-            latency,
-            faults,
-        })),
-    }))
-}
-
-/// Open a [`GroupedScanCursor`]. ORDER BY is evaluated over the finished
-/// groups inside [`GroupedState::finish`], so ids need no index order — the
-/// access path (or full scan) matches the materialized path's source order,
-/// keeping first-seen group order identical.
-#[allow(clippy::too_many_arguments)]
-fn open_grouped(
-    catalog: &dyn Catalog,
-    stmt: &SelectStatement,
-    params: &[Value],
-    pulled: Arc<AtomicU64>,
-    latency: LatencyModel,
-    faults: Arc<FaultInjector>,
-    batch: BatchCounters,
-    view: ReadView,
-) -> Result<Option<QueryCursor>> {
-    let Some(from) = &stmt.from else {
-        return Ok(None);
-    };
-    let (offset, limit) = match &stmt.limit {
-        Some(lim) => (
-            resolve_limit_value(lim.offset.as_ref(), params, "OFFSET")?.unwrap_or(0),
-            resolve_limit_value(lim.limit.as_ref(), params, "LIMIT")?,
-        ),
-        None => (0, None),
-    };
-    let table = catalog.table(from.name.as_str())?;
-    let guard = table.read();
-    let scope = Scope::from_table(from.binding_name(), &guard.schema.column_names());
-    let columns = projection_columns(&stmt.projection, &scope)?;
-    let ids: Vec<RowId> = match access_path(
-        &guard,
-        from.binding_name(),
-        stmt.where_clause.as_ref(),
-        params,
-    ) {
-        Some(ids) => ids,
-        None => guard.all_ids().collect(),
-    };
-
-    // Vectorized grouped path: same id snapshot and source order, aggregates
-    // fed column vectors, one shared finish with the row path.
-    if batch_admissible(stmt) {
-        let schema_cols = guard.schema.column_names();
-        drop(guard);
-        let hooks = BatchHooks {
-            pulled: Some(pulled),
-            latency: Some(latency),
-            faults: Some(faults),
-            counters: batch,
-        };
-        let open = open_source(
-            table,
-            stmt,
-            from.binding_name(),
-            ids,
-            &schema_cols,
-            hooks,
-            view,
-        )?;
-        return Ok(Some(QueryCursor {
-            columns: open.columns,
-            inner: CursorInner::BatchGrouped(Box::new(BatchGroupedCursor::new(
-                open.source,
-                open.scope,
-                stmt,
-                params.to_vec(),
-                offset,
-                limit,
-            ))),
-        }));
-    }
-    drop(guard);
-
-    Ok(Some(QueryCursor {
-        columns,
-        inner: CursorInner::Grouped(Box::new(GroupedScanCursor {
-            table,
-            ids: ids.into_iter(),
-            scope,
-            stmt: stmt.clone(),
-            params: params.to_vec(),
-            view,
-            state: Some(GroupedState::new(stmt)),
-            offset,
-            limit,
-            out: None,
-            pulled,
-            latency,
-            faults,
-        })),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use crate::engine::StorageEngine;
+    use crate::fault::{FaultKind, FaultOp, FaultPlan, FaultTrigger};
     use shard_sql::{parse_statement, Statement, Value};
+    use std::sync::Arc;
 
-    fn engine_with_rows(n: i64) -> std::sync::Arc<StorageEngine> {
+    fn engine_with_rows(n: i64) -> Arc<StorageEngine> {
         let e = StorageEngine::new("ds");
         e.execute_sql("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)", &[], None)
             .unwrap();
@@ -522,29 +390,78 @@ mod tests {
         }
     }
 
-    /// Open a streaming cursor for `sql`, check which cursor serves it, and
-    /// compare its rows with the general materializing executor
-    /// (`exec_select::execute_select`), which shares no scan code with either
-    /// cursor.
-    fn assert_matches_materialized(e: &StorageEngine, sql: &str, batch: bool) -> Vec<Vec<Value>> {
+    /// Which operator the dispatcher is expected to pick.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Leaf {
+        General,
+        Row,
+        Batch,
+    }
+
+    /// Run `sql` through both consumers of the one pipeline — `execute`
+    /// (collect) and `open_cursor` + drain — and through the general
+    /// executor (`exec_select::execute_select`), which shares no scan code
+    /// with the leaves. All three must return the same columns and rows,
+    /// the cursor must be served by `leaf`, both consumers must leave the
+    /// same `rows_pulled` / `scan_batches` deltas, and an armed `RowPull`
+    /// fault must fail both whenever a leaf pulls anything (and neither on
+    /// the general path, which has no pulls).
+    fn assert_matches_materialized(
+        e: &StorageEngine,
+        sql: &str,
+        params: &[Value],
+        leaf: Leaf,
+    ) -> Vec<Vec<Value>> {
         let stmt = select(sql);
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming(), "{sql}");
-        assert_eq!(cursor.is_batch(), batch, "{sql}");
-        let columns = cursor.columns().to_vec();
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
-        let materialized =
-            crate::exec_select::execute_select(e, &stmt, &[], &e.read_view(None)).unwrap();
-        assert_eq!(columns, materialized.columns, "{sql}");
-        assert_eq!(rows, materialized.rows, "{sql}");
+        let whole = Statement::Select(stmt.clone());
+        let counters = || (e.rows_pulled(), e.scan_batches());
+        let delta = |before: (u64, u64)| (e.rows_pulled() - before.0, e.scan_batches() - before.1);
+        let drain = || -> crate::error::Result<_> {
+            let cursor = e.open_cursor(stmt.clone(), params.into(), None)?;
+            let served_by = match (cursor.is_streaming(), cursor.is_batch()) {
+                (false, _) => Leaf::General,
+                (true, false) => Leaf::Row,
+                (true, true) => Leaf::Batch,
+            };
+            assert_eq!(served_by, leaf, "{sql}");
+            let columns = cursor.columns().to_vec();
+            Ok((columns, cursor.collect::<crate::error::Result<Vec<_>>>()?))
+        };
+
+        let reference =
+            crate::exec_select::execute_select(e, &stmt, params, &e.read_view(None)).unwrap();
+        let before = counters();
+        let collected = e.execute(&whole, params, None).unwrap().query();
+        let collected_delta = delta(before);
+        let before = counters();
+        let (columns, rows) = drain().unwrap();
+        assert_eq!(delta(before), collected_delta, "{sql}");
+        assert_eq!(columns, reference.columns, "{sql}");
+        assert_eq!(collected.columns, reference.columns, "{sql}");
+        assert_eq!(rows, reference.rows, "{sql}");
+        assert_eq!(collected.rows, reference.rows, "{sql}");
+        if leaf == Leaf::General {
+            assert_eq!(collected_delta, (0, 0), "{sql}");
+        }
+
+        e.fault_injector().inject(FaultPlan::new(
+            FaultOp::RowPull,
+            FaultKind::Error("pull".into()),
+            FaultTrigger::EveryNth(1),
+        ));
+        let collect_failed = e.execute(&whole, params, None).is_err();
+        let drain_failed = drain().is_err();
+        e.clear_faults();
+        assert_eq!(collect_failed, drain_failed, "{sql}");
+        assert_eq!(collect_failed, collected_delta.0 > 0, "{sql}");
         rows
     }
 
     #[test]
     fn shard_shaped_order_by_limit_streams() {
         let e = engine_with_rows(50);
-        let rows =
-            assert_matches_materialized(&e, "SELECT id, v FROM t ORDER BY id DESC LIMIT 5", false);
+        let sql = "SELECT id, v FROM t ORDER BY id DESC LIMIT 5";
+        let rows = assert_matches_materialized(&e, sql, &[], Leaf::Row);
         assert_eq!(rows[0][0], Value::Int(49));
     }
 
@@ -552,7 +469,10 @@ mod tests {
     fn streaming_matches_materialized_with_where_and_offset() {
         let e = engine_with_rows(60);
         let sql = "SELECT id FROM t WHERE v = 3 ORDER BY id LIMIT 2, 4";
-        assert_eq!(assert_matches_materialized(&e, sql, false).len(), 4);
+        assert_eq!(
+            assert_matches_materialized(&e, sql, &[], Leaf::Row).len(),
+            4
+        );
     }
 
     #[test]
@@ -565,17 +485,20 @@ mod tests {
             "SELECT id + v, v * 2 FROM t WHERE id >= 17 AND v <> 0",
             "SELECT * FROM t WHERE id IN (1, 2, 299)",
         ] {
-            assert!(!assert_matches_materialized(&e, sql, true).is_empty());
+            assert!(!assert_matches_materialized(&e, sql, &[], Leaf::Batch).is_empty());
         }
-        assert!(assert_matches_materialized(&e, "SELECT id FROM t WHERE v > 9", true).is_empty());
+        let none = "SELECT id FROM t WHERE v > 9";
+        assert!(assert_matches_materialized(&e, none, &[], Leaf::Batch).is_empty());
     }
 
+    /// `ORDER BY <indexed column> LIMIT` stops after the window through both
+    /// consumers: the index already keeps the order, so nothing is sorted.
     #[test]
     fn limit_stops_pulling_early() {
         let e = engine_with_rows(200);
-        let before = e.rows_pulled();
         let stmt = select("SELECT id FROM t ORDER BY id LIMIT 3, 5");
-        let mut cursor = e.open_cursor(&stmt, &[], None).unwrap();
+        let before = e.rows_pulled();
+        let mut cursor = e.open_cursor(stmt.clone(), [].into(), None).unwrap();
         assert!(cursor.is_streaming());
         let mut n = 0;
         while cursor.next_row().unwrap().is_some() {
@@ -583,16 +506,19 @@ mod tests {
         }
         assert_eq!(n, 5);
         let pulled = e.rows_pulled() - before;
-        assert!(pulled <= 8, "pulled {pulled} rows for LIMIT 3, 5");
+        assert!(pulled <= 8, "cursor pulled {pulled} rows for LIMIT 3, 5");
+
+        let before = e.rows_pulled();
+        let rs = e.execute(&Statement::Select(stmt), &[], None).unwrap();
+        assert_eq!(rs.query().len(), 5);
+        let pulled = e.rows_pulled() - before;
+        assert!(pulled <= 8, "execute pulled {pulled} rows for LIMIT 3, 5");
     }
 
     #[test]
     fn aggregates_stream_via_grouped_cursor() {
         let e = engine_with_rows(10);
-        let stmt = select("SELECT COUNT(*) FROM t");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming());
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
+        let rows = assert_matches_materialized(&e, "SELECT COUNT(*) FROM t", &[], Leaf::Batch);
         assert_eq!(rows, vec![vec![Value::Int(10)]]);
     }
 
@@ -605,19 +531,16 @@ mod tests {
             "SELECT v, MIN(id), MAX(id), AVG(id) FROM t GROUP BY v ORDER BY v DESC LIMIT 1, 3",
             "SELECT COUNT(*), SUM(v), AVG(v) FROM t WHERE id >= 100",
         ] {
-            assert!(!assert_matches_materialized(&e, sql, true).is_empty());
+            assert!(!assert_matches_materialized(&e, sql, &[], Leaf::Batch).is_empty());
         }
     }
 
     #[test]
     fn grouped_cursor_empty_input_yields_one_row() {
         let e = engine_with_rows(5);
-        let stmt = select("SELECT COUNT(*), SUM(v), AVG(v), MIN(v) FROM t WHERE id > 100");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(cursor.is_streaming());
-        let rows: Vec<_> = cursor.map(|r| r.unwrap()).collect();
+        let sql = "SELECT COUNT(*), SUM(v), AVG(v), MIN(v) FROM t WHERE id > 100";
         assert_eq!(
-            rows,
+            assert_matches_materialized(&e, sql, &[], Leaf::Batch),
             vec![vec![Value::Int(0), Value::Null, Value::Null, Value::Null]]
         );
     }
@@ -625,24 +548,169 @@ mod tests {
     #[test]
     fn joins_and_distinct_fall_back_to_materialized() {
         let e = engine_with_rows(10);
-        let stmt = select("SELECT DISTINCT v FROM t");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(!cursor.is_streaming());
+        assert_matches_materialized(&e, "SELECT DISTINCT v FROM t", &[], Leaf::General);
+        let join = "SELECT a.id, b.v FROM t a JOIN t b ON a.id = b.id WHERE a.v = 3";
+        assert_matches_materialized(&e, join, &[], Leaf::General);
     }
 
     #[test]
     fn unindexed_order_by_falls_back() {
         let e = engine_with_rows(10);
-        let stmt = select("SELECT id FROM t ORDER BY v");
-        let cursor = e.open_cursor(&stmt, &[], None).unwrap();
-        assert!(!cursor.is_streaming());
+        assert_matches_materialized(&e, "SELECT id FROM t ORDER BY v", &[], Leaf::General);
+    }
+
+    /// The benchmark's statement shapes (`crates/perf/src/gen.rs`) and the
+    /// shapes `batch.rs` tests admission on, each through both consumers
+    /// and against the reference.
+    #[test]
+    fn benchmark_shapes_match_the_reference_through_both_consumers() {
+        let e = StorageEngine::new("ds");
+        for ddl in [
+            "CREATE TABLE sbtest (id BIGINT NOT NULL, k INT NOT NULL DEFAULT 0, \
+             c VARCHAR(120) NOT NULL DEFAULT '', pad VARCHAR(60) NOT NULL DEFAULT '', \
+             PRIMARY KEY (id))",
+            "CREATE TABLE t_hits (event_id BIGINT PRIMARY KEY, user_id BIGINT, \
+             region VARCHAR(16), referer VARCHAR(64), duration_ms INT, bytes_sent BIGINT, \
+             price DOUBLE)",
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, status VARCHAR(8), amount INT)",
+            "CREATE TABLE a (id BIGINT PRIMARY KEY, x INT)",
+            "CREATE TABLE b (id BIGINT PRIMARY KEY, y INT)",
+        ] {
+            e.execute_sql(ddl, &[], None).unwrap();
+        }
+        let insert = |sql: &str, row: Vec<Value>| {
+            e.execute_sql(sql, &row, None).unwrap();
+        };
+        for id in 0..300i64 {
+            // `c` repeats, so DISTINCT has something to do.
+            let c = format!("c-{:03}", (id * 37) % 11);
+            let row = vec![id.into(), (id % 1000 + 1).into(), c.into(), "pad".into()];
+            insert("INSERT INTO sbtest VALUES (?, ?, ?, ?)", row);
+        }
+        // More than two columnar batches, NULL-bearing columns.
+        for id in 0..2500i64 {
+            let nullable = |null: bool, v: Value| if null { Value::Null } else { v };
+            let row = vec![
+                id.into(),
+                (id % 500).into(),
+                format!("r{}", id % 6).into(),
+                nullable(
+                    id % 4 == 0,
+                    format!("https://ref{}.example.com", id % 97).into(),
+                ),
+                nullable(id % 5 == 0, ((id * 37) % 30_000).into()),
+                ((id * 211) % 1_000_000).into(),
+                Value::Float(((id * 31) % 10_000) as f64 / 100.0),
+            ];
+            insert("INSERT INTO t_hits VALUES (?, ?, ?, ?, ?, ?, ?)", row);
+        }
+        for id in 0..40i64 {
+            let status = if id % 3 == 0 { "open" } else { "paid" };
+            insert(
+                "INSERT INTO t VALUES (?, ?, ?)",
+                vec![id.into(), status.into(), (id % 9).into()],
+            );
+            insert(
+                "INSERT INTO a VALUES (?, ?)",
+                vec![id.into(), (id * 2).into()],
+            );
+            if id % 2 == 0 {
+                insert("INSERT INTO b VALUES (?, ?)", vec![id.into(), id.into()]);
+            }
+        }
+
+        let range = [Value::Int(120), Value::Int(139)];
+        let cases: [(&str, &[Value], Leaf); 18] = [
+            (
+                "SELECT c FROM sbtest WHERE id = ?",
+                &[Value::Int(7)],
+                Leaf::Batch,
+            ),
+            (
+                "SELECT c FROM sbtest WHERE id BETWEEN ? AND ?",
+                &range,
+                Leaf::Batch,
+            ),
+            (
+                "SELECT SUM(k) FROM sbtest WHERE id BETWEEN ? AND ?",
+                &range,
+                Leaf::Batch,
+            ),
+            (
+                "SELECT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c",
+                &range,
+                Leaf::General,
+            ),
+            (
+                "SELECT DISTINCT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c",
+                &range,
+                Leaf::General,
+            ),
+            (
+                "SELECT region, COUNT(*), SUM(bytes_sent), AVG(duration_ms), MIN(price), \
+                 MAX(price) FROM t_hits GROUP BY region ORDER BY region",
+                &[],
+                Leaf::Batch,
+            ),
+            (
+                "SELECT COUNT(*), COUNT(referer), SUM(bytes_sent), MAX(price) FROM t_hits \
+                 WHERE duration_ms > ?",
+                &[Value::Int(12_000)],
+                Leaf::Batch,
+            ),
+            (
+                "SELECT event_id, user_id, bytes_sent FROM t_hits WHERE duration_ms < ? \
+                 ORDER BY bytes_sent DESC LIMIT 20",
+                &[Value::Int(18_000)],
+                Leaf::General,
+            ),
+            (
+                "SELECT event_id, region, bytes_sent FROM t_hits WHERE user_id = ?",
+                &[Value::Int(318)],
+                Leaf::Batch,
+            ),
+            // `batch.rs::admission_mirrors_row_cursor_guarantees`.
+            (
+                "SELECT status, SUM(amount) FROM t GROUP BY status",
+                &[],
+                Leaf::Batch,
+            ),
+            ("SELECT COUNT(*) FROM t WHERE amount > 3", &[], Leaf::Batch),
+            (
+                "SELECT status, COUNT(*) FROM t GROUP BY status ORDER BY status LIMIT 2",
+                &[],
+                Leaf::Batch,
+            ),
+            ("SELECT amount FROM t", &[], Leaf::Batch),
+            ("SELECT amount FROM t LIMIT 5", &[], Leaf::Row),
+            ("SELECT amount FROM t ORDER BY amount", &[], Leaf::General),
+            ("SELECT DISTINCT amount FROM t", &[], Leaf::General),
+            (
+                "SELECT a.x FROM a JOIN b ON a.id = b.id",
+                &[],
+                Leaf::General,
+            ),
+            // Outside a transaction FOR UPDATE locks nothing: a row scan.
+            ("SELECT amount FROM t FOR UPDATE", &[], Leaf::Row),
+        ];
+        for (sql, params, leaf) in cases {
+            assert!(
+                !assert_matches_materialized(&e, sql, params, leaf).is_empty(),
+                "{sql}"
+            );
+        }
+        // The one shape only the general executor aggregates: a locking
+        // clause keeps the batch leaf out.
+        let locked_count = "SELECT COUNT(*) FROM t FOR UPDATE";
+        let rows = assert_matches_materialized(&e, locked_count, &[], Leaf::General);
+        assert_eq!(rows, vec![vec![Value::Int(40)]]);
     }
 
     #[test]
     fn snapshot_scan_still_sees_rows_deleted_mid_scan() {
         let e = engine_with_rows(10);
         let stmt = select("SELECT id FROM t ORDER BY id");
-        let mut cursor = e.open_cursor(&stmt, &[], None).unwrap();
+        let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
         assert_eq!(cursor.next_row().unwrap(), Some(vec![Value::Int(0)]));
         e.execute_sql("DELETE FROM t WHERE id = 1", &[], None)
             .unwrap();
@@ -658,7 +726,7 @@ mod tests {
         e.execute_sql("DELETE FROM t WHERE id = 1", &[], Some(writer))
             .unwrap();
         let ids = |sql: &str, txn| -> Vec<Value> {
-            let cursor = e.open_cursor(&select(sql), &[], txn).unwrap();
+            let cursor = e.open_cursor(select(sql), [].into(), txn).unwrap();
             cursor.map(|r| r.unwrap().remove(0)).collect()
         };
         // A snapshot read does not see the uncommitted delete ...

@@ -10,8 +10,7 @@
 //! - a [`LatencyModel`] charging simulated network cost per request,
 //! - fault injection hooks for failure testing.
 
-use crate::batch::{execute_select_batch, BatchCounters};
-use crate::cursor::{self, QueryCursor};
+use crate::cursor::{QueryCursor, SelectHooks, SelectRun};
 use crate::error::{Result, StorageError};
 use crate::eval::{eval, eval_predicate, EvalContext, Scope};
 use crate::exec_select::{execute_select, Catalog};
@@ -78,16 +77,13 @@ pub struct StorageEngine {
     wal: SharedLog,
     next_txn: AtomicU64,
     txns: Mutex<HashMap<TxnId, TxnState>>,
-    latency: LatencyModel,
-    /// Scriptable fault injection: chaos tests arm plans targeting
-    /// individual operations; `Arc` so streaming cursors can keep checking
-    /// row-pull faults after the open call returns.
-    faults: Arc<FaultInjector>,
+    /// The latency model, the fault injector (chaos tests arm plans
+    /// targeting individual operations) and the scan counters — shared with
+    /// the cursors this engine hands out, which keep charging, checking
+    /// row-pull faults and counting after the open call returns.
+    hooks: Arc<SelectHooks>,
     /// Total statements executed (metrics).
     statements_executed: AtomicU64,
-    /// Rows fetched by streaming scan cursors (metrics; shared with the
-    /// cursors so early-termination tests can observe per-source pulls).
-    rows_pulled: Arc<AtomicU64>,
     /// Undo images rebuilt during recovery, keyed by txn, consumed while
     /// re-registering in-doubt transactions.
     recovered_undo: Mutex<HashMap<u64, Vec<UndoOp>>>,
@@ -99,10 +95,6 @@ pub struct StorageEngine {
     /// Coalesces the simulated durability flush of concurrent committers
     /// (`SET group_commit_window_us`).
     group_commit: GroupCommitter,
-    /// Columnar batches fetched / rows delivered in them (metrics; shared
-    /// with batch sources so both streaming and materialized paths count).
-    scan_batches: Arc<AtomicU64>,
-    scan_batch_rows: Arc<AtomicU64>,
     /// Last published commit timestamp; readers snapshot this.
     commit_clock: AtomicU64,
     /// Serializes version stamping + clock publication at commit, so a
@@ -163,7 +155,13 @@ impl StorageEngine {
     ) -> Arc<Self> {
         let name = name.into();
         Arc::new(StorageEngine {
-            faults: Arc::new(FaultInjector::new(&name)),
+            hooks: Arc::new(SelectHooks {
+                latency,
+                faults: FaultInjector::new(&name),
+                rows_pulled: AtomicU64::new(0),
+                scan_batches: AtomicU64::new(0),
+                scan_batch_rows: AtomicU64::new(0),
+            }),
             name,
             dialect: Dialect::MySql,
             tables: RwLock::new(HashMap::new()),
@@ -171,14 +169,10 @@ impl StorageEngine {
             wal,
             next_txn: AtomicU64::new(1),
             txns: Mutex::new(HashMap::new()),
-            latency,
             statements_executed: AtomicU64::new(0),
-            rows_pulled: Arc::new(AtomicU64::new(0)),
             recovered_undo: Mutex::new(HashMap::new()),
             server_slots: None,
             group_commit: GroupCommitter::new(),
-            scan_batches: Arc::new(AtomicU64::new(0)),
-            scan_batch_rows: Arc::new(AtomicU64::new(0)),
             commit_clock: AtomicU64::new(0),
             commit_seal: Mutex::new(()),
             snapshots: SnapshotRegistry::default(),
@@ -263,25 +257,22 @@ impl StorageEngine {
         }
     }
 
-    /// Columnar batches fetched by the batch-scan path so far.
+    /// Columnar batches fetched by the batch-scan leaf so far.
     pub fn scan_batches(&self) -> u64 {
-        self.scan_batches.load(Ordering::Relaxed)
+        self.hooks.scan_batches.load(Ordering::Relaxed)
     }
 
     /// Rows delivered inside columnar batches so far.
     pub fn scan_batch_rows(&self) -> u64 {
-        self.scan_batch_rows.load(Ordering::Relaxed)
+        self.hooks.scan_batch_rows.load(Ordering::Relaxed)
     }
 
-    fn batch_counters(&self) -> BatchCounters {
-        BatchCounters {
-            batches: Arc::clone(&self.scan_batches),
-            rows: Arc::clone(&self.scan_batch_rows),
-        }
+    pub(crate) fn select_hooks(&self) -> Arc<SelectHooks> {
+        Arc::clone(&self.hooks)
     }
 
     pub fn latency(&self) -> LatencyModel {
-        self.latency
+        self.hooks.latency
     }
 
     /// Does a request to this engine spend time *waiting* — a simulated
@@ -290,7 +281,7 @@ impl StorageEngine {
     /// machine, computation only across CPUs; whoever fans requests out
     /// decides from this whether other threads can help.
     pub fn waits(&self) -> bool {
-        !self.latency.is_zero()
+        !self.hooks.latency.is_zero()
             || self.server_slots.is_some()
             || self.group_commit.window_micros() > 0
     }
@@ -303,9 +294,10 @@ impl StorageEngine {
         self.statements_executed.load(Ordering::Relaxed)
     }
 
-    /// Rows fetched from tables by streaming scan cursors so far.
+    /// Source rows fetched by the SELECT scan leaves so far (the general
+    /// executor counts nothing).
     pub fn rows_pulled(&self) -> u64 {
-        self.rows_pulled.load(Ordering::Relaxed)
+        self.hooks.rows_pulled.load(Ordering::Relaxed)
     }
 
     /// Row-lock acquisitions that had to block behind another transaction
@@ -326,20 +318,20 @@ impl StorageEngine {
     }
 
     /// This source's fault injector (chaos tests, `INJECT FAULT` RAL).
-    pub fn fault_injector(&self) -> &Arc<FaultInjector> {
-        &self.faults
+    pub fn fault_injector(&self) -> &FaultInjector {
+        &self.hooks.faults
     }
 
     /// Disarm every fault plan and release hung operations.
     pub fn clear_faults(&self) {
-        self.faults.clear();
+        self.hooks.faults.clear();
     }
 
     /// Arm the fault injector: the next commit on this source fails. A 2PC
     /// prepare consumes the same one-shot plan (the source votes NO), so XA
     /// tests see the refusal at phase 1 — the pre-injector behaviour.
     pub fn inject_commit_failure(&self) {
-        self.faults.inject(FaultPlan::on_ops(
+        self.hooks.faults.inject(FaultPlan::on_ops(
             vec![FaultOp::Prepare, FaultOp::Commit],
             FaultKind::Error("commit refused".into()),
             FaultTrigger::Once,
@@ -349,8 +341,8 @@ impl StorageEngine {
     /// Health probe: one round trip that fails only when a ping fault is
     /// armed (a real server would answer a trivial query).
     pub fn ping(&self) -> Result<()> {
-        self.latency.charge(0);
-        self.faults.check(FaultOp::Ping)
+        self.hooks.latency.charge(0);
+        self.hooks.faults.check(FaultOp::Ping)
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -382,7 +374,7 @@ impl StorageEngine {
     pub fn commit(&self, txn: TxnId) -> Result<()> {
         // A commit fault leaves the transaction in place: the coordinator
         // decides what happens next (retry / recovery).
-        self.faults.check(FaultOp::Commit)?;
+        self.hooks.faults.check(FaultOp::Commit)?;
         // An explicit COMMIT is its own client round trip and must make the
         // WAL durable before acknowledging: pay one flush, coalesced with
         // concurrent committers when a group-commit window is armed.
@@ -424,7 +416,7 @@ impl StorageEngine {
         }
         if flush {
             let span = crate::probe::begin();
-            self.group_commit.sync(|| self.latency.charge(0));
+            self.group_commit.sync(|| self.hooks.latency.charge(0));
             crate::probe::end(span, "wal_flush", || self.name.clone());
         }
         self.locks.release_all(txn);
@@ -472,8 +464,8 @@ impl StorageEngine {
     /// in-doubt and survives a crash.
     pub fn prepare(&self, txn: TxnId, xid: &str) -> Result<()> {
         // Phase 1 is a synchronous round trip to this resource manager.
-        self.latency.charge(0);
-        if let Err(e) = self.faults.check(FaultOp::Prepare) {
+        self.hooks.latency.charge(0);
+        if let Err(e) = self.hooks.faults.check(FaultOp::Prepare) {
             // A source armed to fail votes NO and rolls back, per 2PC.
             self.rollback(txn)?;
             return Err(e);
@@ -506,7 +498,7 @@ impl StorageEngine {
     pub fn commit_prepared(&self, txn: TxnId) -> Result<()> {
         // Phase 2 waits for the resource manager's acknowledgement. A fault
         // here leaves the transaction in-doubt for the recovery manager.
-        self.faults.check(FaultOp::CommitPrepared)?;
+        self.hooks.faults.check(FaultOp::CommitPrepared)?;
         {
             let txns = self.txns.lock();
             let state = txns
@@ -557,51 +549,47 @@ impl StorageEngine {
     // -- execution -------------------------------------------------------------
 
     /// Execute one statement. `txn = None` runs in an implicit (auto-commit)
-    /// transaction. Network latency is charged per request.
+    /// transaction. Network latency is charged per request. A SELECT is the
+    /// one pipeline ([`SelectRun`]) collected on the spot with the caller's
+    /// statement.
     pub fn execute(
         &self,
         stmt: &Statement,
         params: &[Value],
         txn: Option<TxnId>,
     ) -> Result<ExecuteResult> {
-        self.statements_executed.fetch_add(1, Ordering::Relaxed);
         // Occupy a server worker slot for the whole request (queueing when
         // the source is saturated).
         let _slot = self.server_slots.as_ref().map(|s| s.acquire());
-        // Buffer-pool model: touching a table bigger than the pool pays the
-        // disk-miss cost (this is what makes sharded small tables faster
-        // than one big table, per the paper's Table IV discussion).
-        if !self.latency.page_miss.is_zero() {
-            let mut largest = 0u64;
-            for t in stmt.table_names() {
-                if let Ok(table) = self.table(&t) {
-                    largest = largest.max(table.read().len() as u64);
-                }
-            }
-            self.latency.charge_miss(largest);
+        if let Statement::Select(s) = stmt {
+            let rs = self.open_select(s, params, txn)?.collect(s, params)?;
+            return Ok(ExecuteResult::Query(rs));
         }
+        self.statements_executed.fetch_add(1, Ordering::Relaxed);
+        self.charge_page_miss(std::iter::once_with(|| stmt.table_names()).flatten());
         let result = self.execute_inner(stmt, params, txn);
         let rows = match &result {
             Ok(ExecuteResult::Query(rs)) => rs.len(),
             _ => 0,
         };
-        self.latency.charge(rows);
+        self.hooks.latency.charge(rows);
         result
     }
 
-    /// Open a pull-based cursor for a SELECT. Streams straight from the
-    /// table when the statement shape allows it (single table, no grouping,
-    /// ORDER BY satisfied by an index); otherwise falls back to a cursor
-    /// over the materialized result. The per-request latency is charged at
-    /// open; streaming pulls charge the per-row cost incrementally.
+    /// Open a pull-based cursor for a SELECT: the same pipeline `execute`
+    /// collects, wrapped with the statement and parameters it borrows on
+    /// every pull, so rows leave the engine as the consumer asks for them.
     pub fn open_cursor(
         &self,
-        stmt: &SelectStatement,
-        params: &[Value],
+        stmt: SelectStatement,
+        params: Arc<[Value]>,
         txn: Option<TxnId>,
     ) -> Result<QueryCursor> {
         let span = crate::probe::begin();
-        let result = self.open_cursor_inner(stmt, params, txn);
+        // The server slot covers only cursor open: a cursor is
+        // consumer-paced and must not occupy a worker for its lifetime.
+        let _slot = self.server_slots.as_ref().map(|s| s.acquire());
+        let result = self.open_select(&stmt, &params, txn);
         crate::probe::end_with(
             span,
             "cursor_open",
@@ -611,55 +599,39 @@ impl StorageEngine {
             },
             result.as_ref().err().map(|e| e.to_string()),
         );
-        result
+        Ok(QueryCursor::new(result?, stmt, params))
     }
 
-    fn open_cursor_inner(
+    /// How every SELECT starts, whichever entry it came through: the
+    /// scan-open fault point, the buffer-pool charge, the dispatcher, and
+    /// the request's round trip. Rows are charged as they leave.
+    fn open_select(
         &self,
         stmt: &SelectStatement,
         params: &[Value],
         txn: Option<TxnId>,
-    ) -> Result<QueryCursor> {
+    ) -> Result<SelectRun> {
         self.statements_executed.fetch_add(1, Ordering::Relaxed);
-        // The server slot covers only cursor open: a streaming cursor is
-        // consumer-paced and must not occupy a worker for its lifetime.
-        let _slot = self.server_slots.as_ref().map(|s| s.acquire());
-        self.faults.check(FaultOp::ScanOpen)?;
-        if !self.latency.page_miss.is_zero() {
-            let mut largest = 0u64;
-            let mut touch = |name: &str| {
-                if let Ok(table) = self.table(name) {
-                    largest = largest.max(table.read().len() as u64);
-                }
-            };
-            if let Some(from) = &stmt.from {
-                touch(from.name.as_str());
-            }
-            for join in &stmt.joins {
-                touch(join.table.name.as_str());
-            }
-            self.latency.charge_miss(largest);
+        self.hooks.faults.check(FaultOp::ScanOpen)?;
+        let joined = stmt.joins.iter().map(|j| &j.table);
+        self.charge_page_miss(stmt.from.iter().chain(joined).map(|t| t.name.as_str()));
+        let run = SelectRun::open(self, stmt, params, txn)?;
+        self.hooks.latency.charge(0);
+        Ok(run)
+    }
+
+    /// Buffer-pool model: touching a table bigger than the pool pays the
+    /// disk-miss cost (this is what makes sharded small tables faster than
+    /// one big table, per the paper's Table IV discussion).
+    fn charge_page_miss(&self, tables: impl Iterator<Item = impl AsRef<str>>) {
+        if self.hooks.latency.page_miss.is_zero() {
+            return;
         }
-        // FOR UPDATE inside an explicit transaction needs the materialized
-        // path's row-locking side effects.
-        if !(stmt.for_update && txn.is_some()) {
-            if let Some(cursor) = cursor::try_open_streaming(
-                self,
-                stmt,
-                params,
-                self.rows_pulled.clone(),
-                self.latency,
-                Arc::clone(&self.faults),
-                self.batch_counters(),
-                self.read_view(txn),
-            )? {
-                self.latency.charge(0);
-                return Ok(cursor);
-            }
-        }
-        let rs = self.select(stmt, params, txn)?;
-        self.latency.charge(rs.len());
-        Ok(QueryCursor::materialized(rs))
+        let largest = tables
+            .filter_map(|t| self.table(t.as_ref()).ok())
+            .map(|t| t.read().len() as u64)
+            .max();
+        self.hooks.latency.charge_miss(largest.unwrap_or(0));
     }
 
     /// Parse and execute a SQL string (convenience for tests and examples).
@@ -680,20 +652,17 @@ impl StorageEngine {
         txn: Option<TxnId>,
     ) -> Result<ExecuteResult> {
         match stmt {
-            Statement::Select(s) => {
-                self.faults.check(FaultOp::ScanOpen)?;
-                Ok(ExecuteResult::Query(self.select(s, params, txn)?))
-            }
+            Statement::Select(_) => unreachable!("`execute` takes SELECTs itself"),
             Statement::Insert(s) => {
-                self.faults.check(FaultOp::Write)?;
+                self.hooks.faults.check(FaultOp::Write)?;
                 self.with_txn(txn, |t| self.insert(s, params, t))
             }
             Statement::Update(s) => {
-                self.faults.check(FaultOp::Write)?;
+                self.hooks.faults.check(FaultOp::Write)?;
                 self.with_txn(txn, |t| self.update(s, params, t))
             }
             Statement::Delete(s) => {
-                self.faults.check(FaultOp::Write)?;
+                self.hooks.faults.check(FaultOp::Write)?;
                 self.with_txn(txn, |t| self.delete(s, params, t))
             }
             Statement::CreateTable(s) => self.create_table(s),
@@ -756,7 +725,7 @@ impl StorageEngine {
                         // Auto-commit rides the statement's own round trip:
                         // no separate durability flush is charged (the
                         // statement request already paid `per_request`).
-                        self.faults.check(FaultOp::Commit)?;
+                        self.hooks.faults.check(FaultOp::Commit)?;
                         self.finish_commit(t, false)?;
                         Ok(r)
                     }
@@ -788,26 +757,17 @@ impl StorageEngine {
         }
     }
 
-    fn select(
+    /// The general SELECT executor and, inside a transaction, the row locks
+    /// of a locking read. The dispatcher ([`SelectRun::open`]) sends here
+    /// what no scan leaf serves.
+    pub(crate) fn select_general(
         &self,
         stmt: &SelectStatement,
         params: &[Value],
         txn: Option<TxnId>,
+        view: &ReadView,
     ) -> Result<ResultSet> {
-        // FOR UPDATE is a locking read: it wants the current rows it is
-        // about to lock, not a snapshot.
-        let view = if stmt.for_update {
-            ReadView::Latest
-        } else {
-            self.read_view(txn)
-        };
-        // Vectorized takeover of the buffered path for admissible shapes
-        // (FOR UPDATE is never admissible, so the locking below keeps its
-        // materialized rows).
-        let rs = match execute_select_batch(self, stmt, params, self.batch_counters(), &view)? {
-            Some(rs) => rs,
-            None => execute_select(self, stmt, params, &view)?,
-        };
+        let rs = execute_select(self, stmt, params, view)?;
         // SELECT ... FOR UPDATE takes write locks on the matched rows of the
         // base table when run inside an explicit transaction.
         if stmt.for_update {

@@ -126,33 +126,8 @@ pub fn execute_select(
     }
 
     // 6. LIMIT/OFFSET.
-    if let Some(lim) = &stmt.limit {
-        let offset = lim
-            .offset
-            .as_ref()
-            .map(|v| {
-                v.resolve(params)
-                    .ok_or(StorageError::Execution("unresolvable OFFSET".into()))
-            })
-            .transpose()?;
-        let limit = lim
-            .limit
-            .as_ref()
-            .map(|v| {
-                v.resolve(params)
-                    .ok_or(StorageError::Execution("unresolvable LIMIT".into()))
-            })
-            .transpose()?;
-        let offset = offset.unwrap_or(0) as usize;
-        if offset >= out.rows.len() {
-            out.rows.clear();
-        } else {
-            out.rows.drain(..offset);
-        }
-        if let Some(l) = limit {
-            out.rows.truncate(l as usize);
-        }
-    }
+    let (offset, limit) = resolve_limit(stmt, params)?;
+    truncate_to_window(&mut out.rows, offset, limit);
     Ok(out)
 }
 
@@ -164,6 +139,36 @@ pub(crate) fn needs_grouping(stmt: &SelectStatement) -> bool {
 
 fn having_has_aggregates(stmt: &SelectStatement) -> bool {
     stmt.having.as_ref().is_some_and(Expr::contains_aggregate)
+}
+
+/// The statement's `(offset, limit)` with bound parameters resolved.
+pub(crate) fn resolve_limit(
+    stmt: &SelectStatement,
+    params: &[Value],
+) -> Result<(u64, Option<u64>)> {
+    let Some(lim) = &stmt.limit else {
+        return Ok((0, None));
+    };
+    let resolve = |v: &Option<LimitValue>, unresolvable: &str| {
+        v.as_ref()
+            .map(|v| {
+                v.resolve(params)
+                    .ok_or_else(|| StorageError::Execution(unresolvable.into()))
+            })
+            .transpose()
+    };
+    Ok((
+        resolve(&lim.offset, "unresolvable OFFSET")?.unwrap_or(0),
+        resolve(&lim.limit, "unresolvable LIMIT")?,
+    ))
+}
+
+/// Cut finished rows down to the LIMIT/OFFSET window.
+pub(crate) fn truncate_to_window(rows: &mut Vec<Vec<Value>>, offset: u64, limit: Option<u64>) {
+    rows.drain(..(offset as usize).min(rows.len()));
+    if let Some(limit) = limit {
+        rows.truncate(limit as usize);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ pub(crate) fn access_path(
                 let op = if col_on_left { *op } else { mirror(*op) };
                 match op {
                     BinaryOp::Eq => {
-                        if let Some(idx) = table.index_on(&col) {
+                        if let Some(idx) = table.index_on(col) {
                             if idx.columns.len() == 1 {
                                 let ids = idx.lookup(&[val]);
                                 best = Some(intersect(best, ids));
@@ -213,22 +218,22 @@ pub(crate) fn access_path(
                         // a range over that prefix.
                         merge_range(
                             &mut ranges,
-                            &col,
+                            col,
                             Bound::Included(val.clone()),
                             Bound::Included(val),
                         );
                     }
                     BinaryOp::Gt => {
-                        merge_range(&mut ranges, &col, Bound::Excluded(val), Bound::Unbounded)
+                        merge_range(&mut ranges, col, Bound::Excluded(val), Bound::Unbounded)
                     }
                     BinaryOp::GtEq => {
-                        merge_range(&mut ranges, &col, Bound::Included(val), Bound::Unbounded)
+                        merge_range(&mut ranges, col, Bound::Included(val), Bound::Unbounded)
                     }
                     BinaryOp::Lt => {
-                        merge_range(&mut ranges, &col, Bound::Unbounded, Bound::Excluded(val))
+                        merge_range(&mut ranges, col, Bound::Unbounded, Bound::Excluded(val))
                     }
                     BinaryOp::LtEq => {
-                        merge_range(&mut ranges, &col, Bound::Unbounded, Bound::Included(val))
+                        merge_range(&mut ranges, col, Bound::Unbounded, Bound::Included(val))
                     }
                     _ => {}
                 }
@@ -241,7 +246,7 @@ pub(crate) fn access_path(
                 let Some(col) = column_of(expr, binding, table) else {
                     continue;
                 };
-                let Some(idx) = table.index_on(&col) else {
+                let Some(idx) = table.index_on(col) else {
                     continue;
                 };
                 if idx.columns.len() != 1 {
@@ -277,7 +282,7 @@ pub(crate) fn access_path(
                 ) else {
                     continue;
                 };
-                merge_range(&mut ranges, &col, Bound::Included(lo), Bound::Included(hi));
+                merge_range(&mut ranges, col, Bound::Included(lo), Bound::Included(hi));
             }
             _ => {}
         }
@@ -289,6 +294,39 @@ pub(crate) fn access_path(
         }
     }
     best
+}
+
+/// Row ids in the order an index already keeps them, when that order is the
+/// ORDER BY: every key a bare column of this table, all keys in one
+/// direction, and some index's column list starting with exactly those
+/// columns. `None` when the rows have to be sorted instead.
+pub(crate) fn index_order(
+    table: &Table,
+    binding: &str,
+    order_by: &[OrderByItem],
+) -> Option<Vec<RowId>> {
+    let first = order_by.first()?;
+    if !order_by.iter().all(|o| o.desc == first.desc) {
+        return None;
+    }
+    let idx = table.index_on(column_of(&first.expr, binding, table)?)?;
+    let positions: Vec<usize> = order_by
+        .iter()
+        .map(|item| {
+            table
+                .schema
+                .column_index(column_of(&item.expr, binding, table)?)
+        })
+        .collect::<Option<_>>()?;
+    if !idx.columns.starts_with(&positions) {
+        return None;
+    }
+    let desc = first.desc;
+    Some(if desc {
+        idx.scan_rev().collect()
+    } else {
+        idx.scan().collect()
+    })
 }
 
 fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
@@ -394,7 +432,7 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 
 /// Resolve an expression to a column of the given table binding, if it is a
 /// bare (optionally qualified) column reference.
-pub(crate) fn column_of(e: &Expr, binding: &str, table: &Table) -> Option<String> {
+fn column_of<'a>(e: &'a Expr, binding: &str, table: &Table) -> Option<&'a str> {
     let e = unwrap_nested(e);
     let Expr::Column(c) = e else { return None };
     if let Some(t) = &c.table {
@@ -405,7 +443,7 @@ pub(crate) fn column_of(e: &Expr, binding: &str, table: &Table) -> Option<String
     table
         .schema
         .column_index(&c.column)
-        .map(|_| c.column.clone())
+        .map(|_| c.column.as_str())
 }
 
 /// Resolve an expression to a constant (literal or bound parameter).
@@ -958,10 +996,10 @@ pub(crate) fn collect_agg_calls(stmt: &SelectStatement) -> Vec<FunctionCall> {
     agg_calls
 }
 
-/// Incremental grouped-execution state: rows are pushed one at a time (the
-/// grouped streaming cursor feeds it per pull), then [`GroupedState::finish`]
-/// applies HAVING / ORDER BY / projection. [`execute_grouped`] is the
-/// materialized wrapper that pushes a pre-collected row set.
+/// Grouped-execution state: [`execute_grouped`] pushes rows one at a time,
+/// the batch scan hands over groups it accumulated from column vectors
+/// ([`GroupedState::from_parts`]); either way [`GroupedState::finish`]
+/// applies HAVING / ORDER BY / projection.
 pub(crate) struct GroupedState {
     agg_calls: Vec<FunctionCall>,
     groups: Vec<Group>,

@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 /// Engine operation a fault plan targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Opening a SELECT (cursor open and materialized execution).
+    /// Opening a SELECT, through `execute` or `open_cursor`.
     ScanOpen,
-    /// One streaming-cursor row fetch.
+    /// One pull of a SELECT's scan: a row, or a columnar batch.
     RowPull,
     /// An INSERT / UPDATE / DELETE statement.
     Write,

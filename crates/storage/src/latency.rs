@@ -93,9 +93,9 @@ impl LatencyModel {
         }
     }
 
-    /// Per-row transfer cost only (no per-request component). Streaming
-    /// cursors pay `charge(0)` once at open and this per pulled row, so the
-    /// total matches the materialized path's `charge(n)`.
+    /// Per-row transfer cost only (no per-request component). A SELECT pays
+    /// `charge(0)` once at open and this for the rows that leave the engine,
+    /// as they leave.
     pub fn charge_rows(&self, rows: usize) {
         let cost = self.per_row * (rows as u32);
         if !cost.is_zero() {

@@ -1,8 +1,9 @@
 //! Integration tests for the storage engine: SQL execution, transactions,
 //! XA, WAL recovery and fault injection.
 
-use shard_sql::Value;
-use shard_storage::{LatencyModel, SharedLog, StorageEngine, StorageError};
+use shard_sql::{parse_statement, Statement, Value};
+use shard_storage::{LatencyModel, SharedLog, StorageEngine, StorageError, TxnId};
+use std::time::{Duration, Instant};
 
 fn engine_with_users() -> std::sync::Arc<StorageEngine> {
     let ds = StorageEngine::new("ds_0");
@@ -475,4 +476,106 @@ fn distinct_dedups() {
         .unwrap()
         .query();
     assert_eq!(rs.rows.len(), 3);
+}
+
+/// `sql` through both ways into a SELECT — `execute`, which collects, and
+/// `open_cursor`, which hands rows out — with what each took.
+fn through_both_doors(
+    ds: &StorageEngine,
+    sql: &str,
+    txn: Option<TxnId>,
+) -> [(Vec<Vec<Value>>, Duration); 2] {
+    let Statement::Select(stmt) = parse_statement(sql).unwrap() else {
+        panic!("not a SELECT: {sql}");
+    };
+    let start = Instant::now();
+    let collected = ds.execute(&Statement::Select(stmt.clone()), &[], txn);
+    let collected = (collected.unwrap().query().rows, start.elapsed());
+    let start = Instant::now();
+    let cursor = ds.open_cursor(stmt, [].into(), txn).unwrap();
+    let pulled = cursor.map(|row| row.unwrap()).collect();
+    [collected, (pulled, start.elapsed())]
+}
+
+/// What a SELECT sees does not depend on the door it came through: outside
+/// a transaction `FOR UPDATE` can lock nothing, so it reads the committed
+/// snapshot like any other statement; inside one it reads the rows as they
+/// stand.
+#[test]
+fn isolation_does_not_depend_on_the_door() {
+    let ds = StorageEngine::new("ds");
+    ds.execute_sql("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)", &[], None)
+        .unwrap();
+    ds.execute_sql("INSERT INTO t VALUES (0, 0), (1, 1), (2, 2)", &[], None)
+        .unwrap();
+    let writer = ds.begin();
+    for sql in [
+        "DELETE FROM t WHERE id = 1",
+        "UPDATE t SET v = 99 WHERE id = 2",
+    ] {
+        ds.execute_sql(sql, &[], Some(writer)).unwrap();
+    }
+    let ints = |rows: &[[i64; 2]]| -> Vec<Vec<Value>> {
+        let row = |r: &[i64; 2]| r.iter().map(|&i| Value::Int(i)).collect();
+        rows.iter().map(row).collect()
+    };
+
+    let committed = ints(&[[0, 0], [1, 1], [2, 2]]);
+    for (sql, expected) in [
+        ("SELECT id, v FROM t FOR UPDATE", &committed),
+        ("SELECT id, v FROM t ORDER BY id FOR UPDATE", &committed),
+        (
+            "SELECT COUNT(*), SUM(v) FROM t FOR UPDATE",
+            &ints(&[[3, 3]]),
+        ),
+    ] {
+        for (rows, _) in through_both_doors(&ds, sql, None) {
+            assert_eq!(&rows, expected, "{sql}");
+        }
+    }
+    // ... and locked nothing: the row the writer left alone is free.
+    ds.execute_sql("UPDATE t SET v = 0 WHERE id = 0", &[], None)
+        .unwrap();
+
+    // Inside a transaction the locking read sees the uncommitted delete.
+    let reader = ds.begin();
+    let sql = "SELECT id, v FROM t WHERE id < 2 ORDER BY id FOR UPDATE";
+    for (rows, _) in through_both_doors(&ds, sql, Some(reader)) {
+        assert_eq!(rows, ints(&[[0, 0]]), "{sql}");
+    }
+    ds.rollback(reader).unwrap();
+    ds.rollback(writer).unwrap();
+}
+
+/// `LatencyModel::per_row` is the cost of a row transferred back to the
+/// client: a scan that filters or aggregates most of its source rows away
+/// is billed for what leaves the engine, through both doors.
+#[test]
+fn per_row_latency_bills_the_rows_that_leave() {
+    const SOURCE_ROWS: u32 = 2_000;
+    let per_row = Duration::from_micros(50);
+    let ds = StorageEngine::with_latency("remote", LatencyModel::new(Duration::ZERO, per_row));
+    ds.execute_sql("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)", &[], None)
+        .unwrap();
+    for chunk in 0..SOURCE_ROWS / 500 {
+        let ids = chunk * 500..(chunk + 1) * 500;
+        let rows: Vec<String> = ids.map(|id| format!("({id}, {})", id % 100)).collect();
+        ds.execute_sql(
+            &format!("INSERT INTO t VALUES {}", rows.join(", ")),
+            &[],
+            None,
+        )
+        .unwrap();
+    }
+    for (sql, leaving) in [
+        ("SELECT COUNT(*) FROM t", 1),
+        ("SELECT id FROM t WHERE v = 3", SOURCE_ROWS / 100),
+    ] {
+        for (rows, took) in through_both_doors(&ds, sql, None) {
+            assert_eq!(rows.len() as u32, leaving, "{sql}");
+            assert!(took >= per_row * leaving, "{sql} billed only {took:?}");
+            // Billing the source rows would take at least twice this.
+            assert!(took < per_row * SOURCE_ROWS / 2, "{sql} took {took:?}");
+        }
+    }
 }

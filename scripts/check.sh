@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide gate: clippy clean (warnings are errors), rustfmt clean, the
-# criterion benches compile, every test in the workspace, the benchmark
-# smoke and the observability-overhead gate.
+# Repo-wide gate: clippy clean (warnings are errors), rustfmt clean, every
+# test in the workspace, the benchmark smoke and the observability-overhead
+# gate.
 # Run before sending a PR; CI runs the same commands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,9 +11,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
-
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
 
 # Test gate: every suite in the workspace — the root package's integration
 # tests and the several hundred tests inside crates/* (plain `cargo test`

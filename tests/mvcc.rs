@@ -103,7 +103,7 @@ fn snapshot_scan_never_sees_later_commits() {
             shardingsphere_rs::sql::ast::Statement::Select(s) => s,
             other => panic!("not a select: {other:?}"),
         };
-        let mut cursor = e.open_cursor(&stmt, &[], None).unwrap();
+        let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
         assert!(cursor.is_streaming());
         // Pull a few rows, then rewrite the table under the open cursor.
         for i in 0..10 {
@@ -387,7 +387,7 @@ fn vacuum_reclaims_dead_versions_and_reports_gauges() {
             shardingsphere_rs::sql::ast::Statement::Select(s) => s,
             other => panic!("not a select: {other:?}"),
         };
-        let mut cursor = e.open_cursor(&stmt, &[], None).unwrap();
+        let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
         e.execute_sql("UPDATE t SET v = 21 WHERE id = 1", &[], None)
             .unwrap();
         assert_eq!(e.vacuum(), 0, "open snapshot must pin the old version");
