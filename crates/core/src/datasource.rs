@@ -100,13 +100,22 @@ impl DataSource {
         self.engine.ping().is_ok()
     }
 
-    /// Make one call on the engine under this source's guard: a disabled
-    /// source or an open breaker refuses it (sources marked down by health
-    /// detection fail fast), and the call's outcome feeds the breaker. Only
-    /// infrastructure failures count against it — semantic errors (missing
-    /// table, bad SQL) say nothing about the source's health. A breaker
-    /// state transition freezes the flight recorder.
+    /// Make one call on the engine under this source's guard, and feed its
+    /// outcome to the breaker: success closes it.
     pub fn guarded<T>(
+        &self,
+        call: impl FnOnce(&StorageEngine) -> shard_storage::Result<T>,
+    ) -> Result<T> {
+        self.attempt(call)
+            .inspect(|_| self.breaker.record_success())
+    }
+
+    /// The guard without the success verdict, for a call that only starts
+    /// the work (opening a cursor): a disabled source or an open breaker
+    /// refuses it (sources marked down by health detection fail fast) and a
+    /// failure counts, but whoever finishes the work reports the success —
+    /// or the failure, through [`failed`](Self::failed).
+    pub fn attempt<T>(
         &self,
         call: impl FnOnce(&StorageEngine) -> shard_storage::Result<T>,
     ) -> Result<T> {
@@ -122,13 +131,15 @@ impl DataSource {
                 self.name
             )));
         }
-        let e = match call(&self.engine) {
-            Ok(r) => {
-                self.breaker.record_success();
-                return Ok(r);
-            }
-            Err(e) => KernelError::Storage(e),
-        };
+        call(&self.engine).map_err(|e| self.failed(e))
+    }
+
+    /// A call on this source failed. Only infrastructure failures count
+    /// against the breaker — semantic errors (missing table, bad SQL) say
+    /// nothing about the source's health. A breaker state transition freezes
+    /// the flight recorder.
+    pub fn failed(&self, e: shard_storage::StorageError) -> KernelError {
+        let e = KernelError::Storage(e);
         if e.is_infrastructure() {
             let before = self.breaker.state();
             self.breaker.record_failure();
@@ -146,7 +157,7 @@ impl DataSource {
                 );
             }
         }
-        Err(e)
+        e
     }
 }
 

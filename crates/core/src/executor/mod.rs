@@ -1,4 +1,5 @@
-//! SQL executor (paper §VI-D, Fig 8): the automatic execution engine.
+//! SQL executor (paper §VI-D, Fig 8): the automatic execution engine. There
+//! is one, whichever front door a statement came through.
 //!
 //! **Preparation phase** — group the rewritten statements by data source and
 //! pick each source's connection mode from
@@ -15,16 +16,22 @@
 //! they can help — when a source *waits* (the round trips overlap) or when
 //! there is another CPU to compute on. A single chunk, or any number of
 //! chunks on embedded sources on one CPU, never leaves the calling thread.
+//!
+//! **Eager or lazy** — the one thing the caller decides (`Fetch`) is what
+//! a SELECT unit hands back: its collected result, or — where the prepared
+//! statement can stream — its open cursor as a live [`RowStream`]
+//! (`stream.rs`). Opening cursors *is* the fork-join above: same guard, same
+//! spans, same deadline, same threads.
 
 pub(crate) mod pool;
 pub mod stream;
 
 pub use pool::WorkerPool;
-pub use stream::{CancelToken, RowStream, StreamedQuery};
+pub use stream::{CancelToken, RowStream};
 
-use crate::datasource::DataSource;
+use crate::datasource::{Connection, DataSource};
 use crate::error::{KernelError, Result};
-use crate::obs::SpanScope;
+use crate::obs::{Counter, SpanScope};
 use crate::route::RouteUnit;
 use shard_sql::{Statement, Value};
 use shard_storage::{ExecuteResult, TxnId};
@@ -66,6 +73,9 @@ pub struct ExecutionInput {
 pub struct ExecutionReport {
     /// (datasource, chosen mode, number of SQLs, connections used)
     pub groups: Vec<(String, ConnectionMode, usize, usize)>,
+    /// The units handed back open cursors and pumps on pool workers pull
+    /// them (otherwise the consumer does, or the units were collected).
+    pub pumped: bool,
 }
 
 impl ExecutionReport {
@@ -74,6 +84,24 @@ impl ExecutionReport {
             .iter()
             .any(|(_, m, _, _)| *m == ConnectionMode::ConnectionStrictly)
     }
+}
+
+/// What the caller wants back from a SELECT unit.
+#[derive(Clone, Copy)]
+pub(crate) enum Fetch<'a> {
+    /// Its collected result.
+    Collect,
+    /// Its open cursor as a live [`RowStream`] — where the prepared
+    /// statement can stream; collected otherwise. Each stream adds the rows
+    /// the merger pulled from it to `pulled`.
+    Stream { pulled: Option<&'a Arc<Counter>> },
+}
+
+/// What executing a statement's units handed back, in input order.
+pub(crate) enum Executed {
+    Results(Vec<ExecuteResult>),
+    /// Live shard streams plus the token that cancels every unit in flight.
+    Streams(Vec<RowStream>, CancelToken),
 }
 
 pub struct ExecutorEngine {
@@ -114,32 +142,8 @@ impl ExecutorEngine {
             .load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Execute all inputs; results return in input order.
-    ///
-    /// `txns` binds data sources to open local transactions: statements for
-    /// those sources execute inside the bound transaction, serially per
-    /// source (one transactional connection), preserving the order the
-    /// application issued them.
-    pub fn execute(
-        &self,
-        datasources: &HashMap<String, Arc<DataSource>>,
-        inputs: Vec<ExecutionInput>,
-        params: Arc<[Value]>,
-        txns: Option<&HashMap<String, TxnId>>,
-    ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
-        self.execute_with_deadline(datasources, inputs, params, txns, None, true, None)
-    }
-
-    /// [`ExecutorEngine::execute`] with a per-statement deadline: when the
-    /// deadline elapses before every unit reports back, siblings are
-    /// cancelled and the statement fails fast with [`KernelError::Timeout`]
-    /// instead of hanging on a stuck shard.
-    ///
-    /// `spans` is the `execute` stage of a statement that records: each
-    /// executed unit is one span under it, named `datasource.tables` and
-    /// closed with its row count; on a head-sampled statement the storage
-    /// probe is installed too, so engine internals (lock waits, WAL flushes,
-    /// …) parent to the unit that caused them.
+    /// [`ExecutorEngine::run_on`] the process-wide pool, every unit
+    /// collected.
     ///
     /// `_want_units` is ignored: units are spans now. The parameter stays
     /// until the benchmark's replay stops passing it (ROADMAP item 2).
@@ -154,14 +158,42 @@ impl ExecutorEngine {
         _want_units: bool,
         spans: Option<&SpanScope>,
     ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
-        let pool = WorkerPool::global();
-        self.execute_on(pool, datasources, inputs, params, txns, deadline, spans)
+        match self.run_on(
+            WorkerPool::global(),
+            datasources,
+            inputs,
+            params,
+            txns,
+            deadline,
+            spans,
+            Fetch::Collect,
+        )? {
+            (Executed::Results(results), report) => Ok((results, report)),
+            (Executed::Streams(..), _) => unreachable!("`Fetch::Collect` collects"),
+        }
     }
 
-    /// [`ExecutorEngine::execute_with_deadline`] on a given pool (tests
-    /// bring their own, with its own CPU count).
+    /// Execute all inputs on `pool` (the process-wide one; tests bring their
+    /// own, with its own CPU count); what comes back is in input order.
+    ///
+    /// `txns` binds data sources to open local transactions: statements for
+    /// those sources execute inside the bound transaction, serially per
+    /// source (one transactional connection), preserving the order the
+    /// application issued them.
+    ///
+    /// With a `deadline`, when it elapses before every unit reports back —
+    /// has executed, or has opened its cursor — siblings are cancelled and
+    /// the statement fails fast with [`KernelError::Timeout`] instead of
+    /// hanging on a stuck shard; streams handed back pull against it too.
+    ///
+    /// `spans` is the `execute` stage of a statement that records: each unit
+    /// is one span under it, named `datasource.tables` and closed with its
+    /// row count — a collected unit's when it returns, a streamed unit's by
+    /// its [`RowStream`]; on a head-sampled statement the storage probe is
+    /// installed too, so engine internals (lock waits, WAL flushes, …)
+    /// parent to the unit that caused them.
     #[allow(clippy::too_many_arguments)]
-    fn execute_on(
+    pub(crate) fn run_on(
         &self,
         pool: &WorkerPool,
         datasources: &HashMap<String, Arc<DataSource>>,
@@ -170,155 +202,147 @@ impl ExecutorEngine {
         txns: Option<&HashMap<String, TxnId>>,
         deadline: Option<Instant>,
         spans: Option<&SpanScope>,
-    ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
-        if inputs.is_empty() {
-            return Ok((Vec::new(), ExecutionReport::default()));
-        }
-        // ---- Preparation: group by data source (owned statements, so the
-        // work can move onto pool workers). ----
-        struct Group {
-            ds: Arc<DataSource>,
-            txn: Option<TxnId>,
-            sqls: Vec<Unit>,
-        }
+        fetch: Fetch<'_>,
+    ) -> Result<(Executed, ExecutionReport)> {
         let total = inputs.len();
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        for (i, input) in inputs.into_iter().enumerate() {
-            let label = spans.map(|_| unit_label(&input.unit));
-            let name = input.unit.datasource;
-            if !groups.contains_key(&name) {
-                let ds = datasources
-                    .get(&name)
-                    .ok_or_else(|| KernelError::Execute(format!("unknown data source '{name}'")))?
-                    .clone();
-                let txn = txns.and_then(|t| t.get(&name).copied());
-                order.push(name.clone());
-                groups.insert(
-                    name.clone(),
-                    Group {
-                        ds,
-                        txn,
-                        sqls: Vec::new(),
-                    },
-                );
+        let (groups, mut report) = self.prepare(datasources, inputs, txns, spans.is_some())?;
+        // Whether the statement streams is a question asked of the prepared
+        // plan: memory-strictly throughout (every statement on a connection
+        // of its own), nothing bound to a transaction, SELECTs only — and a
+        // fan-out of at most half the pool, since a pump blocked on its full
+        // channel holds a worker and past that bound could starve the pumps
+        // the consumer is waiting for.
+        let one_select = |group: &PlannedGroup| {
+            group.txn.is_none() && matches!(group.chunk[..], [(_, Statement::Select(_), _)])
+        };
+        let (lazy, pulled) = match fetch {
+            Fetch::Stream { pulled } if total > 0 && total <= pool.size / 2 => {
+                (groups.iter().all(one_select), pulled.cloned())
             }
-            groups
-                .get_mut(&name)
-                .expect("inserted above")
-                .sqls
-                .push((i, input.stmt, label));
-        }
-
-        // ---- Decide modes and build execution units. ----
-        let mut report = ExecutionReport::default();
-        let mut planned: Vec<PlannedGroup> = Vec::new();
-        for name in &order {
-            let group = groups.remove(name).expect("grouped above");
-            let num_sql = group.sqls.len();
-            if group.txn.is_some() {
-                // Transactional statements share the transaction's single
-                // connection: strictly serial on this source.
-                let permits = group.ds.pool().acquire_atomic(1, self.acquire_timeout)?;
-                report
-                    .groups
-                    .push((name.clone(), ConnectionMode::ConnectionStrictly, num_sql, 1));
-                planned.push(PlannedGroup {
-                    ds: group.ds,
-                    txn: group.txn,
-                    chunk: group.sqls,
-                    _permits: permits,
-                });
-                continue;
-            }
-            let max_con = self.max_connections();
-            // θ = ⌈NumOfSQL / MaxCon⌉
-            let theta = num_sql.div_ceil(max_con);
-            let (mode, connections) = if theta > 1 {
-                (ConnectionMode::ConnectionStrictly, max_con)
-            } else {
-                (ConnectionMode::MemoryStrictly, num_sql)
-            };
-            // Atomic acquisition avoids the two-queries-waiting deadlock.
-            let mut permits = group
-                .ds
-                .pool()
-                .acquire_atomic(connections, self.acquire_timeout)?;
-            let connections = permits.len().max(1);
-            report
-                .groups
-                .push((name.clone(), mode, num_sql, connections));
-            // Chunk SQLs over connections round-robin to balance sizes.
-            let mut chunks: Vec<Vec<Unit>> = (0..connections).map(|_| Vec::new()).collect();
-            for (j, item) in group.sqls.into_iter().enumerate() {
-                chunks[j % connections].push(item);
-            }
-            for chunk in chunks {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let permit = permits.pop().into_iter().collect();
-                planned.push(PlannedGroup {
-                    ds: Arc::clone(&group.ds),
-                    txn: None,
-                    chunk,
-                    _permits: permit,
-                });
-            }
-        }
-
-        // ---- Execution: one task per planned group on the pool's
-        // fork-join. Without a deadline the calling thread runs the groups
-        // itself, helped by as many workers as the groups' sources warrant;
-        // with one, every group runs on a worker so a hung shard can be
-        // abandoned. Results land in input order; the first error in group
-        // order wins. ----
-        let mut results: Vec<Option<ExecuteResult>> = (0..total).map(|_| None).collect();
-        let mut absorb = |outcome: GroupOutcome| -> Result<()> {
-            for (idx, result) in outcome? {
-                results[idx] = Some(result);
-            }
-            Ok(())
+            _ => (false, None),
         };
         let shared = Shared {
             params,
             cancelled: AtomicBool::new(false),
             spans: spans.cloned(),
+            lazy,
+            pulled,
         };
-        if planned.len() == 1 && deadline.is_none() {
-            // The point query: one group is nothing to fan out, so it skips
-            // the task list and the shared allocation a fan-out needs.
-            absorb(run_group(planned.pop().expect("len checked"), &shared))?;
-        } else {
-            let job_count = planned.len();
-            let waits = planned.iter().any(|group| group.ds.engine().waits());
-            let shared = Arc::new(shared);
-            let tasks: Vec<_> = planned
-                .into_iter()
-                .map(|group| {
-                    let shared = Arc::clone(&shared);
-                    move || run_group(group, &shared)
-                })
-                .collect();
-            let outcomes = match deadline {
-                None => pool.run_all(tasks, pool.helpers_for(job_count, waits)),
-                Some(deadline) => pool.run_all_until(tasks, deadline).map_err(|outstanding| {
-                    // Abandoned groups still running stop at their next
-                    // statement and drain their permits on exit.
-                    shared.cancelled.store(true, Ordering::Relaxed);
-                    KernelError::Timeout(format!(
-                        "statement deadline elapsed with {outstanding} of {job_count} unit(s) outstanding"
-                    ))
-                })?,
-            };
-            for outcome in outcomes {
-                absorb(outcome)?;
+        let waits = groups.iter().any(|group| group.ds.engine().waits());
+        let mut units = fork_join(pool, groups, waits, shared, deadline)?;
+        if units.len() != total {
+            return Err(KernelError::Execute("missing execution result".into()));
+        }
+        units.sort_unstable_by_key(|(idx, _)| *idx);
+        let (mut results, mut streams) = (Vec::new(), Vec::new());
+        for (_, unit) in units {
+            match unit {
+                Fetched::Result(result) => results.push(result),
+                Fetched::Stream(stream) => streams.push(stream),
             }
         }
-        let collected: Option<Vec<ExecuteResult>> = results.into_iter().collect();
-        collected
-            .map(|r| (r, report))
-            .ok_or_else(|| KernelError::Execute("missing execution result".into()))
+        if !lazy {
+            return Ok((Executed::Results(results), report));
+        }
+        // The transport follows what the fork-join would do with these
+        // units: where it would wake no helper the consumer pulls the
+        // cursors itself; where a helper helps, or a deadline must keep the
+        // caller outside every shard call, pumps on pool workers do.
+        let cancel = CancelToken::new();
+        report.pumped = deadline.is_some() || pool.helpers_for(total, waits) > 0;
+        if report.pumped {
+            for stream in &mut streams {
+                stream.pump(pool, &cancel, deadline);
+            }
+        }
+        Ok((Executed::Streams(streams, cancel), report))
+    }
+
+    /// The preparation phase: group by data source, decide each source's
+    /// mode, acquire its connections atomically, and deal its statements out
+    /// over them.
+    fn prepare(
+        &self,
+        datasources: &HashMap<String, Arc<DataSource>>,
+        inputs: Vec<ExecutionInput>,
+        txns: Option<&HashMap<String, TxnId>>,
+        labelled: bool,
+    ) -> Result<(Vec<PlannedGroup>, ExecutionReport)> {
+        /// One target data source and how many of the statements it gets.
+        struct Source {
+            name: String,
+            ds: Arc<DataSource>,
+            txn: Option<TxnId>,
+            num_sql: usize,
+        }
+        // Sources in first-seen order (a statement targets a handful), and
+        // which of them each input goes to.
+        let mut sources: Vec<Source> = Vec::new();
+        let mut source_of = Vec::with_capacity(inputs.len());
+        for input in &inputs {
+            let name = &input.unit.datasource;
+            let at = match sources.iter().position(|s| s.name == *name) {
+                Some(at) => at,
+                None => {
+                    let unknown = || KernelError::Execute(format!("unknown data source '{name}'"));
+                    sources.push(Source {
+                        name: name.clone(),
+                        ds: datasources.get(name).cloned().ok_or_else(unknown)?,
+                        txn: txns.and_then(|t| t.get(name).copied()),
+                        num_sql: 0,
+                    });
+                    sources.len() - 1
+                }
+            };
+            sources[at].num_sql += 1;
+            source_of.push(at);
+        }
+
+        // Per source: its mode, its connections, and one group — still
+        // empty — per connection. `deal` is where each source's groups
+        // start, how many they are, and how many statements they hold.
+        let mut groups = Vec::with_capacity(inputs.len());
+        let mut report = ExecutionReport::default();
+        let mut deal = Vec::with_capacity(sources.len());
+        for source in sources {
+            let (num_sql, max_con) = (source.num_sql, self.max_connections());
+            // θ = ⌈NumOfSQL / MaxCon⌉
+            let theta = num_sql.div_ceil(max_con);
+            let (mode, connections) = if source.txn.is_some() {
+                // Transactional statements share the transaction's single
+                // connection: strictly serial on this source.
+                (ConnectionMode::ConnectionStrictly, 1)
+            } else if theta > 1 {
+                (ConnectionMode::ConnectionStrictly, max_con)
+            } else {
+                (ConnectionMode::MemoryStrictly, num_sql)
+            };
+            // Atomic acquisition avoids the two-queries-waiting deadlock.
+            let pool = source.ds.pool();
+            let mut permits = pool.acquire_atomic(connections, self.acquire_timeout)?;
+            let connections = permits.len().max(1);
+            report
+                .groups
+                .push((source.name, mode, num_sql, connections));
+            deal.push((groups.len(), connections, 0));
+            groups.extend((0..connections).map(|_| PlannedGroup {
+                ds: Arc::clone(&source.ds),
+                txn: source.txn,
+                chunk: Vec::with_capacity(num_sql.div_ceil(connections)),
+                permit: permits.pop(),
+            }));
+        }
+        // Deal each source's SQLs over its connections round-robin, which
+        // balances the chunk sizes.
+        for ((i, input), at) in inputs.into_iter().enumerate().zip(source_of) {
+            let label = labelled.then(|| unit_label(&input.unit));
+            let (first, connections, dealt) = &mut deal[at];
+            groups[*first + *dealt % *connections]
+                .chunk
+                .push((i, input.stmt, label));
+            *dealt += 1;
+        }
+        Ok((groups, report))
     }
 }
 
@@ -332,8 +356,9 @@ struct PlannedGroup {
     ds: Arc<DataSource>,
     txn: Option<TxnId>,
     chunk: Vec<Unit>,
-    /// Held until the group has run (or was abandoned).
-    _permits: Vec<crate::datasource::Connection>,
+    /// Held until the group has run (or was abandoned); a streamed unit's
+    /// goes on to its stream.
+    permit: Option<Connection>,
 }
 
 /// What every group of one statement shares.
@@ -344,34 +369,115 @@ struct Shared {
     cancelled: AtomicBool,
     /// The statement's `execute` stage, when it records.
     spans: Option<SpanScope>,
+    /// SELECT units hand back their open cursor ([`Fetch::Stream`]) …
+    lazy: bool,
+    /// … as a stream that counts the rows pulled from it here.
+    pulled: Option<Arc<Counter>>,
 }
 
-/// What one group reports: `(input index, result)` per statement executed,
-/// or the error that stopped it.
-type GroupOutcome = Result<Vec<(usize, ExecuteResult)>>;
+/// What one unit's body handed back.
+enum Fetched {
+    Result(ExecuteResult),
+    Stream(RowStream),
+}
 
-/// Run one group's chunk, each statement through its source's breaker guard
-/// and, when the statement records, inside a unit span of its own.
+/// What one group reports: `(input index, what it fetched)` per statement
+/// executed, or the error that stopped it.
+type GroupOutcome = Result<Vec<(usize, Fetched)>>;
+
+/// The execution phase: one task per planned group on the pool's fork-join.
+/// Without a deadline the calling thread runs the groups itself, helped by
+/// as many workers as the groups' sources warrant; with one, every group
+/// runs on a worker so a hung shard can be abandoned. The first error in
+/// group order wins.
+fn fork_join(
+    pool: &WorkerPool,
+    mut groups: Vec<PlannedGroup>,
+    waits: bool,
+    shared: Shared,
+    deadline: Option<Instant>,
+) -> GroupOutcome {
+    if groups.len() == 1 && deadline.is_none() {
+        // The point query: one group is nothing to fan out, so it skips the
+        // task list and the shared allocation a fan-out needs.
+        return run_group(groups.pop().expect("len checked"), &shared);
+    }
+    let job_count = groups.len();
+    let shared = Arc::new(shared);
+    let tasks: Vec<_> = groups
+        .into_iter()
+        .map(|group| {
+            let shared = Arc::clone(&shared);
+            move || run_group(group, &shared)
+        })
+        .collect();
+    let outcomes = match deadline {
+        None => pool.run_all(tasks, pool.helpers_for(job_count, waits)),
+        Some(deadline) => pool.run_all_until(tasks, deadline).map_err(|outstanding| {
+            // Abandoned groups still running stop at their next statement
+            // and drain their permits on exit.
+            shared.cancelled.store(true, Ordering::Relaxed);
+            KernelError::Timeout(format!(
+                "statement deadline elapsed with {outstanding} of {job_count} unit(s) outstanding"
+            ))
+        })?,
+    };
+    let mut units = Vec::with_capacity(job_count);
+    for outcome in outcomes {
+        units.extend(outcome?);
+    }
+    Ok(units)
+}
+
+/// Run one group's chunk — the unit body: each statement through its
+/// source's breaker guard and, when the statement records, inside a unit
+/// span of its own.
 fn run_group(mut group: PlannedGroup, shared: &Shared) -> GroupOutcome {
     let mut done = Vec::with_capacity(group.chunk.len());
-    for (idx, stmt, label) in &mut group.chunk {
+    for (idx, stmt, label) in std::mem::take(&mut group.chunk) {
         if shared.cancelled.load(Ordering::Relaxed) {
             break;
         }
         let unit = shared
             .spans
             .as_ref()
-            .map(|s| (s, s.enter("unit", label.take().unwrap_or_default())));
-        let result = group
-            .ds
-            .guarded(|engine| engine.execute(stmt, &shared.params, group.txn));
+            .map(|s| (s, s.enter("unit", label.unwrap_or_default())));
+        let fetched = match stmt {
+            // Lazy: the unit goes on as its stream, which takes over its
+            // connection, its still-open span and its breaker verdict.
+            Statement::Select(select) if shared.lazy => {
+                let params = Arc::clone(&shared.params);
+                let cursor = group
+                    .ds
+                    .attempt(|engine| engine.open_cursor(select, params, None));
+                cursor.map(|cursor| {
+                    let span = unit.as_ref().map(|(scope, (id, _))| SpanScope {
+                        parent: *id,
+                        ..(*scope).clone()
+                    });
+                    let (ds, permit) = (Arc::clone(&group.ds), group.permit.take());
+                    let pulled = shared.pulled.clone();
+                    Fetched::Stream(RowStream::new(cursor, ds, permit, span, pulled))
+                })
+            }
+            stmt => group
+                .ds
+                .guarded(|engine| engine.execute(&stmt, &shared.params, group.txn))
+                .map(Fetched::Result),
+        };
         if let Some((scope, (id, _probe))) = unit {
-            let rows = result.as_ref().ok().map(ExecuteResult::affected);
-            let error = result.as_ref().err().map(|e| e.to_string());
-            scope.recorder.finish(id, rows, error);
+            match &fetched {
+                Ok(Fetched::Stream(_)) => {}
+                Ok(Fetched::Result(r)) => {
+                    scope.recorder.finish(id, Some(r.affected()), None);
+                }
+                Err(e) => {
+                    scope.recorder.finish(id, None, Some(e.to_string()));
+                }
+            }
         }
-        match result {
-            Ok(r) => done.push((*idx, r)),
+        match fetched {
+            Ok(fetched) => done.push((idx, fetched)),
             Err(e) => {
                 shared.cancelled.store(true, Ordering::Relaxed);
                 return Err(e);
@@ -383,7 +489,7 @@ fn run_group(mut group: PlannedGroup, shared: &Shared) -> GroupOutcome {
 
 /// A unit span's name: the data source the unit ran on (after read-write
 /// splitting) and the actual table(s) its rewritten SQL targets.
-pub(crate) fn unit_label(unit: &RouteUnit) -> String {
+fn unit_label(unit: &RouteUnit) -> String {
     let mut tables = unit.table_mappings.values();
     match (tables.next(), tables.next()) {
         (None, _) => format!("{}.-", unit.datasource),
@@ -401,13 +507,21 @@ mod tests {
     use super::*;
     use crate::obs::TraceCollector;
     use shard_sql::parse_statement;
-    use shard_storage::StorageEngine;
+    use shard_storage::{LatencyModel, StorageEngine};
 
     fn setup(sources: usize, pool: usize) -> HashMap<String, Arc<DataSource>> {
+        setup_on(sources, pool, LatencyModel::ZERO)
+    }
+
+    fn setup_on(
+        sources: usize,
+        pool: usize,
+        wire: LatencyModel,
+    ) -> HashMap<String, Arc<DataSource>> {
         let mut map = HashMap::new();
         for i in 0..sources {
             let name = format!("ds_{i}");
-            let engine = StorageEngine::new(&name);
+            let engine = StorageEngine::with_latency(&name, wire);
             engine
                 .execute_sql("CREATE TABLE t_0 (id BIGINT PRIMARY KEY, v INT)", &[], None)
                 .unwrap();
@@ -423,6 +537,19 @@ mod tests {
             map.insert(name.clone(), Arc::new(DataSource::new(name, engine, pool)));
         }
         map
+    }
+
+    impl ExecutorEngine {
+        /// Everything collected on the process-wide pool, without a deadline.
+        fn execute(
+            &self,
+            datasources: &HashMap<String, Arc<DataSource>>,
+            inputs: Vec<ExecutionInput>,
+            params: Arc<[Value]>,
+            txns: Option<&HashMap<String, TxnId>>,
+        ) -> Result<(Vec<ExecuteResult>, ExecutionReport)> {
+            self.execute_with_deadline(datasources, inputs, params, txns, None, true, None)
+        }
     }
 
     fn input(ds: &str, sql: &str) -> ExecutionInput {
@@ -537,78 +664,233 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(0));
     }
 
-    /// Storage internals report through a thread-local probe, so a unit's
-    /// span has storage children only if the unit ran on the thread that
-    /// installed the probe.
-    #[test]
-    fn embedded_sources_on_one_cpu_run_on_the_calling_thread() {
-        let sources = setup(2, 8);
-        let engine = ExecutorEngine::new(8);
-        let one_cpu = WorkerPool::new(2, 1);
-        let collector = Arc::new(TraceCollector::new());
-        let root = ("statement", String::new());
-        let trace = collector.start("session", root, "SELECT".into(), Instant::now(), false);
-        let scope = trace.scope();
-        let _probe = scope.install_probe(scope.parent);
-        let inputs = vec![
+    const STREAM: Fetch<'static> = Fetch::Stream { pulled: None };
+
+    /// `run_on` for statements without parameters or transactions.
+    fn run(
+        pool: &WorkerPool,
+        sources: &HashMap<String, Arc<DataSource>>,
+        inputs: Vec<ExecutionInput>,
+        deadline: Option<Instant>,
+        spans: Option<&SpanScope>,
+        fetch: Fetch<'_>,
+    ) -> Result<(Executed, ExecutionReport)> {
+        let params = shared_params(&[]);
+        ExecutorEngine::new(8).run_on(pool, sources, inputs, params, None, deadline, spans, fetch)
+    }
+
+    /// Every unit's rows, in input order, however they were handed back.
+    fn rows(executed: Executed) -> Vec<Vec<Vec<Value>>> {
+        match executed {
+            Executed::Results(results) => results.into_iter().map(|r| r.query().rows).collect(),
+            Executed::Streams(streams, _) => streams
+                .into_iter()
+                .map(|mut s| {
+                    std::iter::from_fn(|| s.next_row())
+                        .map(Result::unwrap)
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    fn three_selects() -> Vec<ExecutionInput> {
+        vec![
             input("ds_0", "SELECT v FROM t_0"),
             input("ds_1", "SELECT v FROM t_1"),
             input("ds_0", "SELECT v FROM t_1"),
-        ];
-        let params = shared_params(&[]);
-        let (results, _) = engine
-            .execute_on(&one_cpu, &sources, inputs, params, None, None, Some(&scope))
-            .unwrap();
-        assert_eq!(results.len(), 3);
-        let record = trace.finish(None, None);
-        // One span per executed unit, closed with its row count.
-        let units: Vec<_> = record.units().collect();
-        assert_eq!(units.len(), 3);
-        assert!(units.iter().all(|u| u.rows == Some(1)), "{units:?}");
-        // Every unit took its snapshot where this thread's probe could see.
-        let snapshots = |ds: &str| {
-            let prefix = format!("{ds} ");
-            let snapshot = |s: &&crate::obs::Span| s.name == "mvcc_snapshot";
-            let on_ds = |s: &&crate::obs::Span| s.detail.starts_with(&prefix);
-            record.spans.iter().filter(snapshot).filter(on_ds).count()
+        ]
+    }
+
+    /// Storage internals report through a thread-local probe, so a unit's
+    /// span has storage children only if the unit ran on the thread that
+    /// installed the probe — collected, or opened as a cursor.
+    #[test]
+    fn embedded_sources_on_one_cpu_run_on_the_calling_thread() {
+        let sources = setup(2, 8);
+        let one_cpu = WorkerPool::new(8, 1);
+        for (fetch, lazy) in [(Fetch::Collect, false), (STREAM, true)] {
+            let collector = Arc::new(TraceCollector::new());
+            let root = ("statement", String::new());
+            let trace = collector.start("session", root, "SELECT".into(), Instant::now(), false);
+            let scope = trace.scope();
+            let _probe = scope.install_probe(scope.parent);
+            let spans = Some(&scope);
+            let (executed, report) =
+                run(&one_cpu, &sources, three_selects(), None, spans, fetch).unwrap();
+            // Open cursors stay on this thread too: nothing pumps them.
+            assert_eq!(matches!(executed, Executed::Streams(..)), lazy);
+            assert!(!report.pumped);
+            assert_eq!(
+                rows(executed),
+                [[[Value::Int(10)]], [[Value::Int(20)]], [[Value::Int(20)]]]
+            );
+            let record = trace.finish(None, None);
+            // One span per executed unit, closed with its row count — by the
+            // unit's stream, when it went on as one.
+            let units: Vec<_> = record.units().collect();
+            assert_eq!(units.len(), 3);
+            assert!(units.iter().all(|u| u.rows == Some(1)), "{units:?}");
+            // Every unit took its snapshot where this thread's probe could see.
+            let snapshots = |ds: &str| {
+                let prefix = format!("{ds} ");
+                let snapshot = |s: &&crate::obs::Span| s.name == "mvcc_snapshot";
+                let on_ds = |s: &&crate::obs::Span| s.detail.starts_with(&prefix);
+                record.spans.iter().filter(snapshot).filter(on_ds).count()
+            };
+            assert_eq!((snapshots("ds_0"), snapshots("ds_1")), (2, 1), "{record:?}");
+        }
+    }
+
+    /// On a head-sampled statement every unit installs the probe itself,
+    /// whichever thread runs it: what storage reports while a cursor opens
+    /// parents to that unit's span.
+    #[test]
+    fn storage_spans_of_a_cursor_open_parent_to_their_unit() {
+        let sources = setup(2, 8);
+        for pool in [WorkerPool::new(8, 1), WorkerPool::new(8, 4)] {
+            let collector = Arc::new(TraceCollector::new());
+            let root = ("statement", String::new());
+            let trace = collector.start("session", root, "SELECT".into(), Instant::now(), true);
+            let scope = trace.scope();
+            let (executed, _) =
+                run(&pool, &sources, three_selects(), None, Some(&scope), STREAM).unwrap();
+            assert_eq!(rows(executed).len(), 3);
+            let record = trace.finish(None, None);
+            let opens: Vec<_> = record
+                .spans
+                .iter()
+                .filter(|s| s.name == "cursor_open")
+                .collect();
+            assert_eq!(opens.len(), 3, "{record:?}");
+            for open in opens {
+                let parent = &record.spans[open.parent.unwrap() as usize];
+                let ds = open.detail.split(':').next().unwrap();
+                assert_eq!(parent.name, "unit");
+                assert!(parent.detail.starts_with(ds), "{open:?} under {parent:?}");
+            }
+        }
+    }
+
+    /// A waiting source or a second CPU is what a helper could use, so that
+    /// is what selects the pump — and so does a deadline, which must keep
+    /// the caller outside every shard call. The unit count selects nothing.
+    #[test]
+    fn transport_follows_helpers_and_the_deadline() {
+        let embedded = setup(2, 8);
+        let wire = LatencyModel::new(Duration::from_micros(50), Duration::ZERO);
+        let waiting = setup_on(2, 8, wire);
+        let (one_cpu, four_cpus) = (WorkerPool::new(8, 1), WorkerPool::new(8, 4));
+        let one = || vec![input("ds_0", "SELECT v FROM t_0")];
+        let soon = || Some(Instant::now() + Duration::from_secs(5));
+        for (pool, sources, inputs, deadline, pumped) in [
+            (&one_cpu, &embedded, three_selects(), None, false),
+            (&four_cpus, &embedded, three_selects(), None, true),
+            (&one_cpu, &waiting, three_selects(), None, true),
+            (&four_cpus, &waiting, one(), None, false),
+            (&one_cpu, &embedded, one(), soon(), true),
+            (&one_cpu, &embedded, three_selects(), soon(), true),
+        ] {
+            let units = inputs.len();
+            let (executed, report) = run(pool, sources, inputs, deadline, None, STREAM).unwrap();
+            assert!(matches!(executed, Executed::Streams(..)));
+            assert_eq!(report.pumped, pumped, "{units} unit(s), {deadline:?}");
+            // Opens come back in input order and deliver the same rows
+            // either way.
+            let want = [[[Value::Int(10)]], [[Value::Int(20)]], [[Value::Int(20)]]];
+            assert_eq!(rows(executed), want[..units]);
+            // Every stream gone, every permit is back — a pump lets go of
+            // its own once it has seen its channel close.
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while sources.values().any(|ds| ds.pool().available() < 8) {
+                assert!(Instant::now() < give_up, "a permit never came back");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// What keeps a statement collected though the caller asked for streams.
+    #[test]
+    fn only_a_streamable_plan_hands_back_cursors() {
+        let sources = setup(1, 8);
+        let pool = WorkerPool::new(8, 1);
+        let selects =
+            |n: usize| (0..n).map(|i| input("ds_0", &format!("SELECT v FROM t_{}", i % 2)));
+        let run = |engine: &ExecutorEngine, inputs: Vec<ExecutionInput>, txns| {
+            let params = shared_params(&[]);
+            let (executed, _) = engine
+                .run_on(&pool, &sources, inputs, params, txns, None, None, STREAM)
+                .unwrap();
+            matches!(executed, Executed::Streams(..))
         };
-        assert_eq!((snapshots("ds_0"), snapshots("ds_1")), (2, 1), "{record:?}");
+        let engine = ExecutorEngine::new(4);
+        assert!(run(&engine, selects(4).collect(), None));
+        // θ > 1: connection-strictly mode buffers.
+        assert!(!run(&engine, selects(5).collect(), None));
+        // Past half the pool, blocked pumps could starve queued ones.
+        assert!(!run(&ExecutorEngine::new(8), selects(5).collect(), None));
+        // Anything but a SELECT, and anything bound to a transaction.
+        let mut mixed: Vec<_> = selects(1).collect();
+        mixed.push(input("ds_0", "UPDATE t_0 SET v = 10 WHERE id = 1"));
+        assert!(!run(&engine, mixed, None));
+        let txn = sources["ds_0"].engine().begin();
+        let txns = HashMap::from([("ds_0".to_string(), txn)]);
+        assert!(!run(&engine, selects(1).collect(), Some(&txns)));
+        sources["ds_0"].engine().rollback(txn).unwrap();
+        assert!(!run(&engine, Vec::new(), None));
+    }
+
+    /// A stream dropped before its cursor ran dry returns its connection:
+    /// at once when the consumer held it, as soon as the pump notices when
+    /// the pump did.
+    #[test]
+    fn a_dropped_stream_returns_its_permits_in_both_transports() {
+        let sources = setup(2, 8);
+        for pool in [WorkerPool::new(8, 1), WorkerPool::new(8, 4)] {
+            let (executed, _) = run(&pool, &sources, three_selects(), None, None, STREAM).unwrap();
+            let held = |ds: &str| 8 - sources[ds].pool().available();
+            assert_eq!((held("ds_0"), held("ds_1")), (2, 1));
+            drop(executed);
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while held("ds_0") + held("ds_1") > 0 {
+                assert!(Instant::now() < give_up, "a permit never came back");
+                std::thread::yield_now();
+            }
+        }
     }
 
     #[test]
     fn first_error_in_group_order_wins_and_later_groups_do_not_start() {
         let sources = setup(2, 8);
-        let engine = ExecutorEngine::new(1);
-        let one_cpu = WorkerPool::new(2, 1);
-        let before = sources["ds_1"].engine().statements_executed();
-        let inputs = vec![
-            input("ds_0", "SELECT v FROM t_0"),
-            input("ds_0", "SELECT v FROM missing_a"),
-            input("ds_0", "SELECT v FROM t_1"),
-            input("ds_1", "SELECT v FROM missing_b"),
-        ];
-        let ran_on_ds0 = sources["ds_0"].engine().statements_executed();
-        let err = engine
-            .execute_on(
-                &one_cpu,
-                &sources,
-                inputs,
-                shared_params(&[]),
-                None,
-                None,
-                None,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("missing_a"), "{err}");
-        // The failing group stopped at its failure; the next never ran.
-        assert_eq!(
-            sources["ds_0"].engine().statements_executed(),
-            ran_on_ds0 + 2
-        );
-        assert_eq!(sources["ds_1"].engine().statements_executed(), before);
-        // Permits came back either way.
-        assert_eq!(sources["ds_0"].pool().available(), 8);
-        assert_eq!(sources["ds_1"].pool().available(), 8);
+        let one_cpu = WorkerPool::new(8, 1);
+        let params = shared_params(&[]);
+        // Collected, MaxCon 1 makes ds_0's three statements one serial
+        // chunk; as cursors, each is a group of its own.
+        for (max_con, fetch) in [(1, Fetch::Collect), (8, STREAM)] {
+            let before = sources["ds_1"].engine().statements_executed();
+            let inputs = vec![
+                input("ds_0", "SELECT v FROM t_0"),
+                input("ds_0", "SELECT v FROM missing_a"),
+                input("ds_0", "SELECT v FROM t_1"),
+                input("ds_1", "SELECT v FROM missing_b"),
+            ];
+            let ran_on_ds0 = sources["ds_0"].engine().statements_executed();
+            let params = Arc::clone(&params);
+            let err = ExecutorEngine::new(max_con)
+                .run_on(&one_cpu, &sources, inputs, params, None, None, None, fetch)
+                .err()
+                .expect("a unit failed");
+            assert!(err.to_string().contains("missing_a"), "{err}");
+            // The failing group stopped at its failure; the next never ran.
+            assert_eq!(
+                sources["ds_0"].engine().statements_executed(),
+                ran_on_ds0 + 2
+            );
+            assert_eq!(sources["ds_1"].engine().statements_executed(), before);
+            // Permits came back either way — the opened cursor's too.
+            assert_eq!(sources["ds_0"].pool().available(), 8);
+            assert_eq!(sources["ds_1"].pool().available(), 8);
+        }
     }
 
     #[test]

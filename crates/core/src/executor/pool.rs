@@ -64,15 +64,6 @@ impl WorkerPool {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(8);
-            // `SHARD_EXEC_THREADS` overrides the sizing heuristic so small
-            // CI boxes aren't forced to the 96-thread floor.
-            if let Some(n) = std::env::var("SHARD_EXEC_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-            {
-                return WorkerPool::new(n, cores);
-            }
             // Workers spend nearly all their time blocked on simulated I/O,
             // so the pool is sized for concurrency, not cores.
             WorkerPool::new((cores * 4).clamp(96, 192), cores)

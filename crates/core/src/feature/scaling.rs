@@ -40,7 +40,7 @@ use crate::executor::ExecutionInput;
 use crate::feature::Throttle;
 use crate::governor::ConfigRegistry;
 use crate::obs::ActiveTrace;
-use crate::rewrite::{rewrite_for_unit, rewrite_insert_per_unit, rewrite_statement};
+use crate::rewrite::rewrite_route;
 use crate::route::{RouteEngine, RouteHint};
 use crate::runtime::ShardingRuntime;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -291,27 +291,8 @@ impl ReshardJob {
     ) -> Result<Vec<ExecutionInput>> {
         let hint = RouteHint::default();
         let route = RouteEngine::new(&self.mirror_rule, &hint).route(stmt, params)?;
-        if route.units.is_empty() {
-            return Ok(Vec::new());
-        }
-        let rewrite = rewrite_statement(stmt, &route, params, false)?;
-        let mut inputs = Vec::with_capacity(route.units.len());
-        if let Some(per_unit) = rewrite_insert_per_unit(&rewrite, &route) {
-            for (unit, stmt) in route.units.iter().zip(per_unit) {
-                inputs.push(ExecutionInput {
-                    unit: unit.clone(),
-                    stmt,
-                });
-            }
-        } else {
-            for unit in &route.units {
-                inputs.push(ExecutionInput {
-                    unit: unit.clone(),
-                    stmt: rewrite_for_unit(&rewrite, unit, &route, params)?,
-                });
-            }
-        }
-        Ok(inputs)
+        // No unit, no input: the caller skips an empty mirror.
+        Ok(rewrite_route(stmt, &route, params, false)?.0)
     }
 
     /// Apply a planned mirror against the engines. Runs under the job's

@@ -475,7 +475,7 @@ mod tests {
         let record = seal(&rec, "SELECT 1", None);
         assert!(record.spans.iter().all(|s| s.elapsed_us >= 1));
         assert!(record.total_us >= 1);
-        // An abandoned producer closing its unit late changes nothing.
+        // An abandoned unit closing its span late changes nothing.
         rec.finish(unit, Some(9), None);
         assert_eq!(record.spans[unit as usize].rows, None);
     }

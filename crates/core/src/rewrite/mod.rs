@@ -17,6 +17,7 @@ pub use derive::{derive_select, derive_select_raw, AggKind, AggSpec, DerivedInfo
 pub use identifier::rewrite_identifiers;
 
 use crate::error::{KernelError, Result};
+use crate::executor::ExecutionInput;
 use crate::route::{RouteResult, RouteUnit};
 use shard_sql::ast::*;
 use shard_sql::Value;
@@ -73,6 +74,36 @@ pub fn rewrite_statement<'a>(
             info: DerivedInfo::default(),
         }),
     }
+}
+
+/// The whole rewrite stage, route → execution units: derive once
+/// ([`rewrite_statement`]), then the executable statement of every unit. A
+/// row-split batched INSERT partitions its rows across units in one pass
+/// ([`rewrite_insert_per_unit`]); everything else is rewritten unit by unit
+/// ([`rewrite_for_unit`]).
+pub fn rewrite_route(
+    stmt: &Statement,
+    route: &RouteResult,
+    params: &[Value],
+    agg_pushdown: bool,
+) -> Result<(Vec<ExecutionInput>, DerivedInfo)> {
+    let output = rewrite_statement(stmt, route, params, agg_pushdown)?;
+    let mut inputs = Vec::with_capacity(route.units.len());
+    if let Some(per_unit) = rewrite_insert_per_unit(&output, route) {
+        let units = route.units.iter().cloned();
+        inputs.extend(
+            units
+                .zip(per_unit)
+                .map(|(unit, stmt)| ExecutionInput { unit, stmt }),
+        );
+    } else {
+        for unit in &route.units {
+            let stmt = rewrite_for_unit(&output, unit, route, params)?;
+            let unit = unit.clone();
+            inputs.push(ExecutionInput { unit, stmt });
+        }
+    }
+    Ok((inputs, output.info))
 }
 
 /// Produce the executable statement for one route unit.

@@ -11,7 +11,9 @@ use crate::cache::{build_plan, execute_sharded_plan, CachedPlan, PlanKind, SqlPl
 use crate::config::ShardingRule;
 use crate::datasource::DataSource;
 use crate::error::{ErrorClass, KernelError, Result};
-use crate::executor::{shared_params, ExecutionInput, ExecutionReport, ExecutorEngine};
+use crate::executor::{
+    shared_params, Executed, ExecutionInput, ExecutionReport, ExecutorEngine, Fetch, WorkerPool,
+};
 use crate::feature::scaling::{DmlWriteGuard, ReshardMirror};
 use crate::feature::{
     EncryptRule, HintManager, KeyGenerator, ReadWriteSplitRule, ReshardManager, ShadowRule,
@@ -23,10 +25,10 @@ use crate::governor::{
 use crate::merge::{merge_explain, merge_stream, MergedStream, MergerKind};
 use crate::metadata::LogicalSchemas;
 use crate::obs::{
-    ActiveTrace, IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog, SpanScope,
-    Stage, StatementTrace, TraceCollector,
+    ActiveTrace, IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog, Stage,
+    StatementTrace, TraceCollector,
 };
-use crate::rewrite::{rewrite_for_unit, rewrite_insert_per_unit, rewrite_statement, DerivedInfo};
+use crate::rewrite::{rewrite_route, DerivedInfo};
 use crate::route::{
     gsi, GlobalIndex, GsiMaintOp, GsiRegistry, RouteEngine, RouteKind, RouteResult, RouteStrategy,
     RouteUnit,
@@ -715,7 +717,7 @@ enum DataPlan {
 }
 
 /// Everything the execute + merge stages need, detached from the planning
-/// borrows so the streaming path can hold it across row pulls.
+/// borrows.
 struct PlannedExecution {
     inputs: Vec<ExecutionInput>,
     info: DerivedInfo,
@@ -739,8 +741,8 @@ struct PlannedExecution {
 
 /// Incremental row cursor over a query's merged output.
 ///
-/// On the streaming path rows are pulled from live shard channels through
-/// the merge engine; dropping the stream (or exhausting its LIMIT window)
+/// A streamed query's rows are pulled from live shard cursors through the
+/// merge engine; dropping the stream (or exhausting its LIMIT window)
 /// cancels in-flight shard scans. Queries that cannot stream (transactions,
 /// encryption, memory-bound merge strategies, oversized fan-out) are served
 /// from a buffered result set behind the same interface.
@@ -818,7 +820,12 @@ impl QueryStream {
 
     /// Drain the remaining rows into a buffered result set.
     pub fn into_result_set(mut self) -> Result<ResultSet> {
-        let mut rows = Vec::new();
+        // Buffered rows move over whole (their vector as it is, when none
+        // has been handed out yet), not row by row.
+        let mut rows: Vec<Vec<Value>> = match &mut self.inner {
+            QueryStreamInner::Materialized(rows) => std::mem::take(rows).collect(),
+            QueryStreamInner::Streamed(_) => Vec::new(),
+        };
         while let Some(row) = self.next_row()? {
             rows.push(row);
         }
@@ -861,6 +868,14 @@ impl StreamOutcome {
             ExecuteResult::Update { affected } => StreamOutcome::Update { affected },
         }
     }
+
+    /// The outcome with its rows, if any, in one buffered result set.
+    fn into_result(self) -> Result<ExecuteResult> {
+        Ok(match self {
+            StreamOutcome::Rows(stream) => ExecuteResult::Query(stream.into_result_set()?),
+            StreamOutcome::Update { affected } => ExecuteResult::Update { affected },
+        })
+    }
 }
 
 /// What [`Session::observed`] asks of whatever its run step returns: close
@@ -869,12 +884,6 @@ impl StreamOutcome {
 /// or is dropped.
 trait Outcome {
     fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>);
-}
-
-impl Outcome for ExecuteResult {
-    fn settle(&mut self, open: OpenStatement, runtime: &Arc<ShardingRuntime>) {
-        open.close(runtime, self.affected(), None);
-    }
 }
 
 /// XA `COMMIT`.
@@ -1112,19 +1121,6 @@ impl Session {
         }
     }
 
-    /// Run the execute stage: `run` gets the scope its units record under.
-    fn execute_stage<T>(
-        &mut self,
-        run: impl FnOnce(&ShardingRuntime, Option<&SpanScope>) -> Result<T>,
-    ) -> Result<T> {
-        let stage = self.active.as_ref().map(|t| t.begin_stage(Stage::Execute));
-        let out = run(&self.runtime, stage.as_ref());
-        if let (Some(t), Some(stage)) = (self.active.as_mut(), &stage) {
-            t.end_stage(stage, out.as_ref().err().map(|e| e.to_string()));
-        }
-        out
-    }
-
     fn set_merger(&mut self, kind: MergerKind) {
         self.last_merger = Some(kind);
         if let Some(t) = self.active.as_mut() {
@@ -1198,7 +1194,7 @@ impl Session {
                     rows,
                 )))
             }
-            _ => self.execute_data_statement(stmt, params),
+            _ => self.run_data_statement(stmt, params, true)?.into_result(),
         }
     }
 
@@ -1222,64 +1218,17 @@ impl Session {
         }
     }
 
-    /// Execute a parsed statement on the streaming pipeline when possible.
-    ///
-    /// A SELECT streams when no transaction is open, no encrypt rule needs
-    /// to rewrite result columns, and the executor admits the fan-out
-    /// ([`ExecutorEngine::can_stream`]). Everything else takes the
-    /// materialized path and is wrapped behind the same cursor interface.
+    /// Execute a parsed statement, its rows handed out as the shards produce
+    /// them where the statement can stream: a SELECT outside a transaction
+    /// whose result no encrypt rule has to rewrite and whose prepared fan-out
+    /// the executor admits (DESIGN.md §2 "The executor"). Everything else is
+    /// collected and wrapped behind the same cursor interface.
     pub fn execute_stream(&mut self, stmt: &Statement, params: &[Value]) -> Result<StreamOutcome> {
-        let streamable_shape = matches!(stmt, Statement::Select(_))
-            && self.txn.is_none()
-            && self.runtime.encrypt.read().is_empty();
-        if !streamable_shape {
-            return Ok(StreamOutcome::from_result(self.execute(stmt, params)?));
+        if matches!(stmt, Statement::Select(_)) {
+            self.run_data_statement(stmt, params, false)
+        } else {
+            Ok(StreamOutcome::from_result(self.execute(stmt, params)?))
         }
-        self.observed(true, "<prepared statement>", |s, deadline| {
-            s.open_stream(stmt, params, deadline)
-        })
-    }
-
-    /// Plan a streamable SELECT and open its merged cursor, falling back to
-    /// the materialized path when the executor does not admit the fan-out.
-    /// The execute stage is opening the shard cursors; the merge stage runs
-    /// as the consumer pulls rows and closes with the stream.
-    fn open_stream(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-        deadline: Option<Instant>,
-    ) -> Result<StreamOutcome> {
-        let plan = match self.plan_data_statement(stmt, params)? {
-            DataPlan::Immediate(result) => return Ok(StreamOutcome::from_result(result)),
-            DataPlan::Execute(plan) => plan,
-        };
-        let executor = &self.runtime.executor;
-        if !executor.can_stream(&plan.inputs, plan.txn_bindings.as_ref()) {
-            let result = self.run_materialized(*plan, deadline)?;
-            return Ok(StreamOutcome::from_result(result));
-        }
-        let datasources = self.runtime.datasource_snapshot();
-        let (inputs, params) = (plan.inputs, plan.params);
-        let mut streamed = self.execute_stage(|runtime, spans| {
-            let metrics = &runtime.metrics;
-            let pulled = metrics.on().then_some(&metrics.merge_input_rows);
-            runtime
-                .executor
-                .execute_query_stream(&datasources, inputs, params, spans, pulled)
-        })?;
-        if let Some(d) = deadline {
-            for stream in &mut streamed.streams {
-                stream.set_deadline(d, streamed.cancel.clone());
-            }
-        }
-        self.last_report = Some(streamed.report);
-        let merged = merge_stream(streamed.streams, &plan.info, streamed.cancel)?;
-        self.set_merger(merged.kind());
-        if let Some(t) = &self.active {
-            t.begin_stage(Stage::Merge);
-        }
-        Ok(StreamOutcome::Rows(QueryStream::streamed(merged)))
     }
 
     /// Run one statement with tracing forced on and hand back its finished
@@ -1388,16 +1337,19 @@ impl Session {
 
     // -- the SQL engine pipeline ----------------------------------------------
 
-    fn execute_data_statement(
+    /// Plan a data statement and run it; `collect` is the one thing the two
+    /// front doors disagree on.
+    fn run_data_statement(
         &mut self,
         stmt: &Statement,
         params: &[Value],
-    ) -> Result<ExecuteResult> {
+        collect: bool,
+    ) -> Result<StreamOutcome> {
         let is_read = stmt.category() == StatementCategory::Dql;
         self.observed(is_read, "<prepared statement>", |s, deadline| {
             match s.plan_data_statement(stmt, params)? {
-                DataPlan::Immediate(result) => Ok(result),
-                DataPlan::Execute(plan) => s.run_materialized(*plan, deadline),
+                DataPlan::Immediate(result) => Ok(StreamOutcome::from_result(result)),
+                DataPlan::Execute(plan) => s.run_planned(*plan, deadline, collect),
             }
         })
     }
@@ -1479,7 +1431,7 @@ impl Session {
     }
 
     /// Steps 1–7 of the pipeline (features, route, rewrite, transaction
-    /// binding) — shared by the materialized and streaming execution paths.
+    /// binding).
     fn plan_data_statement(&mut self, stmt: &Statement, params: &[Value]) -> Result<DataPlan> {
         // Traffic governance: the throttle admits or rejects up front.
         if let Some(throttle) = &*self.runtime.throttle.read() {
@@ -1719,27 +1671,8 @@ impl Session {
             self.gsi_maintenance_ops(stmt, &route, params)?
         };
 
-        // 6. Rewrite: derive once, then per unit. A row-split batched INSERT
-        // partitions its rows across units in one pass (each row cloned
-        // once, into its own unit's statement) instead of cloning the full
-        // statement per unit and filtering.
-        let rewrite = rewrite_statement(stmt, &route, params, agg_pushdown)?;
-        let mut inputs = Vec::with_capacity(route.units.len());
-        if let Some(per_unit) = rewrite_insert_per_unit(&rewrite, &route) {
-            for (unit, stmt) in route.units.iter().zip(per_unit) {
-                inputs.push(ExecutionInput {
-                    unit: unit.clone(),
-                    stmt,
-                });
-            }
-        } else {
-            for unit in &route.units {
-                inputs.push(ExecutionInput {
-                    unit: unit.clone(),
-                    stmt: rewrite_for_unit(&rewrite, unit, &route, params)?,
-                });
-            }
-        }
+        // 6. Rewrite: derive once, then per unit.
+        let (inputs, info) = rewrite_route(stmt, &route, params, agg_pushdown)?;
 
         // Scan-mode verdict for `EXPLAIN ANALYZE`: judged on the rewritten
         // per-shard statement (what storage actually sees) with the same
@@ -1776,7 +1709,7 @@ impl Session {
 
         Ok(DataPlan::Execute(Box::new(PlannedExecution {
             inputs,
-            info: rewrite.info,
+            info,
             txn_bindings,
             params: shared_params(params),
             is_query,
@@ -1788,13 +1721,17 @@ impl Session {
         })))
     }
 
-    /// Steps 8–10 on the materialized path: fan out, buffer every shard
-    /// result, merge, decrypt.
-    fn run_materialized(
+    /// Steps 8–10: fan out on the kernel's one executor, merge, decrypt.
+    /// With `collect` every shard result is buffered and merged here;
+    /// without, a statement that can stream comes back as its merged cursor:
+    /// the execute stage was opening the shard cursors, and the merge stage
+    /// runs as the consumer pulls rows and closes with the stream.
+    fn run_planned(
         &mut self,
         mut plan: PlannedExecution,
         deadline: Option<Instant>,
-    ) -> Result<ExecuteResult> {
+        collect: bool,
+    ) -> Result<StreamOutcome> {
         // The mirror (and a params handle for it) outlives the executor
         // call, which consumes the plan's inputs/params.
         let mirror = plan.mirror.take();
@@ -1810,18 +1747,34 @@ impl Session {
         let datasources = self.runtime.datasource_snapshot();
         let (inputs, params) = (plan.inputs, plan.params);
         let txns = plan.txn_bindings.as_ref();
-        let executed = self.execute_stage(|runtime, spans| {
-            runtime.executor.execute_with_deadline(
-                &datasources,
-                inputs,
-                params,
-                txns,
-                deadline,
-                false,
-                spans,
-            )
-        });
-        let (results, report) = match executed {
+        // Two things only the session knows keep a SELECT collected: an open
+        // transaction (it reads its own writes through its connections, and
+        // a BASE one binds none for the executor to see) and an encrypt rule
+        // (decryption is a pass over the whole result).
+        let collect = collect || self.txn.is_some() || !self.runtime.encrypt.read().is_empty();
+        let metrics = &self.runtime.metrics;
+        let pulled = metrics.on().then_some(&metrics.merge_input_rows);
+        let fetch = if collect {
+            Fetch::Collect
+        } else {
+            Fetch::Stream { pulled }
+        };
+        // The execute stage: the units record under its scope.
+        let stage = self.active.as_ref().map(|t| t.begin_stage(Stage::Execute));
+        let executed = self.runtime.executor.run_on(
+            WorkerPool::global(),
+            &datasources,
+            inputs,
+            params,
+            txns,
+            deadline,
+            stage.as_ref(),
+            fetch,
+        );
+        if let (Some(t), Some(stage)) = (self.active.as_mut(), &stage) {
+            t.end_stage(stage, executed.as_ref().err().map(|e| e.to_string()));
+        }
+        let (executed, report) = match executed {
             Ok(r) => r,
             Err(e) => {
                 self.undo_gsi_ops(&plan.gsi_pre);
@@ -1829,6 +1782,17 @@ impl Session {
             }
         };
         self.last_report = Some(report);
+        let results = match executed {
+            Executed::Results(results) => results,
+            Executed::Streams(streams, cancel) => {
+                let merged = merge_stream(streams, &plan.info, cancel)?;
+                self.set_merger(merged.kind());
+                if let Some(t) = &self.active {
+                    t.begin_stage(Stage::Merge);
+                }
+                return Ok(StreamOutcome::Rows(QueryStream::streamed(merged)));
+            }
+        };
 
         // 9. Merge.
         if plan.is_query {
@@ -1851,7 +1815,7 @@ impl Session {
             if self.runtime.metrics.on() {
                 self.runtime.metrics.merge_rows.add(merged.len() as u64);
             }
-            Ok(ExecuteResult::Query(merged))
+            Ok(StreamOutcome::Rows(QueryStream::materialized(merged)))
         } else {
             self.set_merger(MergerKind::Iteration);
             let affected = results.iter().map(ExecuteResult::affected).sum();
@@ -1877,7 +1841,7 @@ impl Session {
                 }
             }
             self.stage(Stage::Merge);
-            Ok(ExecuteResult::Update { affected })
+            Ok(StreamOutcome::Update { affected })
         }
     }
 

@@ -5,6 +5,7 @@
 #[path = "common/users.rs"]
 mod users;
 
+use shard_core::governor::BreakerState;
 use shard_core::{
     ErrorClass, KernelError, Session, ShardingRuntime, StreamOutcome, TransactionType,
 };
@@ -173,6 +174,120 @@ fn hung_shard_times_out_against_statement_deadline() {
     s.execute_sql("SET VARIABLE statement_timeout_ms = 0", &[])
         .unwrap();
     assert_eq!(count_users(&mut s), 8);
+}
+
+/// Run `sql` through a front door: JDBC's `execute_sql`, or the proxy's
+/// `execute_sql_stream` with the rows drained as the proxy would.
+fn through(door: &str, s: &mut Session, sql: &str) -> Result<usize, KernelError> {
+    match door {
+        "execute_sql" => s.execute_sql(sql, &[]).map(|r| r.query().len()),
+        _ => match s.execute_sql_stream(sql, &[])? {
+            StreamOutcome::Rows(rows) => rows.into_result_set().map(|rs| rs.len()),
+            StreamOutcome::Update { .. } => panic!("expected rows from {sql}"),
+        },
+    }
+}
+
+/// A deadline is a deadline at every door: whichever door a SELECT came
+/// through, wherever its shard hangs — opening the scan or pulling a row —
+/// and whether it is a point read of the hung shard or a scatter that merges
+/// in memory or as a stream, the caller gets a structured timeout when
+/// `statement_timeout_ms` says so, not when the shard lets go.
+#[test]
+fn a_hung_shard_times_out_at_every_door() {
+    let runtime = sharded_runtime();
+    let mut s = runtime.session();
+    load_users(&mut s, 8);
+    s.execute_sql("SET VARIABLE statement_timeout_ms = 150", &[])
+        .unwrap();
+    let ds_0 = runtime.datasource("ds_0").unwrap();
+    for door in ["execute_sql", "execute_sql_stream"] {
+        for op in [FaultOp::ScanOpen, FaultOp::RowPull] {
+            for sql in [
+                "SELECT name FROM t_user WHERE uid = 4",
+                "SELECT COUNT(*) FROM t_user",
+                "SELECT uid FROM t_user ORDER BY uid",
+            ] {
+                let cell = format!("{door} / {op} hang / {sql}");
+                let max = Duration::from_secs(10);
+                let plan = FaultPlan::new(op, FaultKind::Hang { max }, FaultTrigger::Once);
+                inject(&runtime, "ds_0", plan);
+                let start = std::time::Instant::now();
+                let err = through(door, &mut s, sql).expect_err(&cell);
+                let took = start.elapsed();
+                assert!(matches!(err, KernelError::Timeout(_)), "{cell}: {err}");
+                assert!(took < Duration::from_secs(1), "{cell}: {took:?}");
+
+                // Let the hung shard go: whoever was abandoned inside it
+                // returns the unit's connection, and the session (its
+                // timeout still armed) answers the next statement.
+                ds_0.engine().fault_injector().clear();
+                let give_up = start + Duration::from_secs(5);
+                while ds_0.pool().available() < ds_0.pool().capacity() {
+                    assert!(std::time::Instant::now() < give_up, "{cell}: permit lost");
+                    std::thread::yield_now();
+                }
+                assert_eq!(count_users(&mut s), 8, "{cell}");
+            }
+        }
+    }
+}
+
+/// A shard that opens its scans but cannot deliver a row is fenced off
+/// whichever door the traffic comes through: a stream's failed pull counts
+/// against the source's breaker as a collected unit's does, and — as there —
+/// only if it says something about the source's health.
+#[test]
+fn failed_pulls_open_the_breaker_through_both_doors() {
+    for door in ["execute_sql", "execute_sql_stream"] {
+        let runtime = sharded_runtime();
+        let mut s = runtime.session();
+        load_users(&mut s, 16);
+        let breaker = |ds: &str| {
+            let ds = runtime.datasource(ds).unwrap();
+            (ds.breaker().state(), ds.breaker().consecutive_failures())
+        };
+
+        // Semantic failures — a projection that fails on the first row
+        // pulled, then a shard table dropped behind the kernel's back —
+        // leave every breaker alone.
+        for sql in [
+            "SELECT uid, ABS(name) FROM t_user ORDER BY uid",
+            "SELECT uid FROM t_user ORDER BY uid",
+        ] {
+            let err = through(door, &mut s, sql).expect_err(sql);
+            assert!(!err.is_infrastructure(), "{door}: {err}");
+            assert_eq!(breaker("ds_0"), (BreakerState::Closed, 0), "{door}: {err}");
+            assert_eq!(breaker("ds_1"), (BreakerState::Closed, 0), "{door}: {err}");
+            let ds_0 = runtime.datasource("ds_0").unwrap();
+            let shard = ds_0.engine().table_names().into_iter().next();
+            let drop = format!("DROP TABLE {}", shard.expect("a shard table on ds_0"));
+            ds_0.engine().execute_sql(&drop, &[], None).unwrap();
+        }
+
+        // Every pull on ds_1 fails for good.
+        let runtime = sharded_runtime();
+        let mut s = runtime.session();
+        load_users(&mut s, 16);
+        inject(
+            &runtime,
+            "ds_1",
+            FaultPlan::new(
+                FaultOp::RowPull,
+                FaultKind::Error("disk gone".into()),
+                FaultTrigger::EveryNth(1),
+            ),
+        );
+        for _ in 0..12 {
+            let err = through(door, &mut s, "SELECT uid FROM t_user ORDER BY uid").unwrap_err();
+            assert_eq!(err.class(), ErrorClass::Transient, "{door}: {err}");
+        }
+        let ds_1 = runtime.datasource("ds_1").unwrap();
+        assert_eq!(ds_1.breaker().state(), BreakerState::Open, "{door}");
+        assert!(ds_1.breaker().transitions() >= 1, "{door}");
+        let ds_0 = runtime.datasource("ds_0").unwrap();
+        assert_eq!(ds_0.breaker().state(), BreakerState::Closed, "{door}");
+    }
 }
 
 /// Retry satellite: a transient read failure is retried transparently (the

@@ -1,6 +1,10 @@
 //! End-to-end tests for the streaming execute→merge pipeline: bounded
 //! per-shard row pulls under LIMIT, streamed-vs-materialized equivalence,
 //! and early cancellation on shard errors / abandoned cursors.
+//!
+//! Linux only: the tests choose the transport they cover by pinning their
+//! thread to one CPU ([`on_one_cpu`]).
+#![cfg(target_os = "linux")]
 
 use shard_core::merge::MergerKind;
 use shard_core::{Session, ShardingRuntime, StreamOutcome};
@@ -11,9 +15,42 @@ use std::time::Duration;
 
 const SHARDS: usize = 4;
 
+/// The two transports a streamed unit's rows can take, by the deployment
+/// that selects each once [`on_one_cpu`] holds: embedded sources leave the
+/// cursors to the consumer, a source that waits gets pumps on pool workers.
+fn transports() -> [(LatencyModel, bool); 2] {
+    let wire = LatencyModel::new(Duration::from_micros(20), Duration::ZERO);
+    [(LatencyModel::ZERO, false), (wire, true)]
+}
+
+/// Restrict the calling thread to one CPU before it first touches the
+/// executor's pool. The pool reads the CPU count once, when first used, and
+/// on one CPU wakes no helper for sources that do not wait — so which
+/// transport a test covers is the test's choice, not an accident of the
+/// machine's core count. Every test here starts with it, so whichever comes
+/// first builds the pool.
+fn on_one_cpu() {
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    // `cpu_set_t` is 1024 bits on Linux.
+    let mut mask = [0u64; 16];
+    // SAFETY: `sched_getcpu` takes no arguments; `mask` is a readable buffer
+    // of exactly the byte length passed, and pid 0 names the calling thread.
+    let rc = unsafe {
+        let cpu = usize::try_from(sched_getcpu()).expect("sched_getcpu");
+        mask[cpu / 64] = 1 << (cpu % 64);
+        sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr())
+    };
+    assert_eq!(rc, 0, "{}", std::io::Error::last_os_error());
+    assert_eq!(std::thread::available_parallelism().unwrap().get(), 1);
+}
+
 /// 4 data sources, `t` sharded 4 ways by id (mod) — one physical shard per
 /// source, so per-engine counters map 1:1 to shards.
 fn streaming_runtime(latency: LatencyModel) -> (Arc<ShardingRuntime>, Vec<Arc<StorageEngine>>) {
+    on_one_cpu();
     let engines: Vec<Arc<StorageEngine>> = (0..SHARDS)
         .map(|i| StorageEngine::with_latency(format!("ds_{i}"), latency))
         .collect();
@@ -56,31 +93,34 @@ fn load_rows(s: &mut Session, n: i64) {
 /// whole table.
 #[test]
 fn limit_pulls_bounded_rows_per_shard() {
-    let (runtime, engines) = streaming_runtime(LatencyModel::ZERO);
-    let mut s = runtime.session();
-    load_rows(&mut s, (SHARDS * 200) as i64); // 200 rows per shard
-    let before: Vec<u64> = engines.iter().map(|e| e.rows_pulled()).collect();
+    for (latency, pumped) in transports() {
+        let (runtime, engines) = streaming_runtime(latency);
+        let mut s = runtime.session();
+        load_rows(&mut s, (SHARDS * 200) as i64); // 200 rows per shard
+        let before: Vec<u64> = engines.iter().map(|e| e.rows_pulled()).collect();
 
-    let mut stream = s
-        .query_stream("SELECT id FROM t ORDER BY id LIMIT 3, 5", &[])
-        .unwrap();
-    assert!(stream.is_streaming(), "expected the streamed path");
-    let rows: Vec<_> = stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
-    assert_eq!(
-        rows,
-        (3..8).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>()
-    );
-    assert_eq!(s.last_merger_kind(), Some(MergerKind::OrderByStream));
-
-    for (i, e) in engines.iter().enumerate() {
-        let pulled = e.rows_pulled() - before[i];
-        // offset + limit = 8 is the worst case any single shard can
-        // contribute to the merged window (+ channel slack is impossible
-        // here: capacity 64 > 8, producers stop when receivers drop).
-        assert!(
-            pulled <= 8,
-            "shard {i} pulled {pulled} rows for a LIMIT 3,5 query (expected <= 8)"
+        let mut stream = s
+            .query_stream("SELECT id FROM t ORDER BY id LIMIT 3, 5", &[])
+            .unwrap();
+        assert!(stream.is_streaming(), "expected the streamed path");
+        assert_eq!(s.last_execution_report().unwrap().pumped, pumped);
+        let rows: Vec<_> = stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
+        assert_eq!(
+            rows,
+            (3..8).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>()
         );
+        assert_eq!(s.last_merger_kind(), Some(MergerKind::OrderByStream));
+
+        for (i, e) in engines.iter().enumerate() {
+            let pulled = e.rows_pulled() - before[i];
+            // offset + limit = 8 is the worst case any single shard can
+            // contribute to the merged window, and all its rewritten
+            // statement lets a pump running ahead of the merger pull.
+            assert!(
+                pulled <= 8,
+                "shard {i} pulled {pulled} rows for a LIMIT 3,5 query (expected <= 8)"
+            );
+        }
     }
 }
 
@@ -88,7 +128,13 @@ fn limit_pulls_bounded_rows_per_shard() {
 /// the merge-strategy matrix.
 #[test]
 fn streamed_matches_materialized_across_merge_strategies() {
-    let (runtime, _) = streaming_runtime(LatencyModel::ZERO);
+    for (latency, pumped) in transports() {
+        matrix_matches(latency, pumped);
+    }
+}
+
+fn matrix_matches(latency: LatencyModel, pumped: bool) {
+    let (runtime, _) = streaming_runtime(latency);
     let mut s = runtime.session();
     load_rows(&mut s, 120);
 
@@ -125,6 +171,11 @@ fn streamed_matches_materialized_across_merge_strategies() {
             _ => panic!("not a query"),
         };
         let streamed = s.query_stream(sql, &[]).unwrap();
+        assert!(streamed.is_streaming(), "{sql}");
+        // One unit is never worth a pump; a scatter to a waiting source is.
+        let report = s.last_execution_report().unwrap();
+        let scatter = report.groups.len() > 1;
+        assert_eq!(report.pumped, pumped && scatter, "{sql}");
         assert_eq!(streamed.columns(), &materialized.columns[..], "{sql}");
         let mut got: Vec<_> = streamed.collect::<Result<Vec<_>, _>>().unwrap();
         let mut want = materialized.rows.clone();

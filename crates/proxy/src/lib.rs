@@ -124,6 +124,47 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(32));
     }
 
+    /// `SET VARIABLE statement_timeout_ms` protects a proxy client from a
+    /// hung shard: the SELECT comes back as a `timeout`-classified error
+    /// frame when the deadline says so, not when the shard lets go, and the
+    /// connection serves the next statement.
+    #[test]
+    fn hung_shard_times_out_over_the_wire() {
+        let runtime = runtime();
+        let server = ProxyServer::start(Arc::clone(&runtime), 0).unwrap();
+        let mut client = ProxyClient::connect(server.addr()).unwrap();
+        client
+            .update("INSERT INTO t (id, v) VALUES (1, 10)", &[])
+            .unwrap();
+        client
+            .execute("SET VARIABLE statement_timeout_ms = 150", &[])
+            .unwrap();
+        let faults = runtime.datasource("ds_1").unwrap();
+        let faults = faults.engine().fault_injector();
+        faults.inject(shard_storage::FaultPlan::new(
+            shard_storage::FaultOp::RowPull,
+            shard_storage::FaultKind::Hang {
+                max: std::time::Duration::from_secs(10),
+            },
+            shard_storage::FaultTrigger::Once,
+        ));
+        let start = std::time::Instant::now();
+        let err = client
+            .query("SELECT v FROM t WHERE id = ?", &[Value::Int(1)])
+            .unwrap_err();
+        let took = start.elapsed();
+        match &err {
+            ClientError::Server { message, class } => assert_eq!(class, "timeout", "{message}"),
+            other => panic!("expected a classified server error, got {other:?}"),
+        }
+        assert!(took < std::time::Duration::from_secs(1), "{took:?}");
+        faults.clear();
+        let rs = client
+            .query("SELECT v FROM t WHERE id = ?", &[Value::Int(1)])
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(10)]]);
+    }
+
     #[test]
     fn transactions_are_per_connection() {
         let server = ProxyServer::start(runtime(), 0).unwrap();

@@ -270,7 +270,7 @@ impl RowScan {
             return Ok(None);
         }
         // Mid-scan fault point, once per pull: for a cursor it fires after
-        // the header handshake, which is what the kernel's sibling-cancel
+        // the open has succeeded, which is what the kernel's sibling-cancel
         // tests exercise.
         hooks.faults.check(FaultOp::RowPull)?;
         loop {
@@ -327,7 +327,7 @@ impl QueryCursor {
     }
 
     /// True when rows come from the vectorized batch leaf, so consumers
-    /// (the streaming executor's producers) can drain in chunks instead of
+    /// (the kernel executor's pumps) can drain in chunks instead of
     /// row-at-a-time.
     pub fn is_batch(&self) -> bool {
         matches!(self.run.source, Source::Batch(_) | Source::Grouped { .. })
