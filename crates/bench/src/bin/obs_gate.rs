@@ -1,25 +1,40 @@
 //! Observability-overhead smoke gate, run from `scripts/check.sh`.
 //!
-//! Three comparisons over the p50 of a single-statement point SELECT,
-//! best-of-3 trials per arm, each failing above its budget (plus a 300ns
-//! absolute slack so scheduler jitter on a single-digit-µs operation cannot
-//! flake the ratio):
+//! Three comparisons over a single-statement point SELECT, each bounding what
+//! one observability mode adds to a statement **in nanoseconds**:
 //!
-//! 1. metrics instrumented (the default) vs `SET metrics = off`, 5%;
+//! 1. metrics instrumented (the default) vs `SET metrics = off`: ≤ 150 ns;
 //! 2. head-sampled tracing at the default 1/16 rate vs
-//!    `SET trace_sample = off`, 5% — sampled tracing ships on, so its
+//!    `SET trace_sample = off`: ≤ 150 ns — sampled tracing ships on, so its
 //!    amortized cost is budgeted exactly like the metrics tax;
 //! 3. the slow-query threshold armed with nothing crossing it vs the
-//!    default, 20% — the one mode in which *every* statement records kernel
-//!    spans (which one will be slow is known only at the end), so the price
-//!    of the recorder itself is what this arm bounds.
+//!    default: ≤ 1 180 ns — the one mode in which *every* statement records
+//!    kernel spans (which one will be slow is known only at the end), so the
+//!    price of the recorder itself is what this arm bounds.
 //!
-//! Samples are taken in nanoseconds: at ~5µs per op, integer-µs
-//! percentiles would quantize by 20% and drown the signal.
+//! The budgets are absolute because the costs are: a counter bump, a clock
+//! read, a span per stage cost what they cost whether the statement under
+//! them takes 4 µs or 40. The percentages this gate used to state (5 % / 5 %
+//! / 20 %, + 300 ns) amounted to 520 / 520 / 1 180 ns at the point SELECT of
+//! the time, 4.4 µs; restated, making the statement faster cannot fail the
+//! gate, and making the recorder dearer still does. The first two are
+//! tightened to a few times what they measure (30–45 ns and 5–20 ns); the
+//! third measures 0.8–1.15 µs, so it keeps its bound. Tighten them when the
+//! measured costs allow; never loosen them.
 //!
-//! The arms run on separate runtimes because `SET metrics`,
-//! `SET trace_sample` and the slow-query threshold are runtime-wide; trials
-//! interleave the arms so thermal drift hits them all equally.
+//! How it measures. One runtime, one session: every arm is that session with
+//! one setting switched, for the length of a short block. Each round runs a
+//! block of [`BLOCK_OPS`] statements in every arm, in rotating order, and
+//! yields one sample per comparison — the difference between the two arms'
+//! block medians, in nanoseconds (at ~4 µs per op, integer-µs percentiles
+//! would quantize the signal away). The gate compares the **median of the
+//! per-round differences** with the budget. A burst on the host lands on
+//! all arms of the rounds it covers and cancels in the differences; and the
+//! arms share their memory — heap layout, cache and TLB footprint — which a
+//! runtime per arm does not: there, one arm can sit 20 % above another for a
+//! whole process with the same settings on both. (Back-to-back trials on a
+//! runtime per arm, which this gate used to run, failed an unchanged commit
+//! two runs in two on a busy two-CPU host.)
 
 use shard_bench::metrics::LatencyRecorder;
 use shard_core::{Session, ShardingRuntime};
@@ -28,12 +43,12 @@ use shard_storage::StorageEngine;
 use std::sync::Arc;
 use std::time::Instant;
 
-const WARMUP_OPS: usize = 500;
-const MEASURED_OPS: usize = 2_000;
-const TRIALS: usize = 3;
-const MAX_REGRESSION: f64 = 0.05;
-const MAX_RECORDING_REGRESSION: f64 = 0.20;
-const ABS_SLACK_NS: u64 = 300;
+const WARMUP_OPS: usize = 2_000;
+const BLOCK_OPS: usize = 100;
+const ROUNDS: usize = 150;
+const METRICS_BUDGET_NS: i64 = 150;
+const SAMPLING_BUDGET_NS: i64 = 150;
+const RECORDING_BUDGET_NS: i64 = 1_180;
 
 fn sharded_runtime() -> Arc<ShardingRuntime> {
     let runtime = ShardingRuntime::builder()
@@ -66,115 +81,121 @@ fn sharded_runtime() -> Arc<ShardingRuntime> {
     runtime
 }
 
+/// One arm: the statements that switch its setting on and back off. The
+/// default configuration — metrics on, head-sampled tracing at 1/16, the
+/// slow-query log disarmed — is the arm that switches nothing.
+type Arm = Option<(&'static str, &'static str)>;
+
+const DEFAULT: usize = 0;
+const METRICS_OFF: usize = 1;
+const UNTRACED: usize = 2;
+const RECORDING: usize = 3;
+const ARMS: [Arm; 4] = [
+    None,
+    Some(("SET VARIABLE metrics = off", "SET VARIABLE metrics = on")),
+    Some((
+        "SET VARIABLE trace_sample = off",
+        "SET VARIABLE trace_sample = 1/16",
+    )),
+    // Every statement records: a threshold no point SELECT will cross.
+    Some((
+        "SET VARIABLE slow_query_threshold_ms = 60000",
+        "SET VARIABLE slow_query_threshold_ms = 0",
+    )),
+];
+
 fn point_select(s: &mut Session) {
     s.execute_sql("SELECT name FROM t_user WHERE uid = 7", &[])
         .unwrap();
 }
 
-/// One trial: warm the caches, then p50 (in nanoseconds) over
-/// `MEASURED_OPS` operations.
-fn trial_p50_ns(s: &mut Session) -> u64 {
-    for _ in 0..WARMUP_OPS {
-        point_select(s);
+/// One block: the p50, in nanoseconds, of [`BLOCK_OPS`] statements with the
+/// arm's setting switched on around them.
+fn block_p50_ns(s: &mut Session, arm: Arm, samples: &mut Vec<u64>) -> i64 {
+    if let Some((on, _)) = arm {
+        s.execute_sql(on, &[]).unwrap();
     }
-    let mut samples = Vec::with_capacity(MEASURED_OPS);
-    for _ in 0..MEASURED_OPS {
+    samples.clear();
+    for _ in 0..BLOCK_OPS {
         let t = Instant::now();
         point_select(s);
         samples.push(t.elapsed().as_nanos() as u64);
     }
+    if let Some((_, off)) = arm {
+        s.execute_sql(off, &[]).unwrap();
+    }
     samples.sort_unstable();
-    LatencyRecorder::percentile_us(&samples, 50.0)
+    LatencyRecorder::percentile_us(samples, 50.0) as i64
 }
 
-/// Compare one arm against its baseline under `max_regression`; returns
-/// `false` (after reporting) when the arm blows it.
-fn gate(label: &str, arm_ns: u64, baseline_ns: u64, max_regression: f64) -> bool {
-    let budget_ns = (baseline_ns as f64 * (1.0 + max_regression)) as u64 + ABS_SLACK_NS;
-    let overhead_pct = if baseline_ns > 0 {
-        (arm_ns as f64 - baseline_ns as f64) / baseline_ns as f64 * 100.0
-    } else {
-        0.0
-    };
+fn median(mut values: Vec<i64>) -> i64 {
+    values.sort_unstable();
+    values[values.len() / 2]
+}
+
+/// Compare the median per-round difference of one comparison with its
+/// budget; returns `false` (after reporting) when it is over.
+fn gate(label: &str, differences: Vec<i64>, baseline_ns: i64, budget_ns: i64) -> bool {
+    let overhead_ns = median(differences);
     println!(
-        "obs_gate: point-SELECT p50 {label}: {arm_ns}ns vs baseline {baseline_ns}ns \
-         ({overhead_pct:+.1}% overhead, budget {budget_ns}ns)"
+        "obs_gate: {label}: {overhead_ns:+}ns per point SELECT \
+         (baseline p50 {baseline_ns}ns, budget {budget_ns}ns)"
     );
-    if arm_ns > budget_ns {
-        eprintln!(
-            "FAIL: {label} overhead exceeds {:.0}% + {ABS_SLACK_NS}ns slack",
-            max_regression * 100.0
-        );
+    if overhead_ns > budget_ns {
+        eprintln!("FAIL: {label} costs more than {budget_ns}ns a statement");
         return false;
     }
-    println!(
-        "PASS: {label} overhead within the {:.0}% p50 budget",
-        max_regression * 100.0
-    );
+    println!("PASS: {label} within its {budget_ns}ns budget");
     true
 }
 
 fn main() {
-    // Default configuration: metrics on, head-sampled tracing at 1/16.
-    let instrumented = sharded_runtime();
-    let mut s_on = instrumented.session();
-    let disabled = sharded_runtime();
-    let mut s_off = disabled.session();
-    s_off
-        .execute_sql("SET VARIABLE metrics = off", &[])
-        .unwrap();
-    // Tracing ablation: same metrics default, span sampling off.
-    let untraced = sharded_runtime();
-    let mut s_untraced = untraced.session();
-    s_untraced
-        .execute_sql("SET VARIABLE trace_sample = off", &[])
-        .unwrap();
-
-    // Every statement records: a threshold no point SELECT will cross.
-    let recording = sharded_runtime();
-    let mut s_recording = recording.session();
-    s_recording
-        .execute_sql("SET VARIABLE slow_query_threshold_ms = 60000", &[])
-        .unwrap();
-
-    let mut best_on = u64::MAX;
-    let mut best_off = u64::MAX;
-    let mut best_untraced = u64::MAX;
-    let mut best_recording = u64::MAX;
-    for trial in 0..TRIALS {
-        let off = trial_p50_ns(&mut s_off);
-        let untraced = trial_p50_ns(&mut s_untraced);
-        let recording = trial_p50_ns(&mut s_recording);
-        let on = trial_p50_ns(&mut s_on);
-        best_off = best_off.min(off);
-        best_untraced = best_untraced.min(untraced);
-        best_recording = best_recording.min(recording);
-        best_on = best_on.min(on);
-        eprintln!(
-            "trial {trial}: metrics-off p50 {off}ns, trace-off p50 {untraced}ns, \
-             slow-log-armed p50 {recording}ns, default p50 {on}ns"
-        );
+    let runtime = sharded_runtime();
+    let mut s = runtime.session();
+    for _ in 0..WARMUP_OPS {
+        point_select(&mut s);
     }
-    assert!(recording.slow_query_log().entries().is_empty());
+    let mut samples = Vec::with_capacity(BLOCK_OPS);
+    let mut rounds: Vec<[i64; 4]> = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let mut p50 = [0; 4];
+        for turn in 0..ARMS.len() {
+            let at = (round + turn) % ARMS.len();
+            p50[at] = block_p50_ns(&mut s, ARMS[at], &mut samples);
+        }
+        rounds.push(p50);
+    }
+    assert!(runtime.slow_query_log().entries().is_empty());
 
+    let of = |arm: usize| median(rounds.iter().map(|p50| p50[arm]).collect());
+    let difference =
+        |arm: usize, base: usize| rounds.iter().map(|p50| p50[arm] - p50[base]).collect();
+    eprintln!(
+        "{ROUNDS} rounds of {BLOCK_OPS}: default p50 {}ns, metrics-off {}ns, \
+         trace-off {}ns, slow-log-armed {}ns",
+        of(DEFAULT),
+        of(METRICS_OFF),
+        of(UNTRACED),
+        of(RECORDING)
+    );
     let gates = [
         gate(
             "metrics (default vs SET metrics = off)",
-            best_on,
-            best_off,
-            MAX_REGRESSION,
+            difference(DEFAULT, METRICS_OFF),
+            of(METRICS_OFF),
+            METRICS_BUDGET_NS,
         ),
         gate(
             "sampled tracing (default 1/16 vs SET trace_sample = off)",
-            best_on,
-            best_untraced,
-            MAX_REGRESSION,
+            difference(DEFAULT, UNTRACED),
+            of(UNTRACED),
+            SAMPLING_BUDGET_NS,
         ),
         gate(
             "every statement recording (slow-query threshold armed vs default)",
-            best_recording,
-            best_on,
-            MAX_RECORDING_REGRESSION,
+            difference(RECORDING, DEFAULT),
+            of(DEFAULT),
+            RECORDING_BUDGET_NS,
         ),
     ];
     if gates.contains(&false) {

@@ -10,9 +10,14 @@
 //! PR 19"): run it pinned to one CPU to see `direct` on the scatters, as the
 //! benchmark would, and unpinned to see `pumped`.
 //!
+//! Arguments are statements to run first; `SET sql_plan_cache_size = 0` turns
+//! every statement into a parse and plan miss, which is how the cost of a
+//! miss is compared between two commits (EXPERIMENTS.md, "Ledger — PR 20").
+//!
 //! ```bash
 //! taskset -c 0 cargo run --release -p shard-core --example doors
 //! cargo run --release -p shard-core --example doors
+//! taskset -c 0 cargo run --release -p shard-core --example doors -- "SET sql_plan_cache_size = 0"
 //! ```
 
 use shard_core::{Session, ShardingRuntime};
@@ -179,6 +184,10 @@ fn main() {
         "shape", "execute_sql", "query_stream", "ratio"
     );
     let mut s = deploy();
+    for sql in std::env::args().skip(1) {
+        s.execute_sql(&sql, &[]).unwrap();
+        println!("after {sql}");
+    }
     for shape in SHAPES {
         let mut best = [f64::MAX; 2];
         for round in 0..ROUNDS {

@@ -2,39 +2,38 @@
 //!
 //! Production ShardingSphere keeps a parse-tree cache so OLTP point queries
 //! skip the parser entirely; this module reproduces that idea and goes one
-//! step further for the router:
+//! step further for everything between the parser and the executor:
 //!
-//! * **Level 1 — parse cache:** SQL text → `Arc<Statement>`. A sharded
-//!   (hash-partitioned) LRU so concurrent sessions do not serialize on one
-//!   lock. Hits mean zero parsing.
-//! * **Level 2 — route-plan cache:** AST fingerprint → routing skeleton.
-//!   Statements whose sharding conditions come only from constants and `?`
-//!   placeholders cache either a finished [`RouteResult`] (no parameters
-//!   influence routing) or a [`ConditionTemplate`] that is resolved against
-//!   each execution's parameters — no AST re-walk on the warm path.
+//! * **Level 1 — parse cache:** SQL text → `Arc<ParsedStatement>`: the AST
+//!   plus what the pipeline asks of every statement before it looks at the
+//!   parameters (category, table names, the fingerprint that keys level 2),
+//!   computed once per entry. A sharded (hash-partitioned) LRU so concurrent
+//!   sessions do not serialize on one lock. Hits mean zero parsing.
+//! * **Level 2 — plan cache:** AST fingerprint → [`Plan`]: the route skeleton
+//!   and, filled in as executions touch them, the bound unit of every data
+//!   node (`crate::plan`). A hit resolves the skeleton against the parameters
+//!   and hands out shared units — no AST walk, clone or rename.
 //!
 //! Plans are validated against a **generation counter** that every rule or
 //! resource mutation bumps (`CREATE SHARDING TABLE RULE`, `DROP RESOURCE`,
-//! `replace_table_rule`, encrypt/shadow/rw-split changes, …). A cached plan
-//! whose generation is stale is discarded and rebuilt, so mutations can never
-//! serve stale data nodes. Writers mutate first and bump after, which makes
-//! the race window harmless: a plan built from the old rule under an old
-//! generation is rejected on its next lookup.
+//! `replace_table_rule`, encrypt/shadow/rw-split changes, …) *while it holds
+//! the rule's write guard* (`ShardingRuntime::reconfigure`). A statement
+//! reads the generation under the read guard, so the rule it sees and the
+//! generation it looks plans up under always belong together: a cached plan
+//! whose generation is stale is discarded and rebuilt, and a plan built from
+//! the old rule is stored under the old generation, where no later statement
+//! finds it.
 
-use crate::config::ShardingRule;
-use crate::error::{KernelError, Result};
 use crate::obs::{Counter, MetricsRegistry};
-use crate::route::{
-    nodes_for_condition, ConditionTemplate, RouteEngine, RouteHint, RouteKind, RouteResult,
-    RouteUnit,
-};
+use crate::plan::Plan;
 use parking_lot::Mutex;
-use shard_sql::ast::Statement;
+use shard_sql::ast::{Statement, StatementCategory};
 use shard_sql::parse_statement;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default total entry cap for each cache level.
 pub const DEFAULT_CAPACITY: usize = 2048;
@@ -82,13 +81,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn shard_index(&self, key: &K) -> usize {
+    /// `Borrow` guarantees a borrowed key hashes like the owned one, so a
+    /// lookup by `&str` finds the partition its `String` was stored in.
+    fn shard_index<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) % SHARDS
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<LruShard<K, V>> {
+    fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<LruShard<K, V>> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -102,7 +103,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let mut shard = self.shard_of(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
@@ -147,8 +152,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         evicted
     }
 
-    pub fn remove(&self, key: &K) {
-        self.shard_of(key).lock().map.remove(key);
+    /// Remove `key`'s entry if it still is one `stale` condemns — not one
+    /// another thread has stored under the key since the caller looked.
+    pub fn remove_if(&self, key: &K, stale: impl FnOnce(&V) -> bool) {
+        let mut shard = self.shard_of(key).lock();
+        if shard.map.get(key).is_some_and(|entry| stale(&entry.value)) {
+            shard.map.remove(key);
+        }
     }
 
     pub fn clear(&self) {
@@ -278,134 +288,62 @@ pub struct PlanCacheStatus {
 }
 
 // ---------------------------------------------------------------------------
-// Cached plans
+// Cached values
 // ---------------------------------------------------------------------------
 
-/// The cacheable routing skeleton of one statement shape.
-#[derive(Debug, Clone)]
-pub enum PlanKind {
-    /// Parameters cannot change the route: the finished result is reusable
-    /// verbatim (point queries with literal keys, unsharded statements,
-    /// full-route scans of a sharded table, …).
-    Static(RouteResult),
-    /// Single sharded table whose condition slots resolve per execution.
-    Sharded {
-        logic_table: String,
-        template: ConditionTemplate,
-    },
-    /// Routing is statement-shape-dependent in a way we do not replay
-    /// (multi-table joins with parameters, complex strategies, …).
-    /// Cached so repeat executions skip re-deciding, but they route fully.
-    Uncacheable,
+/// What the pipeline asks of a statement before it looks at the parameters.
+pub(crate) struct StatementFacts {
+    pub(crate) category: StatementCategory,
+    /// Logic tables referenced, in first-seen order.
+    pub(crate) tables: Vec<String>,
+    /// The plan-cache key: formatting the AST into a hash is the dear one of
+    /// the three, and only a plannable statement with the cache on needs it.
+    fingerprint: OnceLock<u64>,
+}
+
+impl StatementFacts {
+    pub(crate) fn of(stmt: &Statement) -> Self {
+        StatementFacts {
+            category: stmt.category(),
+            tables: stmt.table_names(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The fingerprint of `stmt`, the statement these facts are of.
+    pub(crate) fn fingerprint(&self, stmt: &Statement) -> u64 {
+        *self.fingerprint.get_or_init(|| stmt.fingerprint())
+    }
+}
+
+/// A parse-cache entry: the statement together with the facts about it that
+/// every execution would otherwise recompute. Dereferences to the
+/// [`Statement`].
+pub struct ParsedStatement {
+    stmt: Statement,
+    pub(crate) facts: StatementFacts,
+}
+
+impl ParsedStatement {
+    pub fn new(stmt: Statement) -> Self {
+        let facts = StatementFacts::of(&stmt);
+        ParsedStatement { stmt, facts }
+    }
+}
+
+impl std::ops::Deref for ParsedStatement {
+    type Target = Statement;
+
+    fn deref(&self) -> &Statement {
+        &self.stmt
+    }
 }
 
 /// A plan plus the rule generation it was built under.
-pub struct CachedPlan {
-    pub generation: u64,
-    pub kind: PlanKind,
-}
-
-/// Build the route-plan skeleton for a statement under the current rule.
-/// `stmt` must be the logical statement as parsed — before any encrypt or
-/// key-generation rewrite (callers gate on that).
-pub fn build_plan(stmt: &Statement, rule: &ShardingRule) -> PlanKind {
-    match stmt {
-        Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => {}
-        // INSERT routes per VALUES row (and key generation mutates the
-        // statement before routing); DDL/TCL are not hot-path. Never cached.
-        _ => return PlanKind::Uncacheable,
-    }
-
-    let hint = RouteHint::default();
-    if !stmt.has_params() {
-        // Parameters cannot alter the route; snapshot the whole result.
-        return match RouteEngine::new(rule, &hint).route(stmt, &[]) {
-            Ok(result) => PlanKind::Static(result),
-            Err(_) => PlanKind::Uncacheable,
-        };
-    }
-
-    // Parameterized: only the single-sharded-table shape is replayable.
-    let (logic, alias, where_clause) = match stmt {
-        Statement::Select(s) => {
-            let Some(from) = &s.from else {
-                return PlanKind::Uncacheable;
-            };
-            if !s.joins.is_empty() {
-                return PlanKind::Uncacheable;
-            }
-            (
-                from.name.as_str(),
-                from.alias.as_deref(),
-                s.where_clause.as_ref(),
-            )
-        }
-        Statement::Update(u) => (
-            u.table.as_str(),
-            u.alias.as_deref(),
-            u.where_clause.as_ref(),
-        ),
-        Statement::Delete(d) => (
-            d.table.as_str(),
-            d.alias.as_deref(),
-            d.where_clause.as_ref(),
-        ),
-        _ => unreachable!(),
-    };
-
-    let Some(table_rule) = rule.table_rule(logic) else {
-        // Broadcast or single table: the route does not depend on params.
-        return match RouteEngine::new(rule, &hint).route(stmt, &[]) {
-            Ok(result) => PlanKind::Static(result),
-            Err(_) => PlanKind::Uncacheable,
-        };
-    };
-    if table_rule.complex.is_some() {
-        return PlanKind::Uncacheable;
-    }
-
-    let mut bindings: Vec<&str> = vec![logic];
-    if let Some(a) = alias {
-        bindings.push(a);
-    }
-    match crate::route::extract_condition_template(
-        where_clause,
-        &bindings,
-        &table_rule.sharding_column,
-    ) {
-        Some(template) => PlanKind::Sharded {
-            logic_table: logic.to_string(),
-            template,
-        },
-        None => PlanKind::Uncacheable,
-    }
-}
-
-/// Replay a [`PlanKind::Sharded`] skeleton against this execution's
-/// parameters: resolve the condition template and map it to data nodes.
-pub fn execute_sharded_plan(
-    rule: &ShardingRule,
-    logic_table: &str,
-    template: &ConditionTemplate,
-    params: &[shard_sql::Value],
-) -> Result<RouteResult> {
-    let table_rule = rule.table_rule(logic_table).ok_or_else(|| {
-        KernelError::Route(format!(
-            "cached plan references unknown table '{logic_table}'"
-        ))
-    })?;
-    let condition = template.resolve(params);
-    let nodes = nodes_for_condition(table_rule, &condition)?;
-    let units: Vec<RouteUnit> = nodes
-        .into_iter()
-        .map(|n| RouteUnit::new(n.datasource.clone()).with_mapping(logic_table, &n.table))
-        .collect();
-    let kind = if units.len() == 1 {
-        RouteKind::Single
-    } else {
-        RouteKind::Standard
-    };
-    Ok(RouteResult::new(kind, units))
+#[derive(Clone)]
+struct CachedPlan {
+    generation: u64,
+    plan: Arc<Plan>,
 }
 
 // ---------------------------------------------------------------------------
@@ -414,8 +352,8 @@ pub fn execute_sharded_plan(
 
 /// Process-shared two-level plan cache owned by a `ShardingRuntime`.
 pub struct SqlPlanCache {
-    parse: ShardedLru<String, Arc<Statement>>,
-    plans: ShardedLru<u64, Arc<CachedPlan>>,
+    parse: ShardedLru<String, Arc<ParsedStatement>>,
+    plans: ShardedLru<u64, CachedPlan>,
     /// Bumped by every rule/resource/feature mutation; plans built under an
     /// older generation are discarded on lookup.
     generation: AtomicU64,
@@ -459,19 +397,22 @@ impl SqlPlanCache {
     }
 
     /// Parse through the level-1 cache.
-    pub fn parse(&self, sql: &str) -> std::result::Result<Arc<Statement>, shard_sql::SqlError> {
+    pub fn parse(
+        &self,
+        sql: &str,
+    ) -> std::result::Result<Arc<ParsedStatement>, shard_sql::SqlError> {
+        let parse = || parse_statement(sql).map(|stmt| Arc::new(ParsedStatement::new(stmt)));
         if !self.enabled() {
-            return parse_statement(sql).map(Arc::new);
+            return parse();
         }
-        let key = sql.to_string();
-        if let Some(stmt) = self.parse.get(&key) {
+        if let Some(stmt) = self.parse.get(sql) {
             self.parse_stats.hit();
             return Ok(stmt);
         }
         self.parse_stats.miss();
-        let stmt = Arc::new(parse_statement(sql)?);
-        self.parse_stats
-            .evicted(self.parse.insert(key, stmt.clone()));
+        let stmt = parse()?;
+        let evicted = self.parse.insert(sql.to_string(), Arc::clone(&stmt));
+        self.parse_stats.evicted(evicted);
         Ok(stmt)
     }
 
@@ -481,24 +422,28 @@ impl SqlPlanCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Invalidate all cached plans (rule/resource/feature mutation).
-    pub fn bump_generation(&self) {
+    /// Invalidate all cached plans. Called by whoever holds the rule's write
+    /// guard (`ShardingRuntime::reconfigure`), so that no statement can see
+    /// the changed configuration under the generation that preceded it.
+    pub(crate) fn bump_generation(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Look up a plan by AST fingerprint; stale-generation entries are
     /// dropped and counted as misses.
-    pub fn lookup_plan(&self, fingerprint: u64, generation: u64) -> Option<Arc<CachedPlan>> {
+    pub fn lookup_plan(&self, fingerprint: u64, generation: u64) -> Option<Arc<Plan>> {
         if !self.enabled() {
             return None;
         }
         match self.plans.get(&fingerprint) {
-            Some(plan) if plan.generation == generation => {
+            Some(cached) if cached.generation == generation => {
                 self.plan_stats.hit();
-                Some(plan)
+                Some(cached.plan)
             }
-            Some(_) => {
-                self.plans.remove(&fingerprint);
+            Some(stale) => {
+                // Unless a fresher plan has replaced it meanwhile.
+                self.plans
+                    .remove_if(&fingerprint, |c| Arc::ptr_eq(&c.plan, &stale.plan));
                 self.plan_stats.miss();
                 None
             }
@@ -509,12 +454,35 @@ impl SqlPlanCache {
         }
     }
 
-    pub fn store_plan(&self, fingerprint: u64, plan: Arc<CachedPlan>) {
+    pub fn store_plan(&self, fingerprint: u64, generation: u64, plan: Arc<Plan>) {
         if !self.enabled() {
             return;
         }
-        self.plan_stats
-            .evicted(self.plans.insert(fingerprint, plan));
+        let evicted = self
+            .plans
+            .insert(fingerprint, CachedPlan { generation, plan });
+        self.plan_stats.evicted(evicted);
+    }
+
+    /// The plan of the statement with this fingerprint under `generation`:
+    /// the cached one, or `build`'s — kept when there is a key to keep it
+    /// under (the caller has none for what must not be cached) and the cache
+    /// is on, dropped after this execution otherwise.
+    pub fn plan_for(
+        &self,
+        fingerprint: Option<u64>,
+        generation: u64,
+        build: impl FnOnce() -> Plan,
+    ) -> Arc<Plan> {
+        let Some(fingerprint) = fingerprint.filter(|_| self.enabled()) else {
+            return Arc::new(build());
+        };
+        if let Some(plan) = self.lookup_plan(fingerprint, generation) {
+            return plan;
+        }
+        let plan = Arc::new(build());
+        self.store_plan(fingerprint, generation, Arc::clone(&plan));
+        plan
     }
 
     /// Resize both levels; zero disables caching and drops all entries.
@@ -551,7 +519,9 @@ impl SqlPlanCache {
 mod tests {
     use super::*;
     use crate::algorithm::{ModAlgorithm, Props};
-    use crate::config::{DataNode, TableRule};
+    use crate::config::{DataNode, ShardingRule, TableRule};
+    use crate::plan::plan;
+    use crate::route::{RouteEngine, RouteHint};
 
     #[test]
     fn lru_evicts_least_recently_used_within_shard() {
@@ -571,7 +541,7 @@ mod tests {
     fn zero_capacity_stores_nothing() {
         let lru: ShardedLru<String, u64> = ShardedLru::new(0);
         assert_eq!(lru.insert("k".into(), 1), 0);
-        assert!(lru.get(&"k".to_string()).is_none());
+        assert!(lru.get("k").is_none());
         assert_eq!(lru.len(), 0);
     }
 
@@ -604,16 +574,38 @@ mod tests {
     fn stale_generation_rejected() {
         let cache = SqlPlanCache::default();
         let generation = cache.generation();
-        cache.store_plan(
-            42,
-            Arc::new(CachedPlan {
-                generation,
-                kind: PlanKind::Uncacheable,
-            }),
-        );
+        let stmt = parse_statement("INSERT INTO t_user (uid) VALUES (1)").unwrap();
+        let plan = Arc::new(plan(&sharded_rule(), &stmt));
+        cache.store_plan(42, generation, plan);
         assert!(cache.lookup_plan(42, generation).is_some());
         cache.bump_generation();
         assert!(cache.lookup_plan(42, cache.generation()).is_none());
+    }
+
+    /// A lookup that finds a stale plan removes *that* plan — not the fresh
+    /// one another thread stored under the fingerprint in between.
+    #[test]
+    fn stale_lookup_spares_a_fresh_plan() {
+        let lru: ShardedLru<u64, u64> = ShardedLru::new(64);
+        lru.insert(7, 1);
+        let found = lru.get(&7).unwrap();
+        lru.insert(7, 2); // the other thread
+        lru.remove_if(&7, |v| *v == found);
+        assert_eq!(lru.get(&7), Some(2));
+        lru.remove_if(&7, |v| *v == 2);
+        assert_eq!(lru.get(&7), None);
+    }
+
+    #[test]
+    fn parse_looks_up_by_borrowed_text() {
+        let cache = SqlPlanCache::default();
+        let owned = String::from("SELECT v FROM t WHERE id = ?");
+        let a = cache.parse(&owned).unwrap();
+        let b = cache.parse("SELECT v FROM t WHERE id = ?").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.facts.tables, ["t"]);
+        assert_eq!(a.facts.category, StatementCategory::Dql);
+        assert_eq!(a.facts.fingerprint(&a), a.fingerprint());
     }
 
     fn sharded_rule() -> ShardingRule {
@@ -639,21 +631,18 @@ mod tests {
     fn plan_replay_matches_fresh_route() {
         let rule = sharded_rule();
         let stmt = parse_statement("SELECT * FROM t_user WHERE uid = ?").unwrap();
-        let PlanKind::Sharded {
-            logic_table,
-            template,
-        } = build_plan(&stmt, &rule)
-        else {
-            panic!("expected a sharded template plan");
-        };
+        let plan = plan(&rule, &stmt);
+        assert!(plan.table_rule().is_some(), "a sharded template plan");
         for uid in 0..8i64 {
             let params = [shard_sql::Value::Int(uid)];
-            let replayed = execute_sharded_plan(&rule, &logic_table, &template, &params).unwrap();
+            let nodes = plan.resolve(&params).unwrap().unwrap();
+            let replayed = plan.bind(&stmt, &params, &nodes, true).unwrap();
             let hint = RouteHint::default();
             let fresh = RouteEngine::new(&rule, &hint)
                 .route(&stmt, &params)
                 .unwrap();
-            assert_eq!(replayed, fresh);
+            let units: Vec<_> = replayed.inputs.into_iter().map(|i| i.unit).collect();
+            assert_eq!(units, fresh.units);
         }
     }
 
@@ -661,13 +650,15 @@ mod tests {
     fn literal_statement_gets_static_plan() {
         let rule = sharded_rule();
         let stmt = parse_statement("SELECT * FROM t_user WHERE uid = 5").unwrap();
-        match build_plan(&stmt, &rule) {
-            PlanKind::Static(r) => {
-                assert_eq!(r.units.len(), 1);
-                assert_eq!(r.units[0].actual_table("t_user"), Some("t_user_1"));
-            }
-            other => panic!("expected static plan, got {other:?}"),
-        }
+        let plan = plan(&rule, &stmt);
+        assert!(plan.table_rule().is_none(), "a fixed route, not a template");
+        let nodes = plan.resolve(&[]).unwrap().expect("replayable");
+        let bound = plan.bind(&stmt, &[], &nodes, true).unwrap();
+        assert_eq!(bound.inputs.len(), 1);
+        assert_eq!(
+            bound.inputs[0].unit.actual_table("t_user"),
+            Some("t_user_1")
+        );
     }
 
     #[test]
@@ -676,13 +667,14 @@ mod tests {
         let stmt =
             parse_statement("SELECT * FROM t_user u JOIN t_o o ON u.uid = o.uid WHERE u.uid = ?")
                 .unwrap();
-        assert!(matches!(build_plan(&stmt, &rule), PlanKind::Uncacheable));
+        let routed_per_execution = plan(&rule, &stmt).resolve(&[1.into()]).unwrap().is_none();
+        assert!(routed_per_execution);
     }
 
     #[test]
     fn insert_is_never_cached() {
         let rule = sharded_rule();
         let stmt = parse_statement("INSERT INTO t_user (uid) VALUES (1)").unwrap();
-        assert!(matches!(build_plan(&stmt, &rule), PlanKind::Uncacheable));
+        assert!(plan(&rule, &stmt).resolve(&[]).unwrap().is_none());
     }
 }

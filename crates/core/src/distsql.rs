@@ -6,8 +6,9 @@
 use crate::algorithm::Props;
 use crate::config::{AutoTablePlanner, TableRule};
 use crate::error::{KernelError, Result};
+use crate::executor::ExecutionInput;
 use crate::obs::Stage;
-use crate::rewrite::{rewrite_for_unit, rewrite_statement};
+use crate::plan::Plan;
 use crate::route::{GlobalIndex, RouteEngine, RouteHint};
 use crate::runtime::Session;
 use shard_sql::ast::{DataType, DistSqlStatement, ShardingRuleSpec, Statement};
@@ -24,8 +25,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
         }
         DistSqlStatement::DropShardingTableRule { table } => {
             let runtime = session.runtime().clone();
-            runtime.rule.write().drop_table_rule(table)?;
-            runtime.plan_cache().bump_generation();
+            runtime.reconfigure(|rule| rule.drop_table_rule(table))?;
             runtime
                 .registry()
                 .delete(&format!("rules/sharding/{table}"));
@@ -33,8 +33,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
         }
         DistSqlStatement::CreateBindingTableRule { tables } => {
             let runtime = session.runtime().clone();
-            runtime.rule.write().add_binding_group(tables)?;
-            runtime.plan_cache().bump_generation();
+            runtime.reconfigure(|rule| rule.add_binding_group(tables))?;
             runtime
                 .registry()
                 .set(&format!("rules/binding/{}", tables.join(",")), "bound");
@@ -42,8 +41,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
         }
         DistSqlStatement::DropBindingTableRule { tables } => {
             let runtime = session.runtime().clone();
-            runtime.rule.write().drop_binding_group(tables);
-            runtime.plan_cache().bump_generation();
+            runtime.reconfigure(|rule| rule.drop_binding_group(tables));
             runtime
                 .registry()
                 .delete(&format!("rules/binding/{}", tables.join(",")));
@@ -51,8 +49,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
         }
         DistSqlStatement::CreateBroadcastTableRule { tables } => {
             let runtime = session.runtime().clone();
-            runtime.rule.write().add_broadcast_tables(tables);
-            runtime.plan_cache().bump_generation();
+            runtime.reconfigure(|rule| rule.add_broadcast_tables(tables));
             for t in tables {
                 runtime
                     .registry()
@@ -62,8 +59,7 @@ pub fn execute(session: &mut Session, stmt: &DistSqlStatement) -> Result<Execute
         }
         DistSqlStatement::DropBroadcastTableRule { tables } => {
             let runtime = session.runtime().clone();
-            runtime.rule.write().drop_broadcast_tables(tables);
-            runtime.plan_cache().bump_generation();
+            runtime.reconfigure(|rule| rule.drop_broadcast_tables(tables));
             for t in tables {
                 runtime.registry().delete(&format!("rules/broadcast/{t}"));
             }
@@ -683,8 +679,7 @@ fn create_global_index(session: &mut Session, table: &str, column: &str) -> Resu
         &format!("rules/global_index/{}.{}", index.logic_table, index.column),
         index.hidden_table.clone(),
     );
-    runtime.gsi().add(index);
-    runtime.plan_cache().bump_generation();
+    runtime.reconfigure(|_| runtime.gsi().add(index));
     Ok(ExecuteResult::Update {
         affected: backfilled,
     })
@@ -695,8 +690,7 @@ fn create_global_index(session: &mut Session, table: &str, column: &str) -> Resu
 fn drop_global_index(session: &mut Session, table: &str, column: &str) -> Result<ExecuteResult> {
     let runtime = session.runtime().clone();
     let index = runtime
-        .gsi()
-        .remove(table, column)
+        .reconfigure(|_| runtime.gsi().remove(table, column))
         .ok_or_else(|| KernelError::Config(format!("no global index on {table}({column})")))?;
     let drop = Statement::DropTable(index.drop_table_stmt());
     for ds_name in &index.datasources {
@@ -708,7 +702,6 @@ fn drop_global_index(session: &mut Session, table: &str, column: &str) -> Result
         "rules/global_index/{}.{}",
         index.logic_table, index.column
     ));
-    runtime.plan_cache().bump_generation();
     Ok(ExecuteResult::Update { affected: 0 })
 }
 
@@ -847,10 +840,7 @@ fn create_sharding_rule(
         key_generate_column,
         complex,
     };
-    runtime.rule.write().add_table_rule(table_rule)?;
-    // Mutate first, bump after: a plan raced in under the old generation is
-    // rejected on its next lookup.
-    runtime.plan_cache().bump_generation();
+    runtime.reconfigure(|rule| rule.add_table_rule(table_rule))?;
     runtime.registry().set(
         &format!("rules/sharding/{}", spec.table),
         format!(
@@ -882,13 +872,12 @@ fn preview(session: &mut Session, sql: &str) -> Result<ExecuteResult> {
     let rule = runtime.rule.read();
     let route = RouteEngine::new(&rule, &hint).route(&stmt, &[])?;
     drop(rule);
-    let rewrite = rewrite_statement(&stmt, &route, &[], runtime.agg_pushdown())?;
+    let bound = Plan::bind_routed(route, &stmt, &[], runtime.agg_pushdown())?;
     let mut rows = Vec::new();
-    for unit in &route.units {
-        let actual = rewrite_for_unit(&rewrite, unit, &route, &[])?;
+    for ExecutionInput { unit, stmt } in bound.inputs {
         rows.push(vec![
             Value::Str(unit.datasource.clone()),
-            Value::Str(format_statement(&actual, Dialect::MySql)),
+            Value::Str(format_statement(&stmt, Dialect::MySql)),
         ]);
     }
     Ok(ExecuteResult::Query(ResultSet::new(

@@ -61,11 +61,14 @@ pub enum ConnectionMode {
     ConnectionStrictly,
 }
 
-/// One rewritten statement bound for one route unit.
+/// One rewritten statement bound for one route unit. Both are shared: a
+/// cached plan hands the same unit and the same statement to every execution
+/// that touches the node, and the executor passes the statement on — to the
+/// engine, to a cursor that outlives the call — without copying it.
 #[derive(Debug, Clone)]
 pub struct ExecutionInput {
-    pub unit: RouteUnit,
-    pub stmt: Statement,
+    pub unit: Arc<RouteUnit>,
+    pub stmt: Arc<Statement>,
 }
 
 /// What the engine decided and did for one query (diagnostics, Fig 15).
@@ -213,7 +216,8 @@ impl ExecutorEngine {
         // channel holds a worker and past that bound could starve the pumps
         // the consumer is waiting for.
         let one_select = |group: &PlannedGroup| {
-            group.txn.is_none() && matches!(group.chunk[..], [(_, Statement::Select(_), _)])
+            group.txn.is_none()
+                && matches!(&group.chunk[..], [(_, stmt, _)] if matches!(**stmt, Statement::Select(_)))
         };
         let (lazy, pulled) = match fetch {
             Fetch::Stream { pulled } if total > 0 && total <= pool.size / 2 => {
@@ -348,7 +352,7 @@ impl ExecutorEngine {
 
 /// One statement to execute: its input index, the statement, and — when the
 /// statement records — the name of its unit span.
-type Unit = (usize, Statement, Option<String>);
+type Unit = (usize, Arc<Statement>, Option<String>);
 
 /// One execution group: a chunk of statements bound for one connection of
 /// one data source, run serially on it.
@@ -442,28 +446,27 @@ fn run_group(mut group: PlannedGroup, shared: &Shared) -> GroupOutcome {
             .spans
             .as_ref()
             .map(|s| (s, s.enter("unit", label.unwrap_or_default())));
-        let fetched = match stmt {
+        let fetched = if shared.lazy && matches!(*stmt, Statement::Select(_)) {
             // Lazy: the unit goes on as its stream, which takes over its
             // connection, its still-open span and its breaker verdict.
-            Statement::Select(select) if shared.lazy => {
-                let params = Arc::clone(&shared.params);
-                let cursor = group
-                    .ds
-                    .attempt(|engine| engine.open_cursor(select, params, None));
-                cursor.map(|cursor| {
-                    let span = unit.as_ref().map(|(scope, (id, _))| SpanScope {
-                        parent: *id,
-                        ..(*scope).clone()
-                    });
-                    let (ds, permit) = (Arc::clone(&group.ds), group.permit.take());
-                    let pulled = shared.pulled.clone();
-                    Fetched::Stream(RowStream::new(cursor, ds, permit, span, pulled))
-                })
-            }
-            stmt => group
+            let params = Arc::clone(&shared.params);
+            let cursor = group
+                .ds
+                .attempt(|engine| engine.open_cursor(stmt, params, None));
+            cursor.map(|cursor| {
+                let span = unit.as_ref().map(|(scope, (id, _))| SpanScope {
+                    parent: *id,
+                    ..(*scope).clone()
+                });
+                let (ds, permit) = (Arc::clone(&group.ds), group.permit.take());
+                let pulled = shared.pulled.clone();
+                Fetched::Stream(RowStream::new(cursor, ds, permit, span, pulled))
+            })
+        } else {
+            group
                 .ds
                 .guarded(|engine| engine.execute(&stmt, &shared.params, group.txn))
-                .map(Fetched::Result),
+                .map(Fetched::Result)
         };
         if let Some((scope, (id, _probe))) = unit {
             match &fetched {
@@ -554,8 +557,8 @@ mod tests {
 
     fn input(ds: &str, sql: &str) -> ExecutionInput {
         ExecutionInput {
-            unit: RouteUnit::new(ds),
-            stmt: parse_statement(sql).unwrap(),
+            unit: Arc::new(RouteUnit::new(ds)),
+            stmt: Arc::new(parse_statement(sql).unwrap()),
         }
     }
 

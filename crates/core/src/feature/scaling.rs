@@ -40,7 +40,7 @@ use crate::executor::ExecutionInput;
 use crate::feature::Throttle;
 use crate::governor::ConfigRegistry;
 use crate::obs::ActiveTrace;
-use crate::rewrite::rewrite_route;
+use crate::plan::Plan;
 use crate::route::{RouteEngine, RouteHint};
 use crate::runtime::ShardingRuntime;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -292,7 +292,7 @@ impl ReshardJob {
         let hint = RouteHint::default();
         let route = RouteEngine::new(&self.mirror_rule, &hint).route(stmt, params)?;
         // No unit, no input: the caller skips an empty mirror.
-        Ok(rewrite_route(stmt, &route, params, false)?.0)
+        Ok(Plan::bind_routed(route, stmt, params, false)?.inputs)
     }
 
     /// Apply a planned mirror against the engines. Runs under the job's
@@ -1045,11 +1045,11 @@ fn row_hash(row: &[Value]) -> u64 {
     h
 }
 
-fn wildcard_select(table: &str) -> SelectStatement {
+fn wildcard_select(table: &str) -> Arc<Statement> {
     let mut select = SelectStatement::empty();
     select.projection.push(SelectItem::Wildcard);
     select.from = Some(TableRef::named(table.to_string()));
-    select
+    Arc::new(Statement::Select(select))
 }
 
 fn drop_table(table: &str) -> Statement {

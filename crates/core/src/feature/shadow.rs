@@ -2,10 +2,11 @@
 //! flagged as test traffic — by a shadow column value or an explicit hint —
 //! are re-routed to shadow data sources instead of production ones.
 
-use crate::route::RouteResult;
+use crate::route::{RouteResult, RouteUnit};
 use shard_sql::ast::{BinaryOp, Expr};
 use shard_sql::{Statement, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Shadow routing configuration.
 #[derive(Default, Clone)]
@@ -89,9 +90,15 @@ impl ShadowRule {
     /// Re-target route units onto shadow data sources.
     pub fn apply(&self, route: &mut RouteResult) {
         for unit in &mut route.units {
-            if let Some(shadow) = self.mappings.get(&unit.datasource) {
-                unit.datasource = shadow.clone();
-            }
+            self.retarget(unit);
+        }
+    }
+
+    /// Re-target one unit: a unit is shared, so this execution gets its own
+    /// on the shadow source.
+    pub fn retarget(&self, unit: &mut Arc<RouteUnit>) {
+        if let Some(shadow) = self.mappings.get(&unit.datasource) {
+            *unit = Arc::new(unit.on(shadow.as_str()));
         }
     }
 }

@@ -17,6 +17,7 @@ pub mod governor;
 pub mod merge;
 pub mod metadata;
 pub mod obs;
+pub mod plan;
 pub mod rewrite;
 pub mod route;
 

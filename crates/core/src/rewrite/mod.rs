@@ -17,12 +17,12 @@ pub use derive::{derive_select, derive_select_raw, AggKind, AggSpec, DerivedInfo
 pub use identifier::rewrite_identifiers;
 
 use crate::error::{KernelError, Result};
-use crate::executor::ExecutionInput;
 use crate::route::{RouteResult, RouteUnit};
 use shard_sql::ast::*;
 use shard_sql::Value;
 use shard_storage::eval::{eval, EvalContext, Scope};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Rewrite engine output for one logical statement: the shared derived
 /// statement plus merger guidance. Statements that need no derivation are
@@ -76,43 +76,15 @@ pub fn rewrite_statement<'a>(
     }
 }
 
-/// The whole rewrite stage, route → execution units: derive once
-/// ([`rewrite_statement`]), then the executable statement of every unit. A
-/// row-split batched INSERT partitions its rows across units in one pass
-/// ([`rewrite_insert_per_unit`]); everything else is rewritten unit by unit
-/// ([`rewrite_for_unit`]).
-pub fn rewrite_route(
-    stmt: &Statement,
-    route: &RouteResult,
-    params: &[Value],
-    agg_pushdown: bool,
-) -> Result<(Vec<ExecutionInput>, DerivedInfo)> {
-    let output = rewrite_statement(stmt, route, params, agg_pushdown)?;
-    let mut inputs = Vec::with_capacity(route.units.len());
-    if let Some(per_unit) = rewrite_insert_per_unit(&output, route) {
-        let units = route.units.iter().cloned();
-        inputs.extend(
-            units
-                .zip(per_unit)
-                .map(|(unit, stmt)| ExecutionInput { unit, stmt }),
-        );
-    } else {
-        for unit in &route.units {
-            let stmt = rewrite_for_unit(&output, unit, route, params)?;
-            let unit = unit.clone();
-            inputs.push(ExecutionInput { unit, stmt });
-        }
-    }
-    Ok((inputs, output.info))
-}
-
-/// Produce the executable statement for one route unit.
+/// Produce the executable statement for one route unit: the derived
+/// statement with the unit's table names, shared from here on — by the plan
+/// that keeps it, the executor and a storage cursor.
 pub fn rewrite_for_unit(
     output: &RewriteOutput<'_>,
     unit: &RouteUnit,
     route: &RouteResult,
     params: &[Value],
-) -> Result<Statement> {
+) -> Result<Arc<Statement>> {
     let mut stmt = output.derived.as_ref().clone();
     // Batched INSERT split: keep only the rows that belong to this unit.
     if let Statement::Insert(insert) = &mut stmt {
@@ -126,7 +98,7 @@ pub fn rewrite_for_unit(
         }
     }
     rewrite_identifiers(&mut stmt, unit);
-    Ok(stmt)
+    Ok(Arc::new(stmt))
 }
 
 /// One-pass partition of a multi-unit batched INSERT: each row is cloned
@@ -134,11 +106,11 @@ pub fn rewrite_for_unit(
 /// it to. [`rewrite_for_unit`] would instead clone the *full* N-row
 /// statement per unit and filter it down — N × units row clones for N kept
 /// rows. Returns `None` when the statement is not a row-split multi-unit
-/// INSERT (callers fall back to the per-unit path).
+/// INSERT (the binder falls back to the per-unit path).
 pub fn rewrite_insert_per_unit(
     output: &RewriteOutput<'_>,
     route: &RouteResult,
-) -> Option<Vec<Statement>> {
+) -> Option<Vec<Arc<Statement>>> {
     let Statement::Insert(insert) = output.derived.as_ref() else {
         return None;
     };
@@ -163,7 +135,7 @@ pub fn rewrite_insert_per_unit(
             rows,
         });
         rewrite_identifiers(&mut stmt, unit);
-        stmts.push(stmt);
+        stmts.push(Arc::new(stmt));
     }
     Some(stmts)
 }
@@ -212,7 +184,11 @@ fn split_insert_rows(
         .rows
         .iter()
         .enumerate()
-        .filter(|(i, _)| assignments.get(*i).is_some_and(|assigned| assigned == unit))
+        .filter(|(i, _)| {
+            assignments
+                .get(*i)
+                .is_some_and(|assigned| **assigned == *unit)
+        })
         .map(|(_, r)| r.clone())
         .collect();
     insert.rows = keep;

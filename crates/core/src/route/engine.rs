@@ -10,6 +10,7 @@ use shard_sql::Value;
 use shard_storage::eval::{eval, EvalContext, Scope};
 use std::collections::Bound;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Externally supplied routing hints (the paper's hint feature: route by
 /// values that do not appear in the SQL).
@@ -73,7 +74,7 @@ impl<'a> RouteEngine<'a> {
                             Some(existing) => {
                                 existing.table_mappings.extend(u.table_mappings.clone())
                             }
-                            None => units.push(u),
+                            None => units.push(Arc::unwrap_or_clone(u)),
                         }
                     }
                 }
@@ -111,8 +112,7 @@ impl<'a> RouteEngine<'a> {
             self.rule
                 .datasource_names
                 .iter()
-                .map(|d| RouteUnit::new(d.clone()))
-                .collect(),
+                .map(|d| RouteUnit::new(d.clone())),
         )
     }
 
@@ -125,8 +125,7 @@ impl<'a> RouteEngine<'a> {
             let units = rule
                 .all_nodes()
                 .iter()
-                .map(|n| RouteUnit::new(n.datasource.clone()).with_mapping(logic, &n.table))
-                .collect();
+                .map(|n| RouteUnit::new(n.datasource.clone()).with_mapping(logic, &n.table));
             return Ok(RouteResult::new(RouteKind::Broadcast, units));
         }
         if self.rule.is_broadcast(logic) {
@@ -135,8 +134,7 @@ impl<'a> RouteEngine<'a> {
                 .rule
                 .datasource_names
                 .iter()
-                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic))
-                .collect();
+                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic));
             return Ok(RouteResult::new(RouteKind::Broadcast, units));
         }
         // Single (unsharded) table: lives in the default data source.
@@ -179,8 +177,7 @@ impl<'a> RouteEngine<'a> {
                 kind,
                 nodes
                     .into_iter()
-                    .map(|n| RouteUnit::new(n.datasource.clone()).with_mapping(logic, &n.table))
-                    .collect(),
+                    .map(|n| RouteUnit::new(n.datasource.clone()).with_mapping(logic, &n.table)),
             ));
         }
         if self.rule.is_broadcast(logic) {
@@ -188,8 +185,7 @@ impl<'a> RouteEngine<'a> {
                 .rule
                 .datasource_names
                 .iter()
-                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic))
-                .collect();
+                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic));
             return Ok(RouteResult::new(RouteKind::Broadcast, units));
         }
         let ds = self.default_datasource()?;
@@ -271,7 +267,8 @@ impl<'a> RouteEngine<'a> {
         rule: &'r TableRule,
         condition: &ShardingCondition,
     ) -> Result<Vec<&'r DataNode>> {
-        nodes_for_condition(rule, condition)
+        let ordinals = ordinals_for_condition(rule, condition)?;
+        Ok(ordinals.into_iter().map(|i| &rule.data_nodes[i]).collect())
     }
 
     // -- INSERT ---------------------------------------------------------------
@@ -323,8 +320,11 @@ impl<'a> RouteEngine<'a> {
                 ),
                 None => None,
             };
-            let mut units: Vec<RouteUnit> = Vec::new();
-            let mut row_units: Vec<RouteUnit> = Vec::with_capacity(stmt.rows.len());
+            // One shared unit per node touched; every row points at its
+            // node's unit.
+            let mut nodes: Vec<&DataNode> = Vec::new();
+            let mut units: Vec<Arc<RouteUnit>> = Vec::new();
+            let mut row_units: Vec<Arc<RouteUnit>> = Vec::with_capacity(stmt.rows.len());
             for row in &stmt.rows {
                 let node = if let Some(cols) = &complex_cols {
                     let mut values = HashMap::new();
@@ -343,11 +343,18 @@ impl<'a> RouteEngine<'a> {
                     let value = eval_insert_value(&row[col_idx], params)?;
                     rule.route_exact(&value)?
                 };
-                let unit = RouteUnit::new(node.datasource.clone()).with_mapping(logic, &node.table);
-                if !units.contains(&unit) {
-                    units.push(unit.clone());
-                }
-                row_units.push(unit);
+                let at = match nodes.iter().position(|n| std::ptr::eq(*n, node)) {
+                    Some(at) => at,
+                    None => {
+                        nodes.push(node);
+                        units.push(Arc::new(
+                            RouteUnit::new(node.datasource.clone())
+                                .with_mapping(logic, &node.table),
+                        ));
+                        units.len() - 1
+                    }
+                };
+                row_units.push(Arc::clone(&units[at]));
             }
             let kind = if units.len() == 1 {
                 RouteKind::Single
@@ -364,8 +371,7 @@ impl<'a> RouteEngine<'a> {
                 .rule
                 .datasource_names
                 .iter()
-                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic))
-                .collect();
+                .map(|d| RouteUnit::new(d.clone()).with_mapping(logic, logic));
             return Ok(RouteResult::new(RouteKind::Broadcast, units));
         }
         let ds = self.default_datasource()?;
@@ -563,34 +569,52 @@ impl<'a> RouteEngine<'a> {
     }
 }
 
-/// The data nodes a resolved sharding condition selects from a table rule.
-/// Shared by the route engine and the route-plan cache (which replays a
-/// cached [`super::condition::ConditionTemplate`] without re-walking the AST).
-pub(crate) fn nodes_for_condition<'r>(
-    rule: &'r TableRule,
+/// The data nodes a resolved sharding condition selects from a table rule,
+/// as ordinals into its node list — the algorithm's own indices, in the
+/// order the condition yields them, each once. Shared by the route engine
+/// and by plan replay (which resolves a cached
+/// [`super::condition::ConditionTemplate`] without re-walking the AST).
+pub(crate) fn ordinals_for_condition(
+    rule: &TableRule,
     condition: &ShardingCondition,
-) -> Result<Vec<&'r DataNode>> {
-    let mut nodes: Vec<&DataNode> = match condition {
+) -> Result<Vec<usize>> {
+    let count = rule.data_nodes.len();
+    let mut ordinals = match condition {
         ShardingCondition::Exact(values) => {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(values.len());
             for v in values {
-                out.push(rule.route_exact(v)?);
+                out.push(rule.algorithm.shard_exact(count, v)?);
             }
             out
         }
-        ShardingCondition::Range(lo, hi) => rule.route_range(bound_ref(lo), bound_ref(hi))?,
-        ShardingCondition::None => rule.all_nodes().iter().collect(),
+        ShardingCondition::Range(lo, hi) => {
+            rule.algorithm
+                .shard_range(count, bound_ref(lo), bound_ref(hi))?
+        }
+        ShardingCondition::None => return Ok((0..count).collect()),
     };
-    // Dedup while preserving data-node order.
-    let mut seen = std::collections::HashSet::new();
-    nodes.retain(|n| seen.insert((*n).clone()));
-    if nodes.is_empty() {
+    if let Some(bad) = ordinals.iter().find(|&&i| i >= count) {
+        return Err(KernelError::Route(format!(
+            "algorithm for '{}' produced out-of-range index {bad}",
+            rule.logic_table
+        )));
+    }
+    // Dedup while preserving the order the condition produced.
+    let mut seen = 0;
+    for at in 0..ordinals.len() {
+        if !ordinals[..seen].contains(&ordinals[at]) {
+            ordinals[seen] = ordinals[at];
+            seen += 1;
+        }
+    }
+    ordinals.truncate(seen);
+    if ordinals.is_empty() && count > 0 {
         // Contradictory conditions (uid = 1 AND uid = 2) match nothing;
         // unicast to one node so the client still gets a correctly
         // shaped (empty) result, as ShardingSphere does.
-        return Ok(rule.all_nodes().first().into_iter().collect());
+        ordinals.push(0);
     }
-    Ok(nodes)
+    Ok(ordinals)
 }
 
 /// All names a logic table is referenced by in this statement (its own name

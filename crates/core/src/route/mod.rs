@@ -12,14 +12,17 @@ pub use condition::{
     extract_condition_template, extract_conditions, ConditionTemplate, ShardingCondition,
     ValueSource,
 };
-pub(crate) use engine::nodes_for_condition;
+pub(crate) use engine::ordinals_for_condition;
 pub use engine::{RouteEngine, RouteHint};
 pub use gsi::{GlobalIndex, GsiMaintOp, GsiRegistry};
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One routed execution target: a data source plus the logic→actual table
-/// mapping the rewriter applies for that target.
+/// mapping the rewriter applies for that target. Routes, plans and execution
+/// inputs hold units behind an `Arc`: a unit is built once per data node and
+/// shared by every statement that touches the node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteUnit {
     pub datasource: String,
@@ -42,9 +45,21 @@ impl RouteUnit {
     }
 
     pub fn actual_table(&self, logic: &str) -> Option<&str> {
-        self.table_mappings
-            .get(&logic.to_lowercase())
-            .map(String::as_str)
+        // Names arrive lower-cased almost always; only a miss pays for
+        // folding the case.
+        let hit = match self.table_mappings.get(logic) {
+            Some(hit) => Some(hit),
+            None => self.table_mappings.get(&logic.to_lowercase()),
+        };
+        hit.map(String::as_str)
+    }
+
+    /// This unit's tables on another data source (shadow, read-write split).
+    pub fn on(&self, datasource: impl Into<String>) -> RouteUnit {
+        RouteUnit {
+            datasource: datasource.into(),
+            table_mappings: self.table_mappings.clone(),
+        }
     }
 }
 
@@ -93,17 +108,20 @@ impl RouteStrategy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteResult {
     pub kind: RouteKind,
-    pub units: Vec<RouteUnit>,
+    pub units: Vec<Arc<RouteUnit>>,
     /// For batched INSERTs: the unit each VALUES row routes to, in row
     /// order. The rewriter uses this to split the batch per unit.
-    pub insert_row_units: Option<Vec<RouteUnit>>,
+    pub insert_row_units: Option<Vec<Arc<RouteUnit>>>,
 }
 
 impl RouteResult {
-    pub fn new(kind: RouteKind, units: Vec<RouteUnit>) -> Self {
+    pub fn new<U: Into<Arc<RouteUnit>>>(
+        kind: RouteKind,
+        units: impl IntoIterator<Item = U>,
+    ) -> Self {
         RouteResult {
             kind,
-            units,
+            units: units.into_iter().map(Into::into).collect(),
             insert_row_units: None,
         }
     }

@@ -7,8 +7,8 @@
 //! distributed transactions plugged in.
 
 use crate::algorithm::AlgorithmRegistry;
-use crate::cache::{build_plan, execute_sharded_plan, CachedPlan, PlanKind, SqlPlanCache};
-use crate::config::ShardingRule;
+use crate::cache::{ParsedStatement, SqlPlanCache, StatementFacts};
+use crate::config::{ShardingRule, TableRule};
 use crate::datasource::DataSource;
 use crate::error::{ErrorClass, KernelError, Result};
 use crate::executor::{
@@ -28,10 +28,11 @@ use crate::obs::{
     ActiveTrace, IncidentKind, KernelMetrics, MetricsRegistry, SloMonitor, SlowQueryLog, Stage,
     StatementTrace, TraceCollector,
 };
-use crate::rewrite::{rewrite_route, DerivedInfo};
+use crate::plan::{plan, Bound, Plan};
+use crate::rewrite::DerivedInfo;
 use crate::route::{
-    gsi, GlobalIndex, GsiMaintOp, GsiRegistry, RouteEngine, RouteKind, RouteResult, RouteStrategy,
-    RouteUnit,
+    gsi, ordinals_for_condition, GlobalIndex, GsiMaintOp, GsiRegistry, RouteEngine, RouteKind,
+    RouteResult, RouteStrategy, ShardingCondition,
 };
 use crate::transaction::xa::{commit_all, two_phase_commit_observed, XaPhaseObserver};
 use crate::transaction::{base, TransactionCoordinator, TransactionType, XaLog, XaRecoveryManager};
@@ -176,16 +177,14 @@ impl ShardingRuntime {
             map.insert(name.to_string(), ds);
             *guard = Arc::new(map);
         }
-        {
-            let mut rule = self.rule.write();
+        self.reconfigure(|rule| {
             if !rule.datasource_names.iter().any(|d| d == name) {
                 rule.datasource_names.push(name.to_string());
                 if rule.default_datasource.is_none() {
                     rule.default_datasource = Some(name.to_string());
                 }
             }
-        }
-        self.plan_cache.bump_generation();
+        });
         self.registry
             .set(&format!("resources/{name}"), "registered");
     }
@@ -207,34 +206,43 @@ impl ShardingRuntime {
             map.remove(name);
             *guard = Arc::new(map);
         }
-        {
-            let mut rule = self.rule.write();
+        self.reconfigure(|rule| {
             rule.datasource_names.retain(|d| d != name);
             if rule.default_datasource.as_deref() == Some(name) {
                 rule.default_datasource = rule.datasource_names.first().cloned();
             }
-        }
-        self.plan_cache.bump_generation();
+        });
         self.registry.delete(&format!("resources/{name}"));
         Ok(())
     }
 
+    /// Change what statements are planned from — the sharding rule, and the
+    /// feature configuration kept beside it — and invalidate every cached
+    /// plan, *before* the rule's write guard is released: a statement reads
+    /// the generation under the read guard, so it can never pair the new
+    /// configuration with the generation (and the plans) of the old one.
+    pub(crate) fn reconfigure<T>(&self, change: impl FnOnce(&mut ShardingRule) -> T) -> T {
+        let mut rule = self.rule.write();
+        let out = change(&mut rule);
+        self.plan_cache.bump_generation();
+        out
+    }
+
     /// Set the shadow rule (None disables the feature).
     pub fn set_shadow(&self, shadow: Option<ShadowRule>) {
-        *self.shadow.write() = shadow;
-        self.plan_cache.bump_generation();
+        self.reconfigure(|_| *self.shadow.write() = shadow);
     }
 
     pub fn set_encrypt(&self, encrypt: EncryptRule) {
-        *self.encrypt.write() = encrypt;
-        self.plan_cache.bump_generation();
+        self.reconfigure(|_| *self.encrypt.write() = encrypt);
     }
 
     pub fn add_rw_split(&self, rule: ReadWriteSplitRule) {
-        self.rw_split
-            .write()
-            .insert(rule.logical_name.clone(), rule);
-        self.plan_cache.bump_generation();
+        self.reconfigure(|_| {
+            self.rw_split
+                .write()
+                .insert(rule.logical_name.clone(), rule)
+        });
     }
 
     /// Cap the runtime's admitted statements per second (0 removes the cap).
@@ -318,14 +326,10 @@ impl ShardingRuntime {
         let nodes = rule.data_nodes.len();
         let column = rule.sharding_column.clone();
         let algo = rule.algorithm_type.clone();
-        {
-            let mut guard = self.rule.write();
-            let _ = guard.drop_table_rule(&logic);
-            guard.add_table_rule(rule)?;
-        }
-        // Mutate-then-bump: plans built from the old rule under the old
-        // generation are rejected on their next lookup.
-        self.plan_cache.bump_generation();
+        self.reconfigure(|rules| {
+            let _ = rules.drop_table_rule(&logic);
+            rules.add_table_rule(rule)
+        })?;
         self.registry.set(
             &format!("rules/sharding/{logic}"),
             format!("column={column}, type={algo}, nodes={nodes}"),
@@ -711,20 +715,21 @@ struct SessionTxn {
 
 /// A data statement after planning (steps 1–7): either resolved without
 /// touching shards, or ready to fan out.
-enum DataPlan {
+enum DataPlan<'a> {
     Immediate(ExecuteResult),
-    Execute(Box<PlannedExecution>),
+    Execute(Box<PlannedExecution<'a>>),
 }
 
 /// Everything the execute + merge stages need, detached from the planning
 /// borrows.
-struct PlannedExecution {
+struct PlannedExecution<'a> {
     inputs: Vec<ExecutionInput>,
-    info: DerivedInfo,
+    /// The merger's guidance, shared with the plan that keeps it.
+    info: Arc<DerivedInfo>,
     txn_bindings: Option<HashMap<String, TxnId>>,
     params: Arc<[Value]>,
     is_query: bool,
-    tables: Vec<String>,
+    tables: &'a [String],
     /// GSI reference-count ops applied before the base write (additions:
     /// a fault mid-write leaves at worst a stale entry, which over-routes
     /// but never hides a live row).
@@ -1141,8 +1146,8 @@ impl Session {
     /// Parse and execute one SQL statement. Parsing goes through the
     /// runtime's level-1 cache: repeat SQL text skips the parser entirely.
     pub fn execute_sql(&mut self, sql: &str, params: &[Value]) -> Result<ExecuteResult> {
-        let stmt = self.parse(sql)?;
-        let result = self.execute(&stmt, params);
+        let parsed = self.parse(sql)?;
+        let result = self.execute_parsed(&parsed, params);
         self.active = None;
         result
     }
@@ -1151,7 +1156,7 @@ impl Session {
     /// record here, so that parsing is its first stage; the statement
     /// wrapper adopts the record, and a statement the wrapper never sees
     /// (SET, SHOW, BEGIN, …) leaves it unused for the door to drop.
-    fn parse(&mut self, sql: &str) -> Result<Arc<Statement>> {
+    fn parse(&mut self, sql: &str) -> Result<Arc<ParsedStatement>> {
         self.active = self.records().map(|head| self.start_record(sql, head));
         let parsed = self.runtime.plan_cache.parse(sql);
         match &parsed {
@@ -1161,8 +1166,28 @@ impl Session {
         Ok(parsed?)
     }
 
+    /// Execute a parse-cache entry ([`SqlPlanCache::parse`]; what a prepared
+    /// statement holds): where `execute_sql` enters after its text lookup,
+    /// with what the entry already knows about its statement.
+    pub fn execute_parsed(
+        &mut self,
+        parsed: &ParsedStatement,
+        params: &[Value],
+    ) -> Result<ExecuteResult> {
+        self.dispatch(parsed, Some(&parsed.facts), params)
+    }
+
     /// Execute a parsed statement.
     pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<ExecuteResult> {
+        self.dispatch(stmt, None, params)
+    }
+
+    fn dispatch(
+        &mut self,
+        stmt: &Statement,
+        facts: Option<&StatementFacts>,
+        params: &[Value],
+    ) -> Result<ExecuteResult> {
         match stmt {
             Statement::DistSql(d) => crate::distsql::execute(self, d),
             Statement::Begin => {
@@ -1194,15 +1219,17 @@ impl Session {
                     rows,
                 )))
             }
-            _ => self.run_data_statement(stmt, params, true)?.into_result(),
+            _ => self
+                .run_data_statement(stmt, facts, params, true)?
+                .into_result(),
         }
     }
 
     /// Parse and execute one SQL statement, returning rows incrementally
     /// when the statement qualifies for the streaming pipeline.
     pub fn execute_sql_stream(&mut self, sql: &str, params: &[Value]) -> Result<StreamOutcome> {
-        let stmt = self.parse(sql)?;
-        let outcome = self.execute_stream(&stmt, params);
+        let parsed = self.parse(sql)?;
+        let outcome = self.stream(&parsed, Some(&parsed.facts), params);
         self.active = None;
         outcome
     }
@@ -1224,10 +1251,21 @@ impl Session {
     /// the executor admits (DESIGN.md §2 "The executor"). Everything else is
     /// collected and wrapped behind the same cursor interface.
     pub fn execute_stream(&mut self, stmt: &Statement, params: &[Value]) -> Result<StreamOutcome> {
+        self.stream(stmt, None, params)
+    }
+
+    fn stream(
+        &mut self,
+        stmt: &Statement,
+        facts: Option<&StatementFacts>,
+        params: &[Value],
+    ) -> Result<StreamOutcome> {
         if matches!(stmt, Statement::Select(_)) {
-            self.run_data_statement(stmt, params, false)
+            self.run_data_statement(stmt, facts, params, false)
         } else {
-            Ok(StreamOutcome::from_result(self.execute(stmt, params)?))
+            Ok(StreamOutcome::from_result(
+                self.dispatch(stmt, facts, params)?,
+            ))
         }
     }
 
@@ -1338,16 +1376,27 @@ impl Session {
     // -- the SQL engine pipeline ----------------------------------------------
 
     /// Plan a data statement and run it; `collect` is the one thing the two
-    /// front doors disagree on.
+    /// front doors disagree on. `facts` come with a statement out of the
+    /// parse cache; one handed in as a bare AST has them worked out here,
+    /// every time.
     fn run_data_statement(
         &mut self,
         stmt: &Statement,
+        facts: Option<&StatementFacts>,
         params: &[Value],
         collect: bool,
     ) -> Result<StreamOutcome> {
-        let is_read = stmt.category() == StatementCategory::Dql;
+        let worked_out;
+        let facts = match facts {
+            Some(facts) => facts,
+            None => {
+                worked_out = StatementFacts::of(stmt);
+                &worked_out
+            }
+        };
+        let is_read = facts.category == StatementCategory::Dql;
         self.observed(is_read, "<prepared statement>", |s, deadline| {
-            match s.plan_data_statement(stmt, params)? {
+            match s.plan_data_statement(stmt, facts, params)? {
                 DataPlan::Immediate(result) => Ok(StreamOutcome::from_result(result)),
                 DataPlan::Execute(plan) => s.run_planned(*plan, deadline, collect),
             }
@@ -1432,7 +1481,12 @@ impl Session {
 
     /// Steps 1–7 of the pipeline (features, route, rewrite, transaction
     /// binding).
-    fn plan_data_statement(&mut self, stmt: &Statement, params: &[Value]) -> Result<DataPlan> {
+    fn plan_data_statement<'a>(
+        &mut self,
+        stmt: &Statement,
+        facts: &'a StatementFacts,
+        params: &[Value],
+    ) -> Result<DataPlan<'a>> {
         // Traffic governance: the throttle admits or rejects up front.
         if let Some(throttle) = &*self.runtime.throttle.read() {
             if !throttle.acquire(std::time::Duration::from_millis(50)) {
@@ -1441,9 +1495,9 @@ impl Session {
                 ));
             }
         }
-        let category = stmt.category();
+        let category = facts.category;
         let is_query = category == StatementCategory::Dql;
-        let tables = stmt.table_names();
+        let tables = &facts.tables[..];
 
         // CREATE TABLE registers the logical schema (AutoTable relies on it).
         if let Statement::CreateTable(c) = stmt {
@@ -1469,7 +1523,7 @@ impl Session {
             loop {
                 let guard = DmlWriteGuard::enter(&self.runtime.dml_in_flight);
                 let job = if self.runtime.reshard.is_active() {
-                    self.runtime.reshard.live_job_for(&tables)
+                    self.runtime.reshard.live_job_for(tables)
                 } else {
                     None
                 };
@@ -1526,96 +1580,70 @@ impl Session {
         let stmt: &Statement = owned_stmt.as_ref().unwrap_or(stmt);
         let params: &[Value] = owned_params.as_deref().unwrap_or(params);
 
-        // 3. Route (with thread-local hints), through the route-plan cache.
-        // Hint-routed statements and feature-rewritten statements
-        // (encryption, key generation) bypass the cache; everything else
-        // looks up a plan by AST fingerprint and replays it, skipping
-        // condition extraction entirely on a hit.
+        // 3. Route: the statement's plan — out of the plan cache, or built
+        // now and kept there — resolved against this execution's
+        // parameters. A statement a feature patched (encryption, key
+        // generation) is planned as patched and its plan not kept; a shape
+        // that cannot be replayed (and any statement routed by a
+        // thread-local hint) is routed in full, and binds through a plan
+        // around that route.
         let hint = HintManager::current();
         let cache = &self.runtime.plan_cache;
-        let cacheable = cache.enabled()
-            && hint.is_empty()
-            && owned_stmt.is_none()
+        let replayable = hint.is_empty()
             && matches!(
                 stmt,
                 Statement::Select(_) | Statement::Update(_) | Statement::Delete(_)
             );
-        let mut route = {
-            let rule_guard = self.runtime.rule.read();
-            if cacheable {
-                let fingerprint = stmt.fingerprint();
-                // Generation is read under the rule guard so the plan we
-                // build from this snapshot is stored under a generation no
-                // newer than the snapshot (stale plans get rebuilt, never
-                // wrongly retained).
-                let generation = cache.generation();
-                let plan = match cache.lookup_plan(fingerprint, generation) {
-                    Some(plan) => plan,
-                    None => {
-                        let plan = Arc::new(CachedPlan {
-                            generation,
-                            kind: build_plan(stmt, &rule_guard),
-                        });
-                        cache.store_plan(fingerprint, Arc::clone(&plan));
-                        plan
-                    }
-                };
-                match &plan.kind {
-                    PlanKind::Static(result) => result.clone(),
-                    PlanKind::Sharded {
-                        logic_table,
-                        template,
-                    } => execute_sharded_plan(&rule_guard, logic_table, template, params)?,
-                    PlanKind::Uncacheable => {
-                        RouteEngine::new(&rule_guard, &hint).route(stmt, params)?
-                    }
+        let (mut plan, mut nodes) = {
+            let rule = self.runtime.rule.read();
+            let mut replayed = None;
+            if replayable {
+                let keep = owned_stmt.is_none() && cache.enabled();
+                let fingerprint = keep.then(|| facts.fingerprint(stmt));
+                // The generation is read under the rule guard, and whoever
+                // changes the rule bumps it before releasing the write guard:
+                // the plans found under this generation were built from this
+                // rule.
+                let plan = cache.plan_for(fingerprint, cache.generation(), || plan(&rule, stmt));
+                replayed = plan.resolve(params)?.map(|nodes| (plan, nodes));
+            }
+            match replayed {
+                Some(replayed) => replayed,
+                None => {
+                    let route = RouteEngine::new(&rule, &hint).route(stmt, params)?;
+                    let nodes = (0..route.units.len()).collect();
+                    (Arc::new(Plan::routed(route)), nodes)
                 }
-            } else {
-                RouteEngine::new(&rule_guard, &hint).route(stmt, params)?
             }
         };
 
         // 3.5 Feature: global secondary index. An equality/IN predicate on
         // an indexed non-shard-key column resolves to owning shard keys via
-        // the hidden mapping, replacing the scatter with a route to the few
-        // shards that hold the rows.
+        // the hidden mapping, replacing the scatter with the few nodes that
+        // hold the rows.
         let mut index_routed = false;
-        if route.units.len() > 1 && !self.runtime.gsi.is_empty() {
-            if let Some(mut units) = self.gsi_narrow_route(stmt, params) {
-                if units.is_empty() && is_query {
+        if nodes.len() > 1 && !self.runtime.gsi.is_empty() {
+            if let Some((space, mut narrowed)) = self.gsi_narrow_route(stmt, params, &plan) {
+                if narrowed.is_empty() && is_query {
                     // The index proves no shard holds the value: one node of
                     // the scatter still answers, so the client gets a
                     // correctly shaped result — the header, an aggregate's
                     // one row — as the router arranges for contradictory
                     // conditions.
-                    units.extend(route.units.first().cloned());
+                    narrowed.push(if Arc::ptr_eq(&space, &plan) {
+                        nodes[0]
+                    } else {
+                        0
+                    });
                 }
-                route.kind = if units.len() <= 1 {
-                    RouteKind::Single
-                } else {
-                    RouteKind::Standard
-                };
-                route.units = units;
+                (plan, nodes) = (space, narrowed);
                 index_routed = true;
             }
         }
 
-        // 4. Feature: shadow re-targeting (applied per execution, on the
-        // cloned route, so cached plans stay shadow-correct).
-        if let Some(shadow) = &*self.runtime.shadow.read() {
-            if shadow.is_shadow_statement(stmt, params) {
-                shadow.apply(&mut route);
-            }
-        }
-
-        // 5. Feature: read-write splitting (reads outside transactions go to
-        // replicas; reads route around open circuit breakers).
-        self.apply_rw_split(&mut route, is_query)?;
-
-        // The routing stage ends here (features that pick the target are
-        // part of deciding *where* the statement goes). Fan-out is sampled
-        // for routed DML/queries only — DDL broadcasts would drown the
-        // distribution the optimizer work is judged by.
+        // The routing stage ends here. Fan-out is sampled for routed
+        // DML/queries only — DDL broadcasts would drown the distribution the
+        // optimizer work is judged by.
         self.stage(Stage::Route);
         if self.runtime.metrics.on()
             && matches!(category, StatementCategory::Dql | StatementCategory::Dml)
@@ -1623,14 +1651,14 @@ impl Session {
             self.runtime
                 .metrics
                 .route_fanout
-                .record_us(route.units.len() as u64);
+                .record_us(nodes.len() as u64);
         }
 
         // The routing-intelligence verdict `EXPLAIN ANALYZE` reports.
         let agg_pushdown = self.runtime.agg_pushdown();
         let strategy = if index_routed {
             RouteStrategy::IndexRoute
-        } else if route.units.len() <= 1 {
+        } else if nodes.len() <= 1 {
             RouteStrategy::Colocated
         } else if agg_pushdown
             && matches!(stmt, Statement::Select(s) if s.has_aggregates() || !s.group_by.is_empty())
@@ -1645,12 +1673,12 @@ impl Session {
             // EXPLAIN-visible migration state: tag statements that touch a
             // mid-reshard table with the job's current phase.
             if self.runtime.reshard.is_active() {
-                let job = self.runtime.reshard.live_job_for(&tables);
+                let job = self.runtime.reshard.live_job_for(tables);
                 t.verdicts.reshard_state = job.map(|job| job.phase().as_str());
             }
         }
 
-        if route.units.is_empty() {
+        if nodes.is_empty() {
             // Nothing to send anywhere — a write whose GSI lookup proves no
             // shard holds the value (a query keeps one unit for its shape,
             // step 3.5; so does the router on contradictory conditions).
@@ -1662,24 +1690,39 @@ impl Session {
             }));
         }
 
+        // 4. Rewrite: bind the plan to the chosen nodes — on a warm plan,
+        // shared units and statements out of its memo.
+        let Bound { mut inputs, info } = plan.bind(stmt, params, &nodes, agg_pushdown)?;
+
+        // 5. Features that pick another target for a unit, per execution and
+        // on this execution's inputs, so that what the plan keeps stays
+        // neutral: shadow re-targeting, then read-write splitting (reads
+        // outside transactions go to replicas; reads route around open
+        // circuit breakers).
+        if let Some(shadow) = &*self.runtime.shadow.read() {
+            if shadow.is_shadow_statement(stmt, params) {
+                for input in &mut inputs {
+                    shadow.retarget(&mut input.unit);
+                }
+            }
+        }
+        self.apply_rw_split(&mut inputs, is_query)?;
+
         // 5.5 Feature: GSI maintenance. Writes against indexed tables
         // compute their reference-count deltas now — pre-images must be
         // read before the base write mutates them.
         let (gsi_pre, gsi_post) = if self.runtime.gsi.is_empty() {
             (Vec::new(), Vec::new())
         } else {
-            self.gsi_maintenance_ops(stmt, &route, params)?
+            self.gsi_maintenance_ops(stmt, &inputs, params)?
         };
-
-        // 6. Rewrite: derive once, then per unit.
-        let (inputs, info) = rewrite_route(stmt, &route, params, agg_pushdown)?;
 
         // Scan-mode verdict for `EXPLAIN ANALYZE`: judged on the rewritten
         // per-shard statement (what storage actually sees) with the same
         // admission predicate the engines use, so the tag cannot drift from
         // the path taken.
         if let Some(t) = self.active.as_mut() {
-            t.verdicts.scan_mode = inputs.first().and_then(|i| match &i.stmt {
+            t.verdicts.scan_mode = inputs.first().and_then(|i| match &*i.stmt {
                 Statement::Select(s) if batch_admissible(s) => Some("batch"),
                 Statement::Select(_) => Some("row"),
                 _ => None,
@@ -1704,7 +1747,7 @@ impl Session {
         };
 
         // 7. Transactions: bind branches / capture BASE compensation.
-        let txn_bindings = self.prepare_transaction_branches(&route, &inputs, params)?;
+        let txn_bindings = self.prepare_transaction_branches(&inputs, params)?;
         self.stage(Stage::Rewrite);
 
         Ok(DataPlan::Execute(Box::new(PlannedExecution {
@@ -1728,7 +1771,7 @@ impl Session {
     /// runs as the consumer pulls rows and closes with the stream.
     fn run_planned(
         &mut self,
-        mut plan: PlannedExecution,
+        mut plan: PlannedExecution<'_>,
         deadline: Option<Instant>,
         collect: bool,
     ) -> Result<StreamOutcome> {
@@ -1810,7 +1853,7 @@ impl Session {
             self.runtime
                 .encrypt
                 .read()
-                .decrypt_result(&mut merged, &plan.tables);
+                .decrypt_result(&mut merged, plan.tables);
             self.stage(Stage::Merge);
             if self.runtime.metrics.on() {
                 self.runtime.metrics.merge_rows.add(merged.len() as u64);
@@ -1860,15 +1903,15 @@ impl Session {
         Some(key_col)
     }
 
-    fn apply_rw_split(&self, route: &mut RouteResult, is_query: bool) -> Result<()> {
+    fn apply_rw_split(&self, inputs: &mut [ExecutionInput], is_query: bool) -> Result<()> {
         let rw = self.runtime.rw_split.read();
         if rw.is_empty() {
             return Ok(());
         }
         let in_txn = self.txn.is_some();
         let datasources = self.runtime.datasource_snapshot();
-        for unit in &mut route.units {
-            if let Some(group) = rw.get(&unit.datasource) {
+        for input in inputs {
+            if let Some(group) = rw.get(&input.unit.datasource) {
                 let target = if is_query && !in_txn {
                     // Route around disabled sources and open breakers; an
                     // unknown name is left for the executor to reject.
@@ -1885,7 +1928,7 @@ impl Session {
                 } else {
                     group.route_write()
                 };
-                unit.datasource = target.to_string();
+                input.unit = Arc::new(input.unit.on(target));
             }
         }
         Ok(())
@@ -1897,7 +1940,6 @@ impl Session {
     /// auto-commit).
     fn prepare_transaction_branches(
         &mut self,
-        route: &RouteResult,
         inputs: &[ExecutionInput],
         params: &[Value],
     ) -> Result<Option<HashMap<String, TxnId>>> {
@@ -1907,23 +1949,22 @@ impl Session {
         match txn.txn_type {
             TransactionType::Local | TransactionType::Xa => {
                 let mut bindings = HashMap::new();
-                for ds_name in route.datasources() {
-                    let entry = txn.branches.entry(ds_name.clone());
-                    let (engine, branch) = match entry {
-                        std::collections::hash_map::Entry::Occupied(o) => {
-                            let (e, t) = o.get();
-                            (Arc::clone(e), *t)
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let ds = self.runtime.datasource(&ds_name)?;
+                for input in inputs {
+                    let ds_name = &input.unit.datasource;
+                    if bindings.contains_key(ds_name) {
+                        continue;
+                    }
+                    let branch = match txn.branches.get(ds_name) {
+                        Some((_, branch)) => *branch,
+                        None => {
+                            let ds = self.runtime.datasource(ds_name)?;
                             let engine = Arc::clone(ds.engine());
                             let branch = engine.begin();
-                            v.insert((Arc::clone(&engine), branch));
-                            (engine, branch)
+                            txn.branches.insert(ds_name.clone(), (engine, branch));
+                            branch
                         }
                     };
-                    let _ = engine;
-                    bindings.insert(ds_name, branch);
+                    bindings.insert(ds_name.clone(), branch);
                 }
                 Ok(Some(bindings))
             }
@@ -1963,9 +2004,18 @@ impl Session {
     /// Try to narrow a multi-unit route through a global secondary index:
     /// an equality/IN predicate on an indexed column resolves to shard-key
     /// values via the hidden mapping, and the statement re-routes to the
-    /// owning shards only. Every failure path returns `None` — the index is
-    /// an optimization, the scatter route stays correct without it.
-    fn gsi_narrow_route(&self, stmt: &Statement, params: &[Value]) -> Option<Vec<RouteUnit>> {
+    /// owning nodes only. The nodes come back as ordinals together with the
+    /// plan that binds them: the statement's own when it already is in the
+    /// table's node space — so a narrowed execution reuses what the plan
+    /// keeps for those nodes — and one over the table as it is now
+    /// otherwise. Every failure path returns `None` — the index is an
+    /// optimization, the scatter route stays correct without it.
+    fn gsi_narrow_route(
+        &self,
+        stmt: &Statement,
+        params: &[Value],
+        plan: &Arc<Plan>,
+    ) -> Option<(Arc<Plan>, Vec<usize>)> {
         let (table, where_clause) = match stmt {
             Statement::Select(s) if s.joins.is_empty() => {
                 (s.from.as_ref()?.name.as_str(), s.where_clause.as_ref()?)
@@ -1982,26 +2032,31 @@ impl Session {
             if metrics.on() {
                 metrics.gsi_lookups.inc();
             }
-            let Some(units) = self.gsi_lookup_units(table, &index, &values) else {
-                return None; // lookup failed: degrade to the scatter route
+            let space = match plan.table_rule() {
+                Some(_) => Arc::clone(plan),
+                None => {
+                    let rule = self.runtime.rule.read();
+                    Arc::new(Plan::over_table(Arc::clone(rule.shared_table_rule(table)?)))
+                }
             };
+            // A failed lookup degrades to the scatter route.
+            let nodes = self.gsi_lookup_nodes(space.table_rule()?, &index, &values)?;
             if metrics.on() {
                 metrics.gsi_hits.inc();
             }
-            return Some(units);
+            return Some((space, nodes));
         }
         None
     }
 
-    /// Resolve index values to route units via the hidden mapping table.
-    fn gsi_lookup_units(
+    /// Resolve index values to the ordinals of the data nodes that hold
+    /// them, via the hidden mapping table.
+    fn gsi_lookup_nodes(
         &self,
-        table: &str,
+        rule: &TableRule,
         index: &GlobalIndex,
         values: &[Value],
-    ) -> Option<Vec<RouteUnit>> {
-        let rule_guard = self.runtime.rule.read();
-        let rule = rule_guard.table_rule(table)?;
+    ) -> Option<Vec<usize>> {
         let mut shard_vals: Vec<Value> = Vec::new();
         for v in values {
             let ds_name = index.entry_datasource(v);
@@ -2026,15 +2081,12 @@ impl Session {
                 }
             }
         }
-        let mut units: Vec<RouteUnit> = Vec::new();
-        for sv in &shard_vals {
-            let node = rule.route_exact(sv).ok()?;
-            let unit = RouteUnit::new(&node.datasource).with_mapping(table, &node.table);
-            if !units.contains(&unit) {
-                units.push(unit);
-            }
+        if shard_vals.is_empty() {
+            // No shard holds the value (an empty condition would read as a
+            // contradiction and keep one node).
+            return Some(Vec::new());
         }
-        Some(units)
+        ordinals_for_condition(rule, &ShardingCondition::Exact(shard_vals)).ok()
     }
 
     /// Reference-count deltas a write statement owes the hidden mapping
@@ -2042,7 +2094,7 @@ impl Session {
     fn gsi_maintenance_ops(
         &self,
         stmt: &Statement,
-        route: &RouteResult,
+        inputs: &[ExecutionInput],
         params: &[Value],
     ) -> Result<(Vec<GsiMaintOp>, Vec<GsiMaintOp>)> {
         let mut pre = Vec::new();
@@ -2112,7 +2164,7 @@ impl Session {
                 };
                 for index in &indexes {
                     let rows = self.gsi_preimage(
-                        route,
+                        inputs,
                         del.table.as_str(),
                         del.alias.as_deref(),
                         &index.column,
@@ -2173,7 +2225,7 @@ impl Session {
                             ))
                         })?;
                     let rows = self.gsi_preimage(
-                        route,
+                        inputs,
                         up.table.as_str(),
                         up.alias.as_deref(),
                         &index.column,
@@ -2210,11 +2262,11 @@ impl Session {
     }
 
     /// Pre-image `(indexed value, shard-key value)` pairs of the rows a
-    /// write is about to touch, read through the statement's own route.
+    /// write is about to touch, read on the statement's own units.
     #[allow(clippy::too_many_arguments)]
     fn gsi_preimage(
         &self,
-        route: &RouteResult,
+        inputs: &[ExecutionInput],
         table: &str,
         alias: Option<&str>,
         idx_col: &str,
@@ -2223,7 +2275,7 @@ impl Session {
         params: &[Value],
     ) -> Result<Vec<(Value, Value)>> {
         use shard_sql::ast::{ObjectName, SelectItem, SelectStatement, TableRef};
-        let select = SelectStatement {
+        let select = Statement::Select(SelectStatement {
             distinct: false,
             projection: vec![
                 SelectItem::Expr {
@@ -2246,11 +2298,12 @@ impl Session {
             order_by: Vec::new(),
             limit: None,
             for_update: false,
-        };
+        });
+        let units = inputs.iter().map(|input| Arc::clone(&input.unit));
+        let route = RouteResult::new(RouteKind::Standard, units);
+        let bound = Plan::bind_routed(route, &select, params, self.runtime.agg_pushdown())?;
         let mut out = Vec::new();
-        for unit in &route.units {
-            let mut stmt = Statement::Select(select.clone());
-            crate::rewrite::rewrite_identifiers(&mut stmt, unit);
+        for ExecutionInput { unit, stmt } in bound.inputs {
             let ds = self.runtime.datasource(&unit.datasource)?;
             let txn = self
                 .txn

@@ -25,6 +25,7 @@
 //! assert_eq!(rows.rows[0][0], Value::Str("ann".into()));
 //! ```
 
+use shard_core::cache::ParsedStatement;
 pub use shard_core::{
     Incident, IncidentKind, QueryStream, StatementTrace, StreamOutcome, TraceRecord,
 };
@@ -251,14 +252,15 @@ impl Connection {
 
 /// A parsed statement bound to no particular connection (JDBC
 /// PreparedStatement analogue: parse once, execute many with fresh params).
-/// Holds an `Arc` into the runtime's parse cache.
+/// Holds the runtime's parse-cache entry, so an execution starts where
+/// executing the text would after finding it there.
 pub struct PreparedStatement {
-    stmt: Arc<Statement>,
+    stmt: Arc<ParsedStatement>,
 }
 
 impl PreparedStatement {
     pub fn execute(&self, conn: &mut Connection, params: &[Value]) -> Result<ExecuteResult> {
-        conn.execute_statement(&self.stmt, params)
+        conn.session.execute_parsed(&self.stmt, params)
     }
 
     pub fn query(&self, conn: &mut Connection, params: &[Value]) -> Result<ResultSet> {

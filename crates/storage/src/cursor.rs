@@ -31,7 +31,7 @@
 
 use crate::batch::{batch_admissible, BatchGroupedState, BatchSource};
 use crate::engine::StorageEngine;
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::eval::{eval_predicate, EvalContext, Scope};
 use crate::exec_select::{
     access_path, index_order, needs_grouping, project_row, projection_columns, resolve_limit,
@@ -307,12 +307,38 @@ impl RowScan {
 /// sharding kernel's streaming executor pulls from.
 pub struct QueryCursor {
     run: SelectRun,
-    stmt: SelectStatement,
+    stmt: SharedSelect,
     params: Arc<[Value]>,
 }
 
+/// A statement known to be a SELECT, shared with whoever planned it.
+pub(crate) struct SharedSelect(Arc<Statement>);
+
+impl SharedSelect {
+    pub(crate) fn new(stmt: Arc<Statement>) -> Result<Self> {
+        match &*stmt {
+            Statement::Select(_) => Ok(SharedSelect(stmt)),
+            other => Err(StorageError::Execution(format!(
+                "a cursor opens over a SELECT, not {:?}",
+                other.category()
+            ))),
+        }
+    }
+}
+
+impl std::ops::Deref for SharedSelect {
+    type Target = SelectStatement;
+
+    fn deref(&self) -> &SelectStatement {
+        match &*self.0 {
+            Statement::Select(select) => select,
+            _ => unreachable!("`SharedSelect::new` admits SELECTs only"),
+        }
+    }
+}
+
 impl QueryCursor {
-    pub(crate) fn new(run: SelectRun, stmt: SelectStatement, params: Arc<[Value]>) -> Self {
+    pub(crate) fn new(run: SelectRun, stmt: SharedSelect, params: Arc<[Value]>) -> Self {
         QueryCursor { run, stmt, params }
     }
 
@@ -413,11 +439,11 @@ mod tests {
         leaf: Leaf,
     ) -> Vec<Vec<Value>> {
         let stmt = select(sql);
-        let whole = Statement::Select(stmt.clone());
+        let whole = Arc::new(Statement::Select(stmt.clone()));
         let counters = || (e.rows_pulled(), e.scan_batches());
         let delta = |before: (u64, u64)| (e.rows_pulled() - before.0, e.scan_batches() - before.1);
         let drain = || -> crate::error::Result<_> {
-            let cursor = e.open_cursor(stmt.clone(), params.into(), None)?;
+            let cursor = e.open_cursor(Arc::clone(&whole), params.into(), None)?;
             let served_by = match (cursor.is_streaming(), cursor.is_batch()) {
                 (false, _) => Leaf::General,
                 (true, false) => Leaf::Row,
@@ -496,9 +522,11 @@ mod tests {
     #[test]
     fn limit_stops_pulling_early() {
         let e = engine_with_rows(200);
-        let stmt = select("SELECT id FROM t ORDER BY id LIMIT 3, 5");
+        let stmt = Arc::new(Statement::Select(select(
+            "SELECT id FROM t ORDER BY id LIMIT 3, 5",
+        )));
         let before = e.rows_pulled();
-        let mut cursor = e.open_cursor(stmt.clone(), [].into(), None).unwrap();
+        let mut cursor = e.open_cursor(Arc::clone(&stmt), [].into(), None).unwrap();
         assert!(cursor.is_streaming());
         let mut n = 0;
         while cursor.next_row().unwrap().is_some() {
@@ -509,7 +537,7 @@ mod tests {
         assert!(pulled <= 8, "cursor pulled {pulled} rows for LIMIT 3, 5");
 
         let before = e.rows_pulled();
-        let rs = e.execute(&Statement::Select(stmt), &[], None).unwrap();
+        let rs = e.execute(&stmt, &[], None).unwrap();
         assert_eq!(rs.query().len(), 5);
         let pulled = e.rows_pulled() - before;
         assert!(pulled <= 8, "execute pulled {pulled} rows for LIMIT 3, 5");
@@ -709,7 +737,7 @@ mod tests {
     #[test]
     fn snapshot_scan_still_sees_rows_deleted_mid_scan() {
         let e = engine_with_rows(10);
-        let stmt = select("SELECT id FROM t ORDER BY id");
+        let stmt = Arc::new(Statement::Select(select("SELECT id FROM t ORDER BY id")));
         let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
         assert_eq!(cursor.next_row().unwrap(), Some(vec![Value::Int(0)]));
         e.execute_sql("DELETE FROM t WHERE id = 1", &[], None)
@@ -726,7 +754,8 @@ mod tests {
         e.execute_sql("DELETE FROM t WHERE id = 1", &[], Some(writer))
             .unwrap();
         let ids = |sql: &str, txn| -> Vec<Value> {
-            let cursor = e.open_cursor(select(sql), [].into(), txn).unwrap();
+            let stmt = Arc::new(Statement::Select(select(sql)));
+            let cursor = e.open_cursor(stmt, [].into(), txn).unwrap();
             cursor.map(|r| r.unwrap().remove(0)).collect()
         };
         // A snapshot read does not see the uncommitted delete ...

@@ -10,7 +10,7 @@
 //! - a [`LatencyModel`] charging simulated network cost per request,
 //! - fault injection hooks for failure testing.
 
-use crate::cursor::{QueryCursor, SelectHooks, SelectRun};
+use crate::cursor::{QueryCursor, SelectHooks, SelectRun, SharedSelect};
 use crate::error::{Result, StorageError};
 use crate::eval::{eval, eval_predicate, EvalContext, Scope};
 use crate::exec_select::{execute_select, Catalog};
@@ -579,12 +579,15 @@ impl StorageEngine {
     /// Open a pull-based cursor for a SELECT: the same pipeline `execute`
     /// collects, wrapped with the statement and parameters it borrows on
     /// every pull, so rows leave the engine as the consumer asks for them.
+    /// Both are shared, not copied: a caller that planned the statement once
+    /// hands every cursor the same one.
     pub fn open_cursor(
         &self,
-        stmt: SelectStatement,
+        stmt: Arc<Statement>,
         params: Arc<[Value]>,
         txn: Option<TxnId>,
     ) -> Result<QueryCursor> {
+        let stmt = SharedSelect::new(stmt)?;
         let span = crate::probe::begin();
         // The server slot covers only cursor open: a cursor is
         // consumer-paced and must not occupy a worker for its lifetime.

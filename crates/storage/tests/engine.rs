@@ -1,7 +1,7 @@
 //! Integration tests for the storage engine: SQL execution, transactions,
 //! XA, WAL recovery and fault injection.
 
-use shard_sql::{parse_statement, Statement, Value};
+use shard_sql::{parse_statement, Value};
 use shard_storage::{LatencyModel, SharedLog, StorageEngine, StorageError, TxnId};
 use std::time::{Duration, Instant};
 
@@ -485,11 +485,9 @@ fn through_both_doors(
     sql: &str,
     txn: Option<TxnId>,
 ) -> [(Vec<Vec<Value>>, Duration); 2] {
-    let Statement::Select(stmt) = parse_statement(sql).unwrap() else {
-        panic!("not a SELECT: {sql}");
-    };
+    let stmt = std::sync::Arc::new(parse_statement(sql).unwrap());
     let start = Instant::now();
-    let collected = ds.execute(&Statement::Select(stmt.clone()), &[], txn);
+    let collected = ds.execute(&stmt, &[], txn);
     let collected = (collected.unwrap().query().rows, start.elapsed());
     let start = Instant::now();
     let cursor = ds.open_cursor(stmt, [].into(), txn).unwrap();

@@ -97,13 +97,10 @@ fn snapshot_scan_never_sees_later_commits() {
             )
             .unwrap();
         }
-        let stmt = match shardingsphere_rs::sql::parse_statement("SELECT id, v FROM t ORDER BY id")
-            .unwrap()
-        {
-            shardingsphere_rs::sql::ast::Statement::Select(s) => s,
-            other => panic!("not a select: {other:?}"),
-        };
-        let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
+        let stmt = shardingsphere_rs::sql::parse_statement("SELECT id, v FROM t ORDER BY id");
+        let mut cursor = e
+            .open_cursor(Arc::new(stmt.unwrap()), [].into(), None)
+            .unwrap();
         assert!(cursor.is_streaming());
         // Pull a few rows, then rewrite the table under the open cursor.
         for i in 0..10 {
@@ -383,11 +380,8 @@ fn vacuum_reclaims_dead_versions_and_reports_gauges() {
 
         // A live snapshot pins its versions: vacuum may not reclaim what an
         // open cursor can still reach.
-        let stmt = match shardingsphere_rs::sql::parse_statement("SELECT v FROM t").unwrap() {
-            shardingsphere_rs::sql::ast::Statement::Select(s) => s,
-            other => panic!("not a select: {other:?}"),
-        };
-        let mut cursor = e.open_cursor(stmt, [].into(), None).unwrap();
+        let stmt = shardingsphere_rs::sql::parse_statement("SELECT v FROM t").unwrap();
+        let mut cursor = e.open_cursor(Arc::new(stmt), [].into(), None).unwrap();
         e.execute_sql("UPDATE t SET v = 21 WHERE id = 1", &[], None)
             .unwrap();
         assert_eq!(e.vacuum(), 0, "open snapshot must pin the old version");

@@ -228,7 +228,10 @@ fn scenario_under_fire() {
     };
 
     // Writer: inserts at ids ≥ 1000 (outside the reader's range) for the
-    // whole run. Every accepted write must survive the cutover exactly once.
+    // whole run, each row then set to its final value by an UPDATE — a
+    // shape whose plan is warm long before catch-up, so the dual-write
+    // mirror of a replayed plan is what keeps the new layout in step. Every
+    // accepted write must survive the cutover exactly once.
     let written = Arc::new(AtomicU64::new(0));
     let writer = {
         let rt = Arc::clone(&runtime);
@@ -239,11 +242,23 @@ fn scenario_under_fire() {
             let mut i = 0i64;
             while !done.load(Ordering::SeqCst) {
                 let id = 1000 + i;
-                s.execute_sql(
-                    "INSERT INTO t (id, v) VALUES (?, ?)",
-                    &[Value::Int(id), Value::Int(id)],
-                )
-                .unwrap_or_else(|e| panic!("write {id} failed during reshard: {e}"));
+                let statements = [
+                    (
+                        "INSERT INTO t (id, v) VALUES (?, ?)",
+                        [Value::Int(id), Value::Int(0)],
+                    ),
+                    (
+                        "UPDATE t SET v = ? WHERE id = ?",
+                        [Value::Int(id), Value::Int(id)],
+                    ),
+                ];
+                for (sql, params) in statements {
+                    let affected = s
+                        .execute_sql(sql, &params)
+                        .unwrap_or_else(|e| panic!("write {id} failed during reshard: {e}"))
+                        .affected();
+                    assert_eq!(affected, 1, "{sql} {id}");
+                }
                 written.fetch_add(1, Ordering::SeqCst);
                 i += 1;
                 std::thread::sleep(Duration::from_millis(5));
