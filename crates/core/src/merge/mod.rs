@@ -18,7 +18,9 @@ pub use stream::{merge_stream, MergedStream};
 
 use crate::error::{KernelError, Result};
 use crate::rewrite::DerivedInfo;
+use shard_sql::Value;
 use shard_storage::ResultSet;
+use std::sync::Arc;
 
 /// Which merge strategy handled the query (diagnostics / tests / benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,9 +37,10 @@ pub enum MergerKind {
     RawAggregate,
 }
 
-/// Merge shard results according to the rewrite guidance.
+/// Merge shard results according to the rewrite guidance, for a statement
+/// that binds no parameters.
 pub fn merge(results: Vec<ResultSet>, info: &DerivedInfo) -> Result<ResultSet> {
-    Ok(merge_explain(results, info)?.0)
+    Ok(merge_explain(results, info, &Arc::default())?.0)
 }
 
 /// Like [`merge`] but also reports which strategy was used. The merger is
@@ -46,6 +49,7 @@ pub fn merge(results: Vec<ResultSet>, info: &DerivedInfo) -> Result<ResultSet> {
 pub fn merge_explain(
     mut results: Vec<ResultSet>,
     info: &DerivedInfo,
+    params: &Arc<[Value]>,
 ) -> Result<(ResultSet, MergerKind)> {
     if results.len() == 1 && !info.is_grouped() && info.derived_columns == 0 {
         // One shard answered and there is nothing to strip: its result is
@@ -54,7 +58,7 @@ pub fn merge_explain(
         let only = results.pop().expect("one result");
         return Ok((only, MergerKind::PassThrough));
     }
-    let merged = stream::merge_results(results, info)?;
+    let merged = stream::merge_results(results, info, params)?;
     let kind = merged.kind();
     Ok((merged.into_result_set()?, kind))
 }
@@ -105,6 +109,7 @@ mod tests {
                 rs(&["v"], vec![vec![Value::Int(2)]]),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(kind, MergerKind::Iteration);
@@ -120,6 +125,7 @@ mod tests {
                 rs(&["v"], vec![vec![Value::Int(2)]]),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(kind, MergerKind::OrderByStream);
@@ -147,6 +153,7 @@ mod tests {
                 ),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(kind, MergerKind::GroupByStream);
@@ -173,6 +180,7 @@ mod tests {
                 ),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(kind, MergerKind::GroupByMemory);
@@ -189,8 +197,12 @@ mod tests {
                 vec![vec![Value::Float(avg), Value::Int(sum), Value::Int(count)]],
             )
         };
-        let (out, kind) =
-            merge_explain(vec![shard(10.0, 10, 1), shard(2.0 / 3.0, 2, 3)], &info).unwrap();
+        let (out, kind) = merge_explain(
+            vec![shard(10.0, 10, 1), shard(2.0 / 3.0, 2, 3)],
+            &info,
+            &Arc::default(),
+        )
+        .unwrap();
         assert_eq!(kind, MergerKind::SingleGroup);
         // derived columns stripped: only AVG remains
         assert_eq!(out.columns, vec!["AVG(score)"]);
@@ -216,6 +228,7 @@ mod tests {
                 ),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         // a: 3 > 2 kept; b: 1 filtered. Derived column stripped.
@@ -233,6 +246,7 @@ mod tests {
                 rs(&["v"], vec![vec![Value::Int(2)], vec![Value::Int(4)]]),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         let got: Vec<i64> = out.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
@@ -248,6 +262,7 @@ mod tests {
                 rs(&["v"], vec![vec![Value::Int(1)]]),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(out.rows.len(), 2);
@@ -256,7 +271,7 @@ mod tests {
     #[test]
     fn empty_results() {
         let info = info_for("SELECT v FROM t");
-        let (out, _) = merge_explain(vec![], &info).unwrap();
+        let (out, _) = merge_explain(vec![], &info, &Arc::default()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -275,6 +290,7 @@ mod tests {
                 ),
             ],
             &info,
+            &Arc::default(),
         )
         .unwrap();
         assert_eq!(out.columns, vec!["oid"]);

@@ -134,6 +134,8 @@ struct HavingFilter {
     expr: Expr,
     scope: Scope,
     agg_positions: Vec<(String, usize)>,
+    /// The statement's parameters: HAVING may compare against a placeholder.
+    params: Arc<[Value]>,
 }
 
 impl HavingFilter {
@@ -143,7 +145,7 @@ impl HavingFilter {
             .iter()
             .map(|(text, p)| (text.clone(), row[*p].clone()))
             .collect();
-        let mut ctx = EvalContext::new(&self.scope, row, &[]);
+        let mut ctx = EvalContext::new(&self.scope, row, &self.params);
         ctx.aggregates = Some(&aggs);
         eval_predicate(&self.expr, &ctx)
             .map_err(|e| KernelError::Merge(format!("HAVING evaluation failed: {e}")))
@@ -259,10 +261,12 @@ fn take_error(slot: Option<&ErrorSlot>) -> Option<KernelError> {
     slot.and_then(|slot| slot.lock().take())
 }
 
-/// Build the merged stream over live shard streams.
+/// Build the merged stream over live shard streams. `params` are the
+/// statement's, for a placeholder in HAVING.
 pub fn merge_stream(
     streams: Vec<RowStream>,
     info: &DerivedInfo,
+    params: &Arc<[Value]>,
     cancel: CancelToken,
 ) -> Result<MergedStream> {
     let error: ErrorSlot = Arc::new(Mutex::new(None));
@@ -281,7 +285,7 @@ pub fn merge_stream(
             cancel: cancel.clone(),
         })
         .collect();
-    build(shape, adapters, info, Some(error), cancel)
+    build(shape, adapters, info, params, Some(error), cancel)
 }
 
 /// Build the merged stream over buffered shard results: the same merger,
@@ -289,6 +293,7 @@ pub fn merge_stream(
 pub(crate) fn merge_results(
     mut results: Vec<ResultSet>,
     info: &DerivedInfo,
+    params: &Arc<[Value]>,
 ) -> Result<MergedStream> {
     let shape = results
         .iter_mut()
@@ -297,7 +302,7 @@ pub(crate) fn merge_results(
         .map(std::mem::take)
         .unwrap_or_default();
     let cursors = results.into_iter().map(|r| r.rows.into_iter()).collect();
-    build(shape, cursors, info, None, CancelToken::new())
+    build(shape, cursors, info, params, None, CancelToken::new())
 }
 
 /// Select the merge strategy from the rewrite guidance and wrap it in the
@@ -307,6 +312,7 @@ fn build<C>(
     shape: Vec<String>,
     mut cursors: Vec<C>,
     info: &DerivedInfo,
+    params: &Arc<[Value]>,
     error: Option<ErrorSlot>,
     cancel: CancelToken,
 ) -> Result<MergedStream>
@@ -356,6 +362,7 @@ where
                         .map(|p| (a.call_text.clone(), p))
                 })
                 .collect(),
+            params: Arc::clone(params),
         });
         (merged.offset_left, merged.limit_left) = info.limit.unwrap_or((0, None));
     }

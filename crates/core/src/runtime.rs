@@ -482,6 +482,13 @@ fn register_runtime_gauges(runtime: &Arc<ShardingRuntime>) {
     engine_sum(
         &registry,
         runtime,
+        "storage_fetch_steps_total",
+        "row chains the scan leaves visited to fetch the rows pulled",
+        |e| e.fetch_steps(),
+    );
+    engine_sum(
+        &registry,
+        runtime,
         "scan_batches_total",
         "columnar batches fetched by the vectorized scan path",
         |e| e.scan_batches(),
@@ -1789,6 +1796,9 @@ impl Session {
         // snapshot of the topology (no per-statement map clone).
         let datasources = self.runtime.datasource_snapshot();
         let (inputs, params) = (plan.inputs, plan.params);
+        // The merger reads them too (a placeholder in HAVING), after the
+        // executor call has consumed this handle.
+        let merge_params = Arc::clone(&params);
         let txns = plan.txn_bindings.as_ref();
         // Two things only the session knows keep a SELECT collected: an open
         // transaction (it reads its own writes through its connections, and
@@ -1828,7 +1838,7 @@ impl Session {
         let results = match executed {
             Executed::Results(results) => results,
             Executed::Streams(streams, cancel) => {
-                let merged = merge_stream(streams, &plan.info, cancel)?;
+                let merged = merge_stream(streams, &plan.info, &merge_params, cancel)?;
                 self.set_merger(merged.kind());
                 if let Some(t) = &self.active {
                     t.begin_stage(Stage::Merge);
@@ -1847,7 +1857,7 @@ impl Session {
                     .merge_input_rows
                     .add(shard_results.iter().map(|r| r.rows.len() as u64).sum());
             }
-            let (mut merged, kind) = merge_explain(shard_results, &plan.info)?;
+            let (mut merged, kind) = merge_explain(shard_results, &plan.info, &merge_params)?;
             self.set_merger(kind);
             // 10. Feature: decrypt result columns.
             self.runtime

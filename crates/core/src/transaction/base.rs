@@ -258,12 +258,12 @@ fn table_shape(
 ) -> Result<(Vec<String>, Vec<String>)> {
     let t = engine.table(table.as_str()).map_err(KernelError::Storage)?;
     let guard = t.read();
-    let columns = guard.schema.column_names();
+    let columns = guard.schema.names().to_vec();
     let pk = guard
         .schema
         .primary_key
         .iter()
-        .map(|&i| guard.schema.columns[i].name.clone())
+        .map(|&i| columns[i].clone())
         .collect();
     Ok((columns, pk))
 }

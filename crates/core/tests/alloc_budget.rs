@@ -7,9 +7,10 @@
 //! straight at the engines — below it. The difference is the kernel's own
 //! share: what a plan-cache hit costs above storage. Counts repeat exactly
 //! from run to run (one thread, one CPU, fixed parameters), so the bounds
-//! hold without a timing flake; they sit a few allocations above what this
-//! change measured and well below the commit before it (EXPERIMENTS.md,
-//! "Ledger — PR 20").
+//! hold without a timing flake; they sit a few allocations above what the
+//! change that set them measured and well below the commit before it
+//! (EXPERIMENTS.md, "Ledger — PR 20" for the kernel's share, "Ledger —
+//! PR 22" for storage's own).
 //!
 //! Linux only: the fan-out must stay on the counting thread, which the test
 //! arranges by pinning itself to one CPU before the executor's pool exists.
@@ -194,10 +195,15 @@ fn warm_statements_stay_inside_their_allocation_budget() {
         .unwrap();
     let mut s = runtime.session();
 
-    // (statement, door budget, kernel-share budget); the commit before this
-    // one measured 95.6 / 47.6 and 701.4 / 233.4, this one 67.6 / 19.6 and
-    // 507.4 / 39.4.
-    for (sql, door_budget, kernel_budget) in [(POINT_SELECT, 72.0, 24.0), (RANGE, 520.0, 50.0)] {
+    // (statement, door budget, storage budget, kernel-share budget). PR 20
+    // set the kernel's share (19.6 and 39.4 measured, 47.6 and 233.4 before
+    // it); PR 22 gated storage's own (29.0 and 300.0 measured, 48.0 and
+    // 468.0 before it) and lowered the door by as much (48.6 and 339.4
+    // measured, 67.6 and 507.4 before it).
+    for (sql, door_budget, storage_budget, kernel_budget) in [
+        (POINT_SELECT, 53.0, 32.0, 24.0),
+        (RANGE, 352.0, 310.0, 50.0),
+    ] {
         let warm_up = at_the_door(&mut s, sql);
         let door = at_the_door(&mut s, sql);
         assert!(
@@ -215,18 +221,22 @@ fn warm_statements_stay_inside_their_allocation_budget() {
             "{sql}: {door:.1} allocations at the door, budget {door_budget}"
         );
         assert!(
+            storage <= storage_budget,
+            "{sql}: {storage:.1} allocations at the engines, budget {storage_budget}"
+        );
+        assert!(
             kernel <= kernel_budget,
             "{sql}: {kernel:.1} allocations above storage, budget {kernel_budget}"
         );
     }
 
     // A disabled cache plans, binds and drops per statement — through the
-    // same planner, so no dearer than the commit before this one, which
-    // measured 128.6 and 753.4 (this one: 118.6 and 692.4).
+    // same planner and the same engines, so the bounds follow the warm
+    // ones: PR 22 measured 99.6 and 524.4 (118.6 and 692.4 before it).
     s.execute_sql("SET sql_plan_cache_size = 0", &[]).unwrap();
-    for (sql, parent) in [(POINT_SELECT, 128.6), (RANGE, 753.4)] {
+    for (sql, budget) in [(POINT_SELECT, 104.0), (RANGE, 536.0)] {
         let door = at_the_door(&mut s, sql);
         println!("{sql}: door {door:.1} with the caches off");
-        assert!(door <= parent, "{sql}: {door:.1} uncached, was {parent}");
+        assert!(door <= budget, "{sql}: {door:.1} uncached, budget {budget}");
     }
 }

@@ -148,6 +148,77 @@ fn having_and_order_by_aggregate_combinations() {
     }
 }
 
+/// A placeholder in a cross-shard HAVING reads the statement's parameters
+/// (the merger used to evaluate it with none: "missing parameter at index
+/// 0"). Grouped and ungrouped, on a projected and on a non-projected
+/// aggregate, beside a literal and behind a WHERE placeholder, each shape
+/// cold (a plan miss) and warm (a plan hit carrying other values), through
+/// both doors.
+#[test]
+fn having_placeholders_bind_across_shards() {
+    let (mut s, oracle) = harness();
+    for id in 0..40i64 {
+        oracle.write_both(
+            &mut s,
+            &format!(
+                "INSERT INTO t (id, grp, v) VALUES ({id}, 'g{}', {id})",
+                id % 5
+            ),
+            &[],
+        );
+    }
+    let int = |v: i64| shard_sql::Value::Int(v);
+    // (statement, parameters cold, parameters warm, rows cold, rows warm)
+    let cases = [
+        (
+            "SELECT grp, COUNT(*) FROM t GROUP BY grp HAVING COUNT(*) > ? ORDER BY grp",
+            vec![int(7)],
+            vec![int(8)],
+            (5, 0),
+        ),
+        (
+            "SELECT grp, COUNT(*) FROM t GROUP BY grp HAVING COUNT(*) > 7 ORDER BY grp",
+            vec![],
+            vec![],
+            (5, 5),
+        ),
+        (
+            "SELECT grp FROM t GROUP BY grp HAVING SUM(v) > ? ORDER BY grp",
+            vec![int(150)],
+            vec![int(160)],
+            (3, 2),
+        ),
+        (
+            "SELECT grp, AVG(v) FROM t GROUP BY grp HAVING MAX(v) >= ?",
+            vec![int(38)],
+            vec![int(36)],
+            (2, 4),
+        ),
+        (
+            "SELECT grp, SUM(v) FROM t WHERE id >= ? GROUP BY grp \
+             HAVING SUM(v) BETWEEN ? AND ? ORDER BY SUM(v) DESC LIMIT 1, 2",
+            vec![int(10), int(0), int(1000)],
+            vec![int(20), int(110), int(116)],
+            (2, 1),
+        ),
+        (
+            "SELECT COUNT(*), SUM(v) FROM t HAVING COUNT(*) > ?",
+            vec![int(39)],
+            vec![int(40)],
+            (1, 0),
+        ),
+    ];
+    for (sql, cold, warm, rows) in &cases {
+        assert_eq!(oracle.assert_same(&mut s, sql, cold).len(), rows.0, "{sql}");
+        assert_eq!(oracle.assert_same(&mut s, sql, warm).len(), rows.1, "{sql}");
+    }
+    // The same shapes with the caches off: every statement a cold plan.
+    s.execute_sql("SET sql_plan_cache_size = 0", &[]).unwrap();
+    for (sql, cold, _, rows) in &cases {
+        assert_eq!(oracle.assert_same(&mut s, sql, cold).len(), rows.0, "{sql}");
+    }
+}
+
 #[test]
 fn wide_in_list_routes_and_merges() {
     let (mut s, oracle) = harness();

@@ -290,7 +290,10 @@ fn kernel_and_storage_metrics_populate() {
     }
     // Storage-level gauges observe the engines.
     assert!(metric_value(&rs, "storage_statements_total") >= 11);
-    assert!(metric_value(&rs, "storage_rows_pulled_total") >= 10);
+    let pulled = metric_value(&rs, "storage_rows_pulled_total");
+    assert!(pulled >= 10);
+    // Every row pulled is at least one chain visited.
+    assert!(metric_value(&rs, "storage_fetch_steps_total") >= pulled);
     // Fan-out histogram saw the 4-unit SELECT.
     assert!(metric_value(&rs, "route_fanout_units_count") >= 1);
 

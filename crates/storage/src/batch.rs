@@ -135,25 +135,28 @@ pub(crate) struct BatchSource {
 
 impl BatchSource {
     /// Resolve the reduced scope and the output header for an admissible
-    /// statement over `ids`, the dispatcher's snapshot.
+    /// statement over `ids`, the dispatcher's snapshot. `names` is the
+    /// table's column list.
     pub(crate) fn open(
         table: Arc<RwLock<Table>>,
         stmt: &SelectStatement,
         binding: &str,
         ids: Vec<RowId>,
-        schema_cols: &[String],
+        names: &Arc<[String]>,
         view: ReadView,
     ) -> Result<(BatchSource, Vec<String>)> {
-        let full_scope = Scope::from_table(binding, schema_cols);
-        let columns = projection_columns(&stmt.projection, &full_scope)?;
-        let proj = referenced_columns(stmt, schema_cols);
-        let reduced: Vec<String> = proj.iter().map(|&i| schema_cols[i].clone()).collect();
+        let proj = referenced_columns(stmt, names);
+        let scope = Scope::from_picked(binding, names, &proj);
+        // The header needs no wider scope than the rows: a wildcard
+        // references every column, and any other item is named by its
+        // expression or alias alone.
+        let columns = projection_columns(&stmt.projection, &scope)?;
         let source = BatchSource {
             table,
             ids,
             pos: 0,
             proj,
-            scope: Scope::from_table(binding, &reduced),
+            scope,
             view,
         };
         Ok((source, columns))
@@ -185,15 +188,16 @@ impl BatchSource {
                 .map(|_| ColumnVector::with_capacity(chunk.len()))
                 .collect();
             let mut fetched = 0usize;
-            {
+            let visited = {
                 let guard = self.table.read();
                 guard.fetch_rows(chunk, &self.view, |row| {
                     fetched += 1;
                     for (out, &ci) in cols.iter_mut().zip(&self.proj) {
                         out.push(row[ci].clone());
                     }
-                });
-            }
+                })
+            };
+            hooks.fetch_steps.fetch_add(visited, Ordering::Relaxed);
             if fetched == 0 {
                 continue;
             }

@@ -159,6 +159,7 @@ impl StorageEngine {
                 latency,
                 faults: FaultInjector::new(&name),
                 rows_pulled: AtomicU64::new(0),
+                fetch_steps: AtomicU64::new(0),
                 scan_batches: AtomicU64::new(0),
                 scan_batch_rows: AtomicU64::new(0),
             }),
@@ -298,6 +299,13 @@ impl StorageEngine {
     /// executor counts nothing).
     pub fn rows_pulled(&self) -> u64 {
         self.hooks.rows_pulled.load(Ordering::Relaxed)
+    }
+
+    /// Row chains the scan leaves visited to fetch what `rows_pulled`
+    /// counts: equal to it when every probe lands on a visible row, above
+    /// it by what a walk passed over or a probe found gone.
+    pub fn fetch_steps(&self) -> u64 {
+        self.hooks.fetch_steps.load(Ordering::Relaxed)
     }
 
     /// Row-lock acquisitions that had to block behind another transaction
@@ -780,17 +788,16 @@ impl StorageEngine {
                 if let Some(pk) = guard.primary_index() {
                     // Lock via PK lookup of returned rows when the PK columns
                     // are all present in the result.
-                    let pk_cols: Vec<String> = pk
+                    let names = guard.schema.names();
+                    let positions: Option<Vec<usize>> = pk
                         .columns
                         .iter()
-                        .map(|&i| guard.schema.columns[i].name.clone())
+                        .map(|&i| rs.column_index(&names[i]))
                         .collect();
-                    let positions: Option<Vec<usize>> =
-                        pk_cols.iter().map(|c| rs.column_index(c)).collect();
                     if let Some(pos) = positions {
                         for row in &rs.rows {
                             let key: Vec<Value> = pos.iter().map(|&i| row[i].clone()).collect();
-                            for rid in guard.lookup_pk(&key) {
+                            for &rid in guard.lookup_pk(&key) {
                                 self.locks
                                     .lock_row(t, guard.name(), rid, LockIntent::Read)?;
                             }
@@ -899,13 +906,13 @@ impl StorageEngine {
         txn: TxnId,
     ) -> Result<ExecuteResult> {
         let table = self.table(stmt.table.as_str())?;
-        let binding = stmt.alias.clone().unwrap_or_else(|| stmt.table.0.clone());
+        let binding = stmt.alias.as_deref().unwrap_or(stmt.table.as_str());
         // Plan: find target row ids (index-assisted), then lock and mutate.
         let (targets, scope) = {
             let guard = table.read();
-            let scope = Scope::from_table(&binding, &guard.schema.column_names());
+            let scope = Scope::from_table(binding, guard.schema.names());
             let ids =
-                self.matching_rows(&guard, &binding, &scope, stmt.where_clause.as_ref(), params)?;
+                self.matching_rows(&guard, binding, &scope, stmt.where_clause.as_ref(), params)?;
             (ids, scope)
         };
         let mut affected = 0u64;
@@ -961,12 +968,12 @@ impl StorageEngine {
         txn: TxnId,
     ) -> Result<ExecuteResult> {
         let table = self.table(stmt.table.as_str())?;
-        let binding = stmt.alias.clone().unwrap_or_else(|| stmt.table.0.clone());
+        let binding = stmt.alias.as_deref().unwrap_or(stmt.table.as_str());
         let (targets, scope) = {
             let guard = table.read();
-            let scope = Scope::from_table(&binding, &guard.schema.column_names());
+            let scope = Scope::from_table(binding, guard.schema.names());
             let ids =
-                self.matching_rows(&guard, &binding, &scope, stmt.where_clause.as_ref(), params)?;
+                self.matching_rows(&guard, binding, &scope, stmt.where_clause.as_ref(), params)?;
             (ids, scope)
         };
         let mut affected = 0u64;

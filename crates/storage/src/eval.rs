@@ -4,12 +4,35 @@ use crate::error::{Result, StorageError};
 use shard_sql::ast::{BinaryOp, ColumnRef, Expr, FunctionCall, UnaryOp};
 use shard_sql::{format_expr, Dialect, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Column bindings for one (possibly joined) row shape. Each slot carries the
-/// optional table qualifier (alias or table name) and the column name.
+/// Column bindings for one (possibly joined) row shape: per table, the
+/// qualifier (alias or table name) and the table's column-name list. The list
+/// is the one its [`TableSchema`](crate::schema::TableSchema) built, shared,
+/// so opening a statement copies no name.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
-    bindings: Vec<(Option<String>, String)>,
+    tables: Vec<ScopeTable>,
+}
+
+#[derive(Debug, Clone)]
+struct ScopeTable {
+    qualifier: Option<String>,
+    names: Arc<[String]>,
+    /// Positions in `names` of the columns a row carries, in row order;
+    /// `None` when it carries all of them.
+    picked: Option<Vec<usize>>,
+}
+
+impl ScopeTable {
+    fn width(&self) -> usize {
+        self.picked.as_ref().map_or(self.names.len(), Vec::len)
+    }
+
+    /// The name bound at row slot `k` of this table.
+    fn name(&self, k: usize) -> &str {
+        &self.names[self.picked.as_ref().map_or(k, |p| p[k])]
+    }
 }
 
 impl Scope {
@@ -17,66 +40,95 @@ impl Scope {
         Scope::default()
     }
 
-    pub fn from_table(qualifier: &str, columns: &[String]) -> Self {
+    pub fn from_table(qualifier: &str, names: &Arc<[String]>) -> Self {
         let mut s = Scope::new();
-        s.add_table(qualifier, columns);
+        s.add_table(qualifier, names);
         s
     }
 
-    pub fn add_table(&mut self, qualifier: &str, columns: &[String]) {
-        for c in columns {
-            self.bindings.push((Some(qualifier.to_string()), c.clone()));
-        }
+    /// Bind the columns at `picked` (positions in `names`) only, in that
+    /// order: the batch leaf's rows carry just what the statement references.
+    pub fn from_picked(qualifier: &str, names: &Arc<[String]>, picked: &[usize]) -> Self {
+        let mut s = Scope::new();
+        s.push(Some(qualifier), names, Some(picked.to_vec()));
+        s
+    }
+
+    pub fn add_table(&mut self, qualifier: &str, names: &Arc<[String]>) {
+        self.push(Some(qualifier), names, None);
     }
 
     /// Bind plain output columns (result-set shapes, e.g. HAVING over a
     /// projected group row).
     pub fn from_columns(columns: &[String]) -> Self {
-        Scope {
-            bindings: columns.iter().map(|c| (None, c.clone())).collect(),
-        }
+        let mut s = Scope::new();
+        s.push(None, &columns.into(), None);
+        s
+    }
+
+    fn push(&mut self, qualifier: Option<&str>, names: &Arc<[String]>, picked: Option<Vec<usize>>) {
+        self.tables.push(ScopeTable {
+            qualifier: qualifier.map(str::to_string),
+            names: Arc::clone(names),
+            picked,
+        });
     }
 
     pub fn len(&self) -> usize {
-        self.bindings.len()
+        self.tables.iter().map(ScopeTable::width).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
+        self.len() == 0
     }
 
     /// Resolve a column reference to its row position. Unqualified names must
     /// be unambiguous.
     pub fn resolve(&self, col: &ColumnRef) -> Result<usize> {
         let mut found = None;
-        for (i, (qual, name)) in self.bindings.iter().enumerate() {
-            if !name.eq_ignore_ascii_case(&col.column) {
+        let mut base = 0;
+        for table in &self.tables {
+            // A qualified reference looks in the table it names only.
+            let in_reach = match (&col.table, &table.qualifier) {
+                (None, _) => true,
+                (Some(want), Some(q)) => q.eq_ignore_ascii_case(want),
+                (Some(_), None) => false,
+            };
+            let width = table.width();
+            if !in_reach {
+                base += width;
                 continue;
             }
-            if let Some(want) = &col.table {
-                if qual
-                    .as_deref()
-                    .is_some_and(|q| q.eq_ignore_ascii_case(want))
-                {
-                    return Ok(i);
+            for k in 0..width {
+                if !table.name(k).eq_ignore_ascii_case(&col.column) {
+                    continue;
                 }
-            } else {
+                if col.table.is_some() {
+                    return Ok(base + k);
+                }
                 if found.is_some() {
                     return Err(StorageError::Execution(format!(
                         "ambiguous column '{}'",
                         col.column
                     )));
                 }
-                found = Some(i);
+                found = Some(base + k);
             }
+            base += width;
         }
         found.ok_or_else(|| StorageError::ColumnNotFound(col.to_string()))
     }
 
     /// The qualifier+name pair at a slot (projection naming).
-    pub fn binding(&self, i: usize) -> (&Option<String>, &str) {
-        let (q, n) = &self.bindings[i];
-        (q, n)
+    pub fn binding(&self, i: usize) -> (Option<&str>, &str) {
+        let mut k = i;
+        for table in &self.tables {
+            if k < table.width() {
+                return (table.qualifier.as_deref(), table.name(k));
+            }
+            k -= table.width();
+        }
+        panic!("slot {i} of a {}-column scope", self.len())
     }
 }
 
@@ -479,7 +531,7 @@ mod tests {
     }
 
     fn eval_with(sql: &str, cols: &[&str], row: &[Value]) -> Value {
-        let scope = Scope::from_table("t", &cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+        let scope = Scope::from_table("t", &cols.iter().map(|c| c.to_string()).collect());
         let ctx = EvalContext::new(&scope, row, &[]);
         eval(&expr_of(sql), &ctx).unwrap()
     }
@@ -631,8 +683,8 @@ mod tests {
     #[test]
     fn ambiguous_column_rejected() {
         let mut scope = Scope::new();
-        scope.add_table("a", &["x".into()]);
-        scope.add_table("b", &["x".into()]);
+        scope.add_table("a", &["x".to_string()].into());
+        scope.add_table("b", &["x".to_string()].into());
         let ctx = EvalContext::new(&scope, &[Value::Int(1), Value::Int(2)], &[]);
         assert!(eval(&Expr::col("x"), &ctx).is_err());
         assert_eq!(eval(&Expr::qcol("b", "x"), &ctx).unwrap(), Value::Int(2));
@@ -640,14 +692,14 @@ mod tests {
 
     #[test]
     fn params_resolve() {
-        let scope = Scope::from_table("t", &["a".into()]);
+        let scope = Scope::from_table("t", &["a".to_string()].into());
         let ctx = EvalContext::new(&scope, &[Value::Int(10)], &[Value::Int(10)]);
         assert_eq!(eval(&expr_of("a = ?"), &ctx).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn missing_param_errors() {
-        let scope = Scope::from_table("t", &["a".into()]);
+        let scope = Scope::from_table("t", &["a".to_string()].into());
         let ctx = EvalContext::new(&scope, &[Value::Int(10)], &[]);
         assert!(matches!(
             eval(&expr_of("a = ?"), &ctx),

@@ -15,6 +15,7 @@ use crate::table::Table;
 use parking_lot::RwLock;
 use shard_sql::ast::*;
 use shard_sql::{format_expr, Dialect, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -55,7 +56,7 @@ pub fn execute_select(
     // 1. Base table access with WHERE pushdown.
     let base = catalog.table(from.name.as_str())?;
     let base_guard = base.read();
-    let mut scope = Scope::from_table(from.binding_name(), &base_guard.schema.column_names());
+    let mut scope = Scope::from_table(from.binding_name(), base_guard.schema.names());
     let mut rows: Vec<Vec<Value>> = {
         let candidates = access_path(
             &base_guard,
@@ -80,18 +81,17 @@ pub fn execute_select(
     for join in &stmt.joins {
         let right = catalog.table(join.table.name.as_str())?;
         let right_guard = right.read();
-        let right_cols = right_guard.schema.column_names();
-        let right_binding = join.table.binding_name().to_string();
+        let right_binding = join.table.binding_name();
 
         let mut next_scope = scope.clone();
-        next_scope.add_table(&right_binding, &right_cols);
+        next_scope.add_table(right_binding, right_guard.schema.names());
 
         rows = execute_join(
             rows,
             &scope,
             &next_scope,
             &right_guard,
-            &right_binding,
+            right_binding,
             join,
             params,
             view,
@@ -188,40 +188,35 @@ pub(crate) fn access_path(
     let mut conjuncts = Vec::new();
     collect_conjuncts(pred, &mut conjuncts);
 
-    // Range accumulation per column lets `uid >= 5 AND uid < 9` use one scan.
+    // Range accumulation per column position lets `uid >= 5 AND UID < 9` use
+    // one scan, however each conjunct spells the column.
     let mut best: Option<Vec<RowId>> = None;
-    let mut ranges: HashMap<String, (Bound<Value>, Bound<Value>)> = HashMap::new();
+    let mut ranges: Vec<ColumnRange<'_>> = Vec::new();
 
     for c in &conjuncts {
         match c {
             Expr::Binary { left, op, right } if op.is_comparison() => {
-                let (col, val) = match (column_of(left, binding, table), const_of(right, params)) {
-                    (Some(c), Some(v)) => (c, v),
-                    _ => match (column_of(right, binding, table), const_of(left, params)) {
-                        (Some(c), Some(v)) => (c, v),
-                        _ => continue,
-                    },
-                };
-                // Mirror the operator if the column was on the right.
-                let col_on_left = column_of(left, binding, table).is_some();
-                let op = if col_on_left { *op } else { mirror(*op) };
+                // Mirror the operator if the column is on the right.
+                let (col, val, op) =
+                    match (column_of(left, binding, table), const_of(right, params)) {
+                        (Some(c), Some(v)) => (c, v, *op),
+                        _ => match (column_of(right, binding, table), const_of(left, params)) {
+                            (Some(c), Some(v)) => (c, v, mirror(*op)),
+                            _ => continue,
+                        },
+                    };
                 match op {
                     BinaryOp::Eq => {
-                        if let Some(idx) = table.index_on(col) {
+                        if let Some(idx) = table.index_at(col) {
                             if idx.columns.len() == 1 {
-                                let ids = idx.lookup(&[val]);
+                                let ids = idx.lookup(std::slice::from_ref(val)).to_vec();
                                 best = Some(intersect(best, ids));
                                 continue;
                             }
                         }
                         // Composite PK: equality on the first column becomes
                         // a range over that prefix.
-                        merge_range(
-                            &mut ranges,
-                            col,
-                            Bound::Included(val.clone()),
-                            Bound::Included(val),
-                        );
+                        merge_range(&mut ranges, col, Bound::Included(val), Bound::Included(val));
                     }
                     BinaryOp::Gt => {
                         merge_range(&mut ranges, col, Bound::Excluded(val), Bound::Unbounded)
@@ -243,10 +238,8 @@ pub(crate) fn access_path(
                 negated: false,
                 list,
             } => {
-                let Some(col) = column_of(expr, binding, table) else {
-                    continue;
-                };
-                let Some(idx) = table.index_on(col) else {
+                let Some(idx) = column_of(expr, binding, table).and_then(|c| table.index_at(c))
+                else {
                     continue;
                 };
                 if idx.columns.len() != 1 {
@@ -256,7 +249,7 @@ pub(crate) fn access_path(
                 let mut all_const = true;
                 for item in list {
                     match const_of(item, params) {
-                        Some(v) => ids.extend(idx.lookup(&[v])),
+                        Some(v) => ids.extend(idx.lookup(std::slice::from_ref(v))),
                         None => {
                             all_const = false;
                             break;
@@ -288,9 +281,9 @@ pub(crate) fn access_path(
         }
     }
 
-    for (col, (lo, hi)) in ranges {
-        if let Some(ids) = table.range_on(&col, as_ref_bound(&lo), as_ref_bound(&hi)) {
-            best = Some(intersect(best, ids));
+    for (col, lo, hi) in ranges {
+        if let Some(idx) = table.index_at(col) {
+            best = Some(intersect(best, idx.range(lo, hi)));
         }
     }
     best
@@ -309,15 +302,11 @@ pub(crate) fn index_order(
     if !order_by.iter().all(|o| o.desc == first.desc) {
         return None;
     }
-    let idx = table.index_on(column_of(&first.expr, binding, table)?)?;
     let positions: Vec<usize> = order_by
         .iter()
-        .map(|item| {
-            table
-                .schema
-                .column_index(column_of(&item.expr, binding, table)?)
-        })
+        .map(|item| column_of(&item.expr, binding, table))
         .collect::<Option<_>>()?;
+    let idx = table.index_at(positions[0])?;
     if !idx.columns.starts_with(&positions) {
         return None;
     }
@@ -327,14 +316,6 @@ pub(crate) fn index_order(
     } else {
         idx.scan().collect()
     })
-}
-
-fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
 }
 
 fn mirror(op: BinaryOp) -> BinaryOp {
@@ -347,58 +328,38 @@ fn mirror(op: BinaryOp) -> BinaryOp {
     }
 }
 
-fn merge_range(
-    ranges: &mut HashMap<String, (Bound<Value>, Bound<Value>)>,
-    col: &str,
-    lo: Bound<Value>,
-    hi: Bound<Value>,
+/// The range the conjuncts seen so far leave one column (by schema
+/// position): `(column, low, high)`.
+type ColumnRange<'a> = (usize, Bound<&'a Value>, Bound<&'a Value>);
+
+fn merge_range<'a>(
+    ranges: &mut Vec<ColumnRange<'a>>,
+    col: usize,
+    lo: Bound<&'a Value>,
+    hi: Bound<&'a Value>,
 ) {
-    let entry = ranges
-        .entry(col.to_string())
-        .or_insert((Bound::Unbounded, Bound::Unbounded));
-    if !matches!(lo, Bound::Unbounded) {
-        entry.0 = tighter_low(entry.0.clone(), lo);
-    }
-    if !matches!(hi, Bound::Unbounded) {
-        entry.1 = tighter_high(entry.1.clone(), hi);
-    }
+    let at = ranges.iter().position(|r| r.0 == col).unwrap_or_else(|| {
+        ranges.push((col, Bound::Unbounded, Bound::Unbounded));
+        ranges.len() - 1
+    });
+    let range = &mut ranges[at];
+    range.1 = tighter(range.1, lo, Ordering::Greater);
+    range.2 = tighter(range.2, hi, Ordering::Less);
 }
 
-fn tighter_low(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
+/// The stricter of two bounds on one side of a range: the one whose value
+/// compares `stricter` to the other's (greater for a low bound, less for a
+/// high one), an exclusive bound over an inclusive one on the same value.
+fn tighter<'a>(a: Bound<&'a Value>, b: Bound<&'a Value>, stricter: Ordering) -> Bound<&'a Value> {
+    match (a, b) {
         (Bound::Unbounded, _) => b,
         (_, Bound::Unbounded) => a,
         (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
             match x.total_cmp(y) {
-                std::cmp::Ordering::Less => b,
-                std::cmp::Ordering::Greater => a,
-                std::cmp::Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn tighter_high(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
-        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            match x.total_cmp(y) {
-                std::cmp::Ordering::Greater => b,
-                std::cmp::Ordering::Less => a,
-                std::cmp::Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
+                Ordering::Equal if matches!(a, Bound::Excluded(_)) => a,
+                Ordering::Equal => b,
+                ord if ord == stricter => a,
+                _ => b,
             }
         }
     }
@@ -430,27 +391,25 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Resolve an expression to a column of the given table binding, if it is a
-/// bare (optionally qualified) column reference.
-fn column_of<'a>(e: &'a Expr, binding: &str, table: &Table) -> Option<&'a str> {
-    let e = unwrap_nested(e);
-    let Expr::Column(c) = e else { return None };
+/// Resolve an expression to a column of the given table binding — its
+/// schema position — if it is a bare (optionally qualified) column reference.
+fn column_of(e: &Expr, binding: &str, table: &Table) -> Option<usize> {
+    let Expr::Column(c) = unwrap_nested(e) else {
+        return None;
+    };
     if let Some(t) = &c.table {
         if !t.eq_ignore_ascii_case(binding) {
             return None;
         }
     }
-    table
-        .schema
-        .column_index(&c.column)
-        .map(|_| c.column.as_str())
+    table.schema.column_index(&c.column)
 }
 
 /// Resolve an expression to a constant (literal or bound parameter).
-fn const_of(e: &Expr, params: &[Value]) -> Option<Value> {
+fn const_of<'a>(e: &'a Expr, params: &'a [Value]) -> Option<&'a Value> {
     match unwrap_nested(e) {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned(),
+        Expr::Literal(v) => Some(v),
+        Expr::Param(i) => params.get(*i),
         _ => None,
     }
 }
@@ -544,7 +503,7 @@ fn execute_join(
                 };
                 let idx = right.index_on(r_col).expect("checked above");
                 let mut matched = false;
-                for rid in idx.lookup(&[lv]) {
+                for &rid in idx.lookup(&[lv]) {
                     // Entries can point at versions outside the view (deleted
                     // but unvacuumed rows, other txns' pending writes) — skip.
                     let Some(r_row) = right.get_visible(rid, view) else {
@@ -714,7 +673,7 @@ pub(crate) fn projection_columns(projection: &[SelectItem], scope: &Scope) -> Re
                 let mut any = false;
                 for i in 0..scope.len() {
                     let (q, n) = scope.binding(i);
-                    if q.as_deref().is_some_and(|q| q.eq_ignore_ascii_case(t)) {
+                    if q.is_some_and(|q| q.eq_ignore_ascii_case(t)) {
                         out.push(n.to_string());
                         any = true;
                     }
@@ -757,7 +716,7 @@ pub(crate) fn project_row(
             SelectItem::QualifiedWildcard(t) => {
                 for (i, cell) in row.iter().enumerate().take(scope.len()) {
                     let (q, _) = scope.binding(i);
-                    if q.as_deref().is_some_and(|q| q.eq_ignore_ascii_case(t)) {
+                    if q.is_some_and(|q| q.eq_ignore_ascii_case(t)) {
                         out.push(cell.clone());
                     }
                 }

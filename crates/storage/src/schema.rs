@@ -3,14 +3,19 @@
 use crate::error::{Result, StorageError};
 use shard_sql::ast::{ColumnDef, DataType};
 use shard_sql::Value;
+use std::sync::Arc;
 
-/// Schema of one physical table.
+/// Schema of one physical table. Immutable once built: DDL replaces the
+/// table, never its schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
     pub name: String,
-    pub columns: Vec<ColumnDef>,
+    columns: Vec<ColumnDef>,
     /// Indices into `columns` forming the primary key (possibly composite).
     pub primary_key: Vec<usize>,
+    /// `columns[i].name`, in order: the one copy every statement's
+    /// [`Scope`](crate::eval::Scope) over this table shares.
+    names: Arc<[String]>,
 }
 
 impl TableSchema {
@@ -30,9 +35,14 @@ impl TableSchema {
         }
         Ok(TableSchema {
             name,
+            names: columns.iter().map(|c| c.name.clone()).collect(),
             columns,
             primary_key: pk,
         })
+    }
+
+    pub fn columns(&self) -> &[ColumnDef] {
+        &self.columns
     }
 
     pub fn column_index(&self, name: &str) -> Option<usize> {
@@ -41,8 +51,8 @@ impl TableSchema {
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
+    pub fn names(&self) -> &Arc<[String]> {
+        &self.names
     }
 
     pub fn arity(&self) -> usize {

@@ -16,8 +16,7 @@ use crate::lock::TxnId;
 use crate::mvcc::{CommitTs, ReadView, RowVersion, Stamp};
 use crate::schema::TableSchema;
 use shard_sql::Value;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 pub struct Table {
     pub schema: TableSchema,
@@ -41,6 +40,14 @@ pub struct Table {
     /// whole scan.
     gc_candidates: BTreeSet<RowId>,
 }
+
+/// How many ids ahead of the row-tree cursor [`Table::fetch_rows`] still
+/// walks to instead of seeking. One step of a `BTreeMap` range is 2.4 ns and
+/// one seek into a 12 500-chain shard is 73 ns (both cache-resident; a scratch
+/// probe, EXPERIMENTS.md "Ledger — PR 22"), so walking over about thirty
+/// chains costs what the seek would. Ids are never reused and only ever
+/// vacuumed away, so the id distance bounds the chains in between from above.
+const STEP_GAP: RowId = 32;
 
 /// The chain's current version: newest, and not ended.
 fn current_of(chain: &[RowVersion]) -> Option<&RowVersion> {
@@ -143,16 +150,17 @@ impl Table {
     }
 
     /// The index (primary or secondary) whose first column is `column`, if
-    /// any — the executor's access-path selection hook.
+    /// any.
     pub fn index_on(&self, column: &str) -> Option<&Index> {
-        let col = self.schema.column_index(column)?;
-        if let Some(pk) = &self.primary {
-            if pk.columns.first() == Some(&col) {
-                return Some(pk);
-            }
-        }
-        self.secondary
+        self.index_at(self.schema.column_index(column)?)
+    }
+
+    /// The index (primary first) whose first column is the one at schema
+    /// position `col` — the executor's access-path selection hook.
+    pub fn index_at(&self, col: usize) -> Option<&Index> {
+        self.primary
             .iter()
+            .chain(&self.secondary)
             .find(|i| i.columns.first() == Some(&col))
     }
 
@@ -167,7 +175,7 @@ impl Table {
     /// stored row.
     pub fn insert(&mut self, row: Vec<Value>, txn: TxnId) -> Result<(RowId, Vec<Value>)> {
         let mut row = self.schema.admit_row(row)?;
-        for (i, col) in self.schema.columns.iter().enumerate() {
+        for (i, col) in self.schema.columns().iter().enumerate() {
             if col.auto_increment && row[i].is_null() {
                 row[i] = Value::Int(self.next_auto_increment);
                 self.next_auto_increment += 1;
@@ -234,7 +242,7 @@ impl Table {
             self.secondary.iter().map(|_| BTreeSet::new()).collect();
         for row in rows {
             let mut row = self.schema.admit_row(row)?;
-            for (i, col) in self.schema.columns.iter().enumerate() {
+            for (i, col) in self.schema.columns().iter().enumerate() {
                 if col.auto_increment && row[i].is_null() {
                     row[i] = Value::Int(self.next_auto_increment);
                     self.next_auto_increment += 1;
@@ -587,58 +595,44 @@ impl Table {
     }
 
     /// Visit the view-resolved rows for a batch of ids in the given order,
-    /// skipping ids invisible to the view. When the ids are strictly
-    /// ascending (the common case: scan snapshots and forward index scans),
-    /// the batch is served by one merge-walk over the row tree's range
-    /// instead of one B-tree probe per id.
-    pub fn fetch_rows(&self, ids: &[RowId], view: &ReadView, mut f: impl FnMut(&[Value])) {
-        let ascending = ids.windows(2).all(|w| w[0] < w[1]);
-        match (ascending, ids.first(), ids.last()) {
-            (true, Some(&first), Some(&last)) => {
-                let mut want = ids.iter().peekable();
-                for (&id, chain) in self.rows.range(first..=last) {
-                    while let Some(&&w) = want.peek() {
-                        if w < id {
-                            want.next(); // chain vacuumed since snapshot
-                        } else {
-                            break;
-                        }
-                    }
-                    if want.peek() == Some(&&id) {
-                        want.next();
-                        if let Some(row) = view.resolve(chain) {
-                            f(row);
-                        }
-                    }
-                }
+    /// skipping ids invisible to the view, and return how many chains the
+    /// row-tree cursor visited on the way. For each wanted id the cursor
+    /// *steps* when it stands at most [`STEP_GAP`] ids below it and
+    /// *re-seeks* otherwise: a dense snapshot (a full scan, a forward index
+    /// scan over rows nobody moved) is one walk, a sparse or unordered one
+    /// is a probe per id, and a dense run that ends in a relocated row — a
+    /// `DELETE` + `INSERT` gives the row a fresh id at the end of the table
+    /// — is the run plus one probe, not a walk over everything between.
+    pub fn fetch_rows(&self, ids: &[RowId], view: &ReadView, mut f: impl FnMut(&[Value])) -> u64 {
+        let mut visited = 0;
+        let mut cursor = btree_map::Range::default().peekable();
+        for &want in ids {
+            let near = cursor
+                .peek()
+                .is_some_and(|(&at, _)| at <= want && want - at <= STEP_GAP);
+            if !near {
+                cursor = self.rows.range(want..).peekable();
             }
-            _ => {
-                for id in ids {
-                    if let Some(row) = self.rows.get(id).and_then(|c| view.resolve(c)) {
+            // A chain past `want` is left where it stands: `want`'s own may
+            // be gone (vacuumed since the snapshot), and the next wanted id
+            // may be that very chain.
+            while let Some((&at, chain)) = cursor.next_if(|(&at, _)| at <= want) {
+                visited += 1;
+                if at == want {
+                    if let Some(row) = view.resolve(chain) {
                         f(row);
                     }
+                    break;
                 }
             }
         }
+        visited
     }
 
     /// Point lookup via the primary index. May return ids of deleted-but-
     /// unvacuumed rows; callers resolve through a view.
-    pub fn lookup_pk(&self, key: &[Value]) -> Vec<RowId> {
-        self.primary
-            .as_ref()
-            .map(|pk| pk.lookup(key))
-            .unwrap_or_default()
-    }
-
-    /// Range over a single indexed column (primary or secondary).
-    pub fn range_on(
-        &self,
-        column: &str,
-        low: Bound<&Value>,
-        high: Bound<&Value>,
-    ) -> Option<Vec<RowId>> {
-        self.index_on(column).map(|idx| idx.range(low, high))
+    pub fn lookup_pk(&self, key: &[Value]) -> &[RowId] {
+        self.primary.as_ref().map_or(&[], |pk| pk.lookup(key))
     }
 }
 
@@ -646,6 +640,7 @@ impl Table {
 mod tests {
     use super::*;
     use shard_sql::ast::{ColumnDef, DataType};
+    use std::ops::Bound;
 
     /// Writer txn id used where the test doesn't care about stamping.
     const TXN: TxnId = 1;
@@ -839,13 +834,10 @@ mod tests {
         for i in 0..10 {
             t.insert(row(i, "x", 20), TXN).unwrap();
         }
-        let ids = t
-            .range_on(
-                "uid",
-                Bound::Included(&Value::Int(3)),
-                Bound::Included(&Value::Int(5)),
-            )
-            .unwrap();
+        let ids = t.index_on("uid").unwrap().range(
+            Bound::Included(&Value::Int(3)),
+            Bound::Included(&Value::Int(5)),
+        );
         assert_eq!(ids.len(), 3);
     }
 
